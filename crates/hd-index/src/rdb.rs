@@ -56,10 +56,8 @@ pub fn encode_value(dists: &[f32]) -> Vec<u8> {
 /// Appends the decoded reference distances onto `out`.
 pub fn decode_value_into(buf: &[u8], out: &mut Vec<f32>) {
     debug_assert_eq!(buf.len() % 4, 0);
-    out.reserve(buf.len() / 4);
-    for c in buf.chunks_exact(4) {
-        out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-    }
+    let floats = buf.chunks_exact(4);
+    out.extend(floats.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
 }
 
 #[cfg(test)]
@@ -94,11 +92,24 @@ mod tests {
 
     #[test]
     fn value_roundtrip() {
-        let dists = [0.5f32, 1.25, 1e9, 0.0];
+        // Ordinary distances, then −0.0, subnormals, ±∞ and a NaN payload.
+        let dists = [
+            0.5f32,
+            1.25,
+            1e9,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x0040_0000),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+        ];
         let buf = encode_value(&dists);
-        assert_eq!(buf.len(), val_len(4));
+        assert_eq!(buf.len(), val_len(dists.len()));
         let mut out = Vec::new();
         decode_value_into(&buf, &mut out);
-        assert_eq!(out, dists);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&dists));
     }
 }

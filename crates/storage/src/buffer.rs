@@ -1,4 +1,5 @@
-//! Buffer pool: an LRU page cache over a [`Pager`] with exact IO accounting.
+//! Buffer pool: a CLOCK (second-chance) page cache over a [`Pager`] with
+//! exact IO accounting.
 //!
 //! Two modes matter for the reproduction:
 //!
@@ -6,9 +7,9 @@
 //!   paper's measurement mode ("we turn off buffering and caching effects in
 //!   all the experiments", §5) and makes the physical-read counter equal the
 //!   paper's "number of random disk accesses".
-//! * **capacity > 0** — normal operation with LRU eviction, used during index
-//!   construction (where the paper, too, builds with bounded memory: HD-Index
-//!   builds in ~100 MB, Fig. 8d/i/n).
+//! * **capacity > 0** — normal operation with CLOCK eviction, used during
+//!   index construction (where the paper, too, builds with bounded memory:
+//!   HD-Index builds in ~100 MB, Fig. 8d/i/n) and when serving.
 //!
 //! Pages are handed out as `Arc<[u8]>` snapshots: readers never block each
 //! other, and a writer simply replaces the cached entry (write-through).
@@ -18,24 +19,48 @@ use crate::page::PageId;
 use crate::pager::Pager;
 use crate::stats::{IoSnapshot, IoStats};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::sync::Arc;
 
-struct Inner {
-    cache: HashMap<PageId, (Arc<[u8]>, u64)>,
-    /// Recency queue with lazy invalidation: entries whose stamp no longer
-    /// matches the map are skipped at eviction time.
-    lru: VecDeque<(PageId, u64)>,
-    stamp: u64,
+/// Multiplicative (Fibonacci) hash for page ids. Page ids are internal,
+/// never outside input, so a keyed hash buys nothing.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let id = u64::from_ne_bytes(bytes.try_into().expect("page ids are u64"));
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// An LRU-cached, statistics-counting view over a [`Pager`].
+struct Frame {
+    id: PageId,
+    page: Arc<[u8]>,
+    /// Second-chance bit: set on every hit, cleared by the passing hand.
+    referenced: bool,
+}
+
+#[derive(Default)]
+struct Inner {
+    frames: Vec<Frame>,
+    slots: HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>,
+    hand: usize,
+}
+
+/// A CLOCK-cached, statistics-counting view over a [`Pager`]. A hit is one
+/// map probe under one lock; a miss reuses the victim's frame in place.
 pub struct BufferPool {
     pager: Pager,
     capacity: usize,
     /// Optional global quota shared with other pools; every cached page
-    /// holds one charge (invariant: charges == cache.len()).
+    /// holds one charge (invariant: charges == frames.len()).
     budget: Option<CacheBudget>,
     inner: Mutex<Inner>,
     stats: IoStats,
@@ -51,7 +76,7 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// Wraps `pager` with an LRU cache of `capacity` pages (0 disables
+    /// Wraps `pager` with a CLOCK cache of `capacity` pages (0 disables
     /// caching entirely — the paper's measurement mode).
     pub fn new(pager: Pager, capacity: usize) -> Self {
         Self::with_budget(pager, capacity, None)
@@ -66,22 +91,9 @@ impl BufferPool {
             pager,
             capacity,
             budget,
-            inner: Mutex::new(Inner {
-                cache: HashMap::with_capacity(capacity.min(1 << 20)),
-                lru: VecDeque::with_capacity(capacity.min(1 << 20)),
-                stamp: 0,
-            }),
+            inner: Mutex::new(Inner::default()),
             stats: IoStats::new(),
         }
-    }
-
-    /// The shared budget this pool charges, if any.
-    pub fn budget(&self) -> Option<&CacheBudget> {
-        self.budget.as_ref()
-    }
-
-    pub fn pager(&self) -> &Pager {
-        &self.pager
     }
 
     pub fn page_size(&self) -> usize {
@@ -103,8 +115,7 @@ impl BufferPool {
 
     /// Heap bytes currently held by cached pages (the pool's RAM footprint).
     pub fn memory_bytes(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.cache.len() * self.pager.page_size()
+        self.inner.lock().frames.len() * self.pager.page_size()
     }
 
     /// Bytes on disk behind this pool.
@@ -132,22 +143,17 @@ impl BufferPool {
         self.stats.record_logical_read();
         if self.capacity > 0 {
             let mut inner = self.inner.lock();
-            if let Some((page, _)) = inner.cache.get(&id) {
-                let page = Arc::clone(page);
-                let stamp = inner.stamp;
-                inner.stamp += 1;
-                if let Some(entry) = inner.cache.get_mut(&id) {
-                    entry.1 = stamp;
-                }
-                inner.lru.push_back((id, stamp));
-                return Ok(page);
+            if let Some(&slot) = inner.slots.get(&id) {
+                let frame = &mut inner.frames[slot];
+                frame.referenced = true;
+                return Ok(Arc::clone(&frame.page));
             }
         }
-        // Miss: physical read.
-        let mut buf = vec![0u8; self.pager.page_size()];
-        self.pager.read_page(id, &mut buf)?;
+        // Miss: physical read straight into the page handed out.
+        let mut page: Arc<[u8]> = std::iter::repeat_n(0u8, self.pager.page_size()).collect();
+        let buf = Arc::get_mut(&mut page).expect("a fresh page is unshared");
+        self.pager.read_page(id, buf)?;
         self.stats.record_physical_read();
-        let page: Arc<[u8]> = Arc::from(buf.into_boxed_slice());
         if self.capacity > 0 {
             self.install(id, Arc::clone(&page));
         }
@@ -162,7 +168,7 @@ impl BufferPool {
         self.pager.write_page(id, data)?;
         self.stats.record_physical_write();
         if self.capacity > 0 {
-            self.install(id, Arc::from(data.to_vec().into_boxed_slice()));
+            self.install(id, Arc::from(data));
         }
         Ok(())
     }
@@ -171,10 +177,9 @@ impl BufferPool {
     pub fn clear_cache(&self) {
         let mut inner = self.inner.lock();
         if let Some(budget) = &self.budget {
-            budget.release(inner.cache.len());
+            budget.release(inner.frames.len());
         }
-        inner.cache.clear();
-        inner.lru.clear();
+        *inner = Inner::default();
     }
 
     /// Flushes OS buffers to stable storage.
@@ -182,68 +187,53 @@ impl BufferPool {
         self.pager.sync()
     }
 
-    /// Evicts the least-recently-used live page. Returns `false` when the
-    /// cache is empty. Does not touch the budget: callers decide whether the
-    /// freed charge is released or transferred to an incoming page.
-    fn evict_one(inner: &mut Inner) -> bool {
-        while let Some((victim, s)) = inner.lru.pop_front() {
-            let live = inner
-                .cache
-                .get(&victim)
-                .map(|(_, cur)| *cur == s)
-                .unwrap_or(false);
-            if live {
-                inner.cache.remove(&victim);
-                return true;
-            }
-        }
-        false
-    }
-
+    /// Caches `page` as `id`, replacing the bytes of a page already cached.
     fn install(&self, id: PageId, page: Arc<[u8]>) {
         let mut inner = self.inner.lock();
-        if let Some(budget) = &self.budget {
-            if !inner.cache.contains_key(&id) && !budget.try_charge() {
-                // Global quota exhausted: hand one of our own pages' charges
-                // to the incoming page, or forgo caching it.
-                if !Self::evict_one(&mut inner) {
-                    return;
+        let inner = &mut *inner;
+        if let Some(&slot) = inner.slots.get(&id) {
+            let frame = &mut inner.frames[slot];
+            frame.page = page;
+            frame.referenced = true;
+            return;
+        }
+        let frame = Frame {
+            id,
+            page,
+            referenced: false,
+        };
+        let charge = || self.budget.as_ref().is_none_or(|b| b.try_charge());
+        if inner.frames.len() < self.capacity && charge() {
+            inner.slots.insert(id, inner.frames.len());
+            inner.frames.push(frame);
+        } else if !inner.frames.is_empty() {
+            // Full, or the quota is exhausted: the hand stops at the first
+            // unreferenced frame (clearing the bits it passes), and that
+            // frame and its charge pass to the incoming page.
+            let slot = loop {
+                let slot = inner.hand;
+                inner.hand = (slot + 1) % inner.frames.len();
+                if !std::mem::take(&mut inner.frames[slot].referenced) {
+                    break slot;
                 }
-            }
+            };
+            let old = std::mem::replace(&mut inner.frames[slot], frame);
+            inner.slots.remove(&old.id);
+            inner.slots.insert(id, slot);
         }
-        let stamp = inner.stamp;
-        inner.stamp += 1;
-        inner.cache.insert(id, (page, stamp));
-        inner.lru.push_back((id, stamp));
-        while inner.cache.len() > self.capacity {
-            if Self::evict_one(&mut inner) {
-                if let Some(budget) = &self.budget {
-                    budget.release(1);
-                }
-            } else {
-                break;
-            }
-        }
-        // Bound the recency queue: lazy invalidation can let it grow past the
-        // cache; compact when it is far larger than the live set.
-        if inner.lru.len() > 8 * self.capacity.max(16) {
-            let cache = &inner.cache;
-            let retained: VecDeque<(PageId, u64)> = inner
-                .lru
-                .iter()
-                .filter(|(id, s)| cache.get(id).map(|(_, cur)| cur == s).unwrap_or(false))
-                .copied()
-                .collect();
-            inner.lru = retained;
-        }
+        // Else the quota is exhausted with no charge to transfer: no caching.
+    }
+
+    /// Entries in the page→frame map (one per frame), for leak tests.
+    #[cfg(test)]
+    fn bookkeeping_entries(&self) -> usize {
+        self.inner.lock().slots.len()
     }
 }
 
 impl Drop for BufferPool {
     fn drop(&mut self) {
-        if let Some(budget) = &self.budget {
-            budget.release(self.inner.lock().cache.len());
-        }
+        self.clear_cache();
     }
 }
 
@@ -252,12 +242,17 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn pool(name: &str, page_size: usize, capacity: usize, pages: u64) -> (BufferPool, PathBuf) {
+    fn temp_pager(name: &str, page_size: usize, pages: u64) -> (Pager, PathBuf) {
         let dir = std::env::temp_dir().join("hd_storage_buffer_tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}_{}", std::process::id()));
         let pager = Pager::create_with_page_size(&path, page_size).unwrap();
         pager.allocate_pages(pages).unwrap();
+        (pager, path)
+    }
+
+    fn pool(name: &str, page_size: usize, capacity: usize, pages: u64) -> (BufferPool, PathBuf) {
+        let (pager, path) = temp_pager(name, page_size, pages);
         (BufferPool::new(pager, capacity), path)
     }
 
@@ -321,6 +316,19 @@ mod tests {
     }
 
     #[test]
+    fn hits_do_not_grow_the_bookkeeping() {
+        let (pool, path) = pool("leak", 32, 4, 4);
+        // One filling pass, then 100 × capacity hits.
+        for id in (0..101).flat_map(|_| 0..4u64) {
+            pool.read(id).unwrap();
+        }
+        assert_eq!(pool.stats().physical_reads, 4, "all but the first pass hit");
+        let entries = pool.bookkeeping_entries();
+        assert!(entries <= 4, "{entries} entries after 400 hits on 4 pages");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn write_through_is_visible_after_cache_clear() {
         let (pool, path) = pool("wt", 32, 4, 1);
         pool.write(0, &[0x5Au8; 32]).unwrap();
@@ -344,14 +352,11 @@ mod tests {
 
     #[test]
     fn shared_budget_caps_total_cached_pages() {
-        let budget = crate::budget::CacheBudget::new(4);
-        let dir = std::env::temp_dir().join("hd_storage_buffer_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let budget = CacheBudget::new(4);
         let mk = |name: &str| {
-            let path = dir.join(format!("{name}_{}", std::process::id()));
-            let pager = Pager::create_with_page_size(&path, 32).unwrap();
-            pager.allocate_pages(8).unwrap();
-            (BufferPool::with_budget(pager, 8, Some(budget.clone())), path)
+            let (pager, path) = temp_pager(name, 32, 8);
+            let pool = BufferPool::with_budget(pager, 8, Some(budget.clone()));
+            (pool, path)
         };
         let (a, pa) = mk("budget_a");
         let (b, pb) = mk("budget_b");
@@ -378,12 +383,8 @@ mod tests {
 
     #[test]
     fn clearing_and_dropping_release_the_budget() {
-        let budget = crate::budget::CacheBudget::new(4);
-        let dir = std::env::temp_dir().join("hd_storage_buffer_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("budget_rel_{}", std::process::id()));
-        let pager = Pager::create_with_page_size(&path, 32).unwrap();
-        pager.allocate_pages(4).unwrap();
+        let budget = CacheBudget::new(4);
+        let (pager, path) = temp_pager("budget_rel", 32, 4);
         let pool = BufferPool::with_budget(pager, 8, Some(budget.clone()));
         for id in 0..4u64 {
             pool.read(id).unwrap();
@@ -404,18 +405,11 @@ mod tests {
     fn exhausted_budget_transfers_charges_locally() {
         // One pool, budget 2 < local capacity 8: the pool must keep serving
         // reads and keep at most 2 pages cached, recycling its own charges.
-        let budget = crate::budget::CacheBudget::new(2);
-        let dir = std::env::temp_dir().join("hd_storage_buffer_tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("budget_xfer_{}", std::process::id()));
-        let pager = Pager::create_with_page_size(&path, 32).unwrap();
-        pager.allocate_pages(8).unwrap();
+        let budget = CacheBudget::new(2);
+        let (pager, path) = temp_pager("budget_xfer", 32, 8);
         let pool = BufferPool::with_budget(pager, 8, Some(budget.clone()));
-        for round in 0..3 {
-            for id in 0..8u64 {
-                let _ = round;
-                pool.read(id).unwrap();
-            }
+        for id in (0..3).flat_map(|_| 0..8u64) {
+            pool.read(id).unwrap();
         }
         assert_eq!(budget.used(), 2);
         assert_eq!(pool.memory_bytes(), 2 * 32);
@@ -428,10 +422,9 @@ mod tests {
         for id in 0..8u64 {
             pool.write(id, &[id as u8; 32]).unwrap();
         }
-        let pool = std::sync::Arc::new(pool);
         std::thread::scope(|s| {
             for t in 0..4 {
-                let pool = std::sync::Arc::clone(&pool);
+                let pool = &pool;
                 s.spawn(move || {
                     for i in 0..100u64 {
                         let id = (i + t) % 8;

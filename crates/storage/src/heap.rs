@@ -162,10 +162,7 @@ impl VectorHeap {
                 self.pool.allocate_page()?;
             }
             let mut buf = self.pool.read(page_id)?.to_vec();
-            let off = slot * self.dim * 4;
-            for (i, &x) in v.iter().enumerate() {
-                buf[off + i * 4..off + i * 4 + 4].copy_from_slice(&x.to_le_bytes());
-            }
+            encode_into(&mut buf[slot * self.dim * 4..], v);
             self.pool.write(page_id, &buf)?;
         } else {
             let first_page = id * self.pages_per_vec as u64;
@@ -185,11 +182,35 @@ impl VectorHeap {
         Ok(id)
     }
 
-    /// Bulk-appends a row-major batch of vectors (one page write per page
-    /// rather than per vector).
+    /// Bulk-appends a row-major batch of vectors: each page is filled in one
+    /// buffer (starting from the partial last page) and written once, rather
+    /// than once per vector. Vectors larger than a page take the per-vector
+    /// path, which already writes whole pages.
+    ///
+    /// # Panics
+    /// Panics if a vector's length differs from the heap dimensionality.
     pub fn append_all<'a>(&mut self, vectors: impl Iterator<Item = &'a [f32]>) -> io::Result<()> {
-        for v in vectors {
-            self.append(v)?;
+        let mut vectors = vectors.peekable();
+        if self.per_page == 0 {
+            return vectors.try_for_each(|v| self.append(v).map(drop));
+        }
+        while vectors.peek().is_some() {
+            let page_id = self.len / self.per_page as u64;
+            let mut buf = if page_id < self.pool.num_pages() {
+                self.pool.read(page_id)?.to_vec()
+            } else {
+                self.pool.allocate_page()?;
+                vec![0; self.pool.page_size()]
+            };
+            let first = (self.len % self.per_page as u64) as usize;
+            let mut filled = 0;
+            for (slot, v) in (first..self.per_page).zip(vectors.by_ref()) {
+                assert_eq!(v.len(), self.dim, "dimensionality mismatch");
+                encode_into(&mut buf[slot * self.dim * 4..], v);
+                filled += 1;
+            }
+            self.pool.write(page_id, &buf)?;
+            self.len += filled;
         }
         Ok(())
     }
@@ -203,27 +224,19 @@ impl VectorHeap {
             ));
         }
         out.clear();
-        out.reserve(self.dim);
         let page_size = self.pool.page_size();
         if self.per_page > 0 {
             let page_id = id / self.per_page as u64;
             let slot = (id % self.per_page as u64) as usize;
             let page = self.pool.read(page_id)?;
-            let off = slot * self.dim * 4;
-            for i in 0..self.dim {
-                let b = &page[off + i * 4..off + i * 4 + 4];
-                out.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            }
+            decode_into(&page[slot * self.dim * 4..], self.dim, out);
         } else {
             let first_page = id * self.pages_per_vec as u64;
             let mut bytes = Vec::with_capacity(self.pages_per_vec * page_size);
             for i in 0..self.pages_per_vec {
                 bytes.extend_from_slice(&self.pool.read(first_page + i as u64)?);
             }
-            for i in 0..self.dim {
-                let b = &bytes[i * 4..i * 4 + 4];
-                out.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            }
+            decode_into(&bytes, self.dim, out);
         }
         Ok(())
     }
@@ -287,14 +300,24 @@ impl VectorHeap {
             }
             let page = &cur.as_ref().expect("page just cached").1;
             let slot = (id % self.per_page as u64) as usize;
-            let off = slot * self.dim * 4;
-            for i in 0..self.dim {
-                let b = &page[off + i * 4..off + i * 4 + 4];
-                out.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            }
+            decode_into(&page[slot * self.dim * 4..], self.dim, out);
         }
         Ok(())
     }
+}
+
+/// Writes `v` little-endian at the start of `dst`.
+fn encode_into(dst: &mut [u8], v: &[f32]) {
+    for (b, x) in dst.chunks_exact_mut(4).zip(v) {
+        b.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Appends the `dim` little-endian floats at the start of `src` onto `out`,
+/// as one exact-size `extend` the compiler vectorises.
+fn decode_into(src: &[u8], dim: usize, out: &mut Vec<f32>) {
+    let floats = src[..dim * 4].chunks_exact(4);
+    out.extend(floats.map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])));
 }
 
 #[cfg(test)]
@@ -362,22 +385,77 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bit patterns a float decoder could disturb: −0.0, subnormals, ±∞
+    /// and a NaN with a payload.
+    const SPECIALS: [f32; 6] = [
+        -0.0,
+        f32::from_bits(1),
+        f32::from_bits(0x0040_0000),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_1234),
+    ];
+
     #[test]
     fn block_fetch_matches_per_id_fetch() {
         let path = temp("block");
         let mut heap = VectorHeap::create(&path, 128, 0).unwrap();
-        for i in 0..100 {
-            let v = vec![i as f32; 128];
-            heap.append(&v).unwrap();
+        let rows: Vec<Vec<f32>> = (0..100usize)
+            .map(|i| {
+                let mut v = vec![i as f32; 128];
+                for (k, &x) in SPECIALS.iter().enumerate() {
+                    v[(i + 21 * k) % 128] = x;
+                }
+                v
+            })
+            .collect();
+        for v in &rows {
+            heap.append(v).unwrap();
         }
         let ids: Vec<u64> = vec![0, 1, 7, 8, 9, 33, 64, 65, 99];
         let mut block = Vec::new();
         heap.get_block_into(&ids, &mut block).unwrap();
         assert_eq!(block.len(), ids.len() * 128);
         for (r, &id) in ids.iter().enumerate() {
-            assert_eq!(&block[r * 128..(r + 1) * 128], heap.get(id).unwrap());
+            let row = bits(&block[r * 128..(r + 1) * 128]);
+            assert_eq!(row, bits(&heap.get(id).unwrap()));
+            assert_eq!(row, bits(&rows[id as usize]), "row {id} not bit-identical");
         }
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn append_all_matches_per_vector_append() {
+        // 128-d: 8 vectors per page, bulk writes; 1369-d: two pages per
+        // vector, per-vector path. Both start from a partial heap.
+        for (dim, pages_touched) in [(128usize, 6u64), (1369, 80)] {
+            let rows: Vec<Vec<f32>> = (0..43)
+                .map(|i| (0..dim).map(|j| (i * dim + j) as f32 * 0.5).collect())
+                .collect();
+            let (path_bulk, path_each) = (temp("bulk"), temp("each"));
+            let mut bulk = VectorHeap::create(&path_bulk, dim, 0).unwrap();
+            let mut each = VectorHeap::create(&path_each, dim, 0).unwrap();
+            for v in &rows[..3] {
+                bulk.append(v).unwrap();
+                each.append(v).unwrap();
+            }
+            bulk.pool().reset_stats();
+            let tail = rows[3..].iter().map(Vec::as_slice);
+            bulk.append_all(tail).unwrap();
+            for v in &rows[3..] {
+                each.append(v).unwrap();
+            }
+            assert_eq!(bulk.pool().stats().physical_writes, pages_touched);
+            assert_eq!(bulk.len(), each.len());
+            let same = std::fs::read(&path_bulk).unwrap() == std::fs::read(&path_each).unwrap();
+            assert!(same, "{dim}-d heaps differ");
+            std::fs::remove_file(path_bulk).ok();
+            std::fs::remove_file(path_each).ok();
+        }
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! * [`page`] — fixed-size pages (4096 B, the paper's `B`).
 //! * [`pager`] — a file-backed page allocator with raw page IO.
-//! * [`buffer`] — a buffer pool with LRU eviction, pin-free `Arc` page
-//!   handles, an exact IO-statistics ledger, and a zero-capacity mode that
-//!   reproduces the paper's cache-off measurements.
+//! * [`buffer`] — a buffer pool with CLOCK (second-chance) eviction,
+//!   pin-free `Arc` page handles, an exact IO-statistics ledger, and a
+//!   zero-capacity mode that reproduces the paper's cache-off measurements.
 //! * [`heap`] — a paged heap file of raw vectors, the "complete object
 //!   descriptors" that step (iii) of the query algorithm fetches by pointer.
 //! * [`budget`] — a shared page-cache quota so a fleet of pools (τ trees ×
