@@ -1,6 +1,6 @@
 //! E2LSH (Datar, Immorlica, Indyk, Mirrokni — SCG 2004): the classic
 //! p-stable LSH scheme for Euclidean spaces that the rest of the family
-//! builds on (paper §2.2.4: "The basic LSH scheme [34] was extended for use
+//! builds on (paper §2.2.4: "The basic LSH scheme \[34\] was extended for use
 //! in Euclidean spaces by E2LSH").
 //!
 //! `L` composite hash tables, each indexed by the concatenation

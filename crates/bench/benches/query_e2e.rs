@@ -34,10 +34,6 @@ fn bench_query(c: &mut Criterion) {
     g.bench_function("hd_index_ptolemaic", |b| {
         b.iter(|| index.knn(black_box(next_q()), &pto).unwrap())
     });
-    // §5.2.8 / §6 extension: per-tree parallel candidate generation.
-    g.bench_function("hd_index_triangular_parallel", |b| {
-        b.iter(|| index.knn_parallel(black_box(next_q()), &tri).unwrap())
-    });
     g.bench_function("hnsw", |b| b.iter(|| hnsw.knn(black_box(next_q()), 10)));
     g.bench_function("linear_scan", |b| {
         b.iter(|| linear.knn(black_box(next_q()), 10))

@@ -59,6 +59,17 @@ impl IoSnapshot {
     }
 }
 
+/// Counter-wise total, for aggregating the ledgers of many pools or shards.
+impl std::iter::Sum for IoSnapshot {
+    fn sum<I: Iterator<Item = IoSnapshot>>(iter: I) -> Self {
+        iter.fold(IoSnapshot::default(), |a, b| IoSnapshot {
+            logical_reads: a.logical_reads + b.logical_reads,
+            physical_reads: a.physical_reads + b.physical_reads,
+            physical_writes: a.physical_writes + b.physical_writes,
+        })
+    }
+}
+
 /// One kNN request: how many neighbors, optional per-call budget overrides,
 /// and whether to collect a [`SearchTrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,6 +296,19 @@ impl IndexStats {
     }
 }
 
+/// The metric-expectation guard of [`AnnIndex::search`]: `InvalidInput`
+/// when `req` pins a [`SearchRequest::metric`] other than `actual`.
+/// Batched overrides of [`AnnIndex::search_batch`] apply it too.
+pub fn check_metric(req: &SearchRequest, actual: Metric) -> io::Result<()> {
+    match req.metric {
+        Some(expected) if expected != actual => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("request expects metric {expected} but this index serves {actual}"),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// An immutable, queryable kANN index over a fixed-dimensional corpus.
 ///
 /// Implementations provide [`Self::search_core`]; callers use
@@ -331,17 +355,7 @@ pub trait AnnIndex {
     /// when it differs from [`Self::metric`] — wrong-metric answers look
     /// plausible and are otherwise silent.
     fn search(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-        if let Some(expected) = req.metric {
-            let actual = self.metric();
-            if expected != actual {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "request expects metric {expected} but this index serves {actual}"
-                    ),
-                ));
-            }
-        }
+        check_metric(req, self.metric())?;
         let n = self.len();
         let k = req.k.min(n as usize);
         if k == 0 {

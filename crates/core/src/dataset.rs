@@ -111,6 +111,23 @@ impl Dataset {
         }
     }
 
+    /// The points at `indices`, in order, as a new dataset under the same
+    /// metric. Rows are copied bit for bit — they are already prepared for
+    /// the metric, and preparing them again (re-normalizing a unit vector)
+    /// could move their last bits.
+    pub fn subset(&self, indices: impl IntoIterator<Item = usize>) -> Dataset {
+        let indices = indices.into_iter();
+        let mut data = Vec::with_capacity(indices.size_hint().0 * self.dim);
+        for i in indices {
+            data.extend_from_slice(self.get(i));
+        }
+        Dataset {
+            dim: self.dim,
+            data,
+            metric: self.metric,
+        }
+    }
+
     /// Reserves space for `n` additional points.
     pub fn reserve(&mut self, n: usize) {
         self.data.reserve(n * self.dim);
@@ -310,7 +327,7 @@ pub struct DatasetProfile {
 }
 
 impl DatasetProfile {
-    /// SIFT descriptors: 128-D integers in [0,255], ω=8, τ=8 (Table 3).
+    /// SIFT descriptors: 128-D integers in \[0,255\], ω=8, τ=8 (Table 3).
     pub const SIFT: Self = Self {
         name: "SIFT",
         dim: 128,
@@ -330,7 +347,7 @@ impl DatasetProfile {
         hilbert_order: 32,
         num_trees: 8,
     };
-    /// SUN GIST features: 512-D floats in [0,1], ω=32, τ=16 (§5.2.4
+    /// SUN GIST features: 512-D floats in \[0,1\], ω=32, τ=16 (§5.2.4
     /// recommends doubling τ beyond 500 dimensions).
     pub const SUN: Self = Self {
         name: "SUN",
@@ -351,7 +368,7 @@ impl DatasetProfile {
         hilbert_order: 32,
         num_trees: 8,
     };
-    /// Enron bi-gram features: 1369-D integers in [0,252429], ω=16, τ=37
+    /// Enron bi-gram features: 1369-D integers in \[0,252429\], ω=16, τ=37
     /// (1369 = 37×37, §5.2.4).
     pub const ENRON: Self = Self {
         name: "Enron",
@@ -618,6 +635,18 @@ mod tests {
         assert_eq!(ds.get(1), &[0.0, 0.0], "zero vector stays zero");
         ds.push(&[0.0, 5.0]);
         assert_eq!(ds.get(2), &[0.0, 1.0], "push must keep the unit-norm invariant");
+    }
+
+    #[test]
+    fn subset_copies_prepared_rows_bit_for_bit() {
+        let rows: Vec<f32> = (0..40).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+        let ds = Dataset::from_flat(4, rows).with_metric(Metric::Cosine);
+        let sub = ds.subset([7, 2, 9]);
+        assert_eq!(sub.metric(), Metric::Cosine);
+        assert_eq!(sub.len(), 3);
+        for (row, i) in sub.iter().zip([7, 2, 9]) {
+            assert_eq!(row, ds.get(i));
+        }
     }
 
     #[test]

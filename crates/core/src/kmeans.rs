@@ -1,7 +1,7 @@
 //! Lloyd's k-means with k-means++ seeding.
 //!
 //! Used by two baselines: iDistance (data-space partitions whose centroids
-//! become the reference points, [73] §3) and PQ/OPQ (per-subspace codebooks).
+//! become the reference points, \[73\] §3) and PQ/OPQ (per-subspace codebooks).
 
 use crate::dataset::Dataset;
 use crate::distance::l2_sq;

@@ -12,8 +12,8 @@
 //! [`WorkerPool::run_scoped`] is the primary entry point: it executes a set
 //! of borrowing closures and blocks until all complete, like
 //! `std::thread::scope` but on pooled threads. [`global`] hands out one
-//! process-wide pool so library code (e.g. `HdIndex::knn_parallel`) never
-//! spawns per-query threads.
+//! process-wide pool so library code without a pool of its own (the
+//! HD-Index build's per-tree stages) never spawns threads per call.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -215,8 +215,8 @@ impl Drop for WorkerPool {
 }
 
 /// The process-wide pool, sized to the hardware, created on first use.
-/// Library entry points without their own pool (e.g. per-tree fan-out in
-/// `knn_parallel`) run here instead of spawning threads per query.
+/// Library code without its own pool (the HD-Index build's per-tree
+/// stages) runs here instead of spawning threads per call.
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(|| {

@@ -3,11 +3,13 @@
 use crate::config::EngineParams;
 use crate::metrics::{EngineMetrics, EngineStats};
 use crate::shard::{global_of, shard_of, Shard, ShardSet};
-use hd_core::api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, WriteStats};
+use hd_core::api::{
+    check_metric, AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, WriteStats,
+};
 use hd_core::dataset::Dataset;
 use hd_core::pool::WorkerPool;
 use hd_core::topk::{Neighbor, TopK};
-use hd_index::QueryParams;
+use hd_index::{PreparedQuery, QueryParams};
 use parking_lot::Mutex;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -24,9 +26,9 @@ use std::time::Instant;
 ///   what one index over the union of the shards' *candidates* would
 ///   return (see `tests/shard_exactness.rs` for the invariant).
 /// * **Batching** — [`Engine::search_batch`] answers many queries per
-///   submission: reference distances are computed once per query and shared
-///   by all S shard tasks, and the B·S tasks are scheduled together on the
-///   engine's persistent worker pool.
+///   submission: each query is prepared once and shared by all S shards,
+///   and one task per shard sweeps the whole batch on the engine's
+///   persistent worker pool.
 /// * **Concurrency** — searches take `&self` and run concurrently from any
 ///   number of caller threads; [`Engine::insert`] / [`Engine::delete`] are
 ///   lock-guarded (per-shard `RwLock` writes plus a global append gate) and
@@ -131,7 +133,7 @@ impl Engine {
     /// when requests can be grouped — that is where the engine amortizes.
     pub fn search(&self, query: &[f32], qp: &QueryParams) -> io::Result<Vec<Neighbor>> {
         Ok(self
-            .search_batch(std::iter::once(query), qp)?
+            .run_batch(&[query], qp, None)?
             .pop()
             .expect("one answer per query"))
     }
@@ -141,75 +143,57 @@ impl Engine {
     /// engine metric's reported scale — true L2 for L2, `1 − cos` for
     /// cosine, …).
     ///
-    /// Scheduling: the batch expands to B·S shard-tasks (hinted to the
-    /// shard's home queue), the per-query reference distances are computed
-    /// once and shared across the S tasks of that query, and per-shard
-    /// top-k lists are exact-merged through one bounded heap per query.
+    /// Scheduling: each query is prepared once ([`ReferenceSet::prepare`]:
+    /// index form plus reference distances) and shared by all S shard
+    /// tasks, and per-shard top-k lists are exact-merged through one
+    /// bounded heap per query.
+    ///
+    /// [`ReferenceSet::prepare`]: hd_index::ReferenceSet::prepare
     pub fn search_batch<'q, I>(&self, queries: I, qp: &QueryParams) -> io::Result<Vec<Vec<Neighbor>>>
     where
         I: IntoIterator<Item = &'q [f32]>,
     {
-        self.search_batch_deadline(queries, qp, None)
+        let queries: Vec<&[f32]> = queries.into_iter().collect();
+        self.run_batch(&queries, qp, None)
     }
 
-    /// [`Self::search_batch`] with an optional wall-clock deadline, honored
-    /// at **batch granularity**: the deadline is checked before the fan-out
-    /// and again as each shard task is picked up by a pool worker, so a
-    /// batch queued behind slow work fails fast with
+    /// The batch body every search entry point runs, with an optional
+    /// wall-clock deadline honored at **batch granularity**: the deadline
+    /// is checked before the fan-out and again as each shard task reaches
+    /// each query, so a batch queued behind slow work fails fast with
     /// [`io::ErrorKind::TimedOut`] instead of hanging the caller while
-    /// every remaining shard task still grinds through. A task already
-    /// inside `knn_with_ref_dists` runs to completion — the check is
-    /// cooperative, not preemptive.
-    pub fn search_batch_deadline<'q, I>(
+    /// every remaining shard task still grinds through. A shard query
+    /// already running completes — the check is cooperative, not
+    /// preemptive.
+    fn run_batch(
         &self,
-        queries: I,
+        queries: &[&[f32]],
         qp: &QueryParams,
         deadline: Option<Instant>,
-    ) -> io::Result<Vec<Vec<Neighbor>>>
-    where
-        I: IntoIterator<Item = &'q [f32]>,
-    {
-        let mut queries: Vec<&[f32]> = queries.into_iter().collect();
+    ) -> io::Result<Vec<Vec<Neighbor>>> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
         let t0 = Instant::now();
-        let timed_out =
-            || io::Error::new(io::ErrorKind::TimedOut, "batch exceeded its time budget");
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(timed_out());
+        let expired = || {
+            deadline
+                .is_some_and(|d| Instant::now() >= d)
+                .then(|| io::Error::new(io::ErrorKind::TimedOut, "batch exceeded its time budget"))
+        };
+        if let Some(err) = expired() {
+            return Err(err);
         }
         let s_count = self.set.shards.len();
 
-        // Metric preparation: normalize each query once per *batch* (not
-        // once per shard) when the metric requires it; shards receive
-        // index-form queries through `knn_with_ref_dists`, which does not
-        // normalize again.
-        let metric = self.metric();
-        let normalized: Vec<Vec<f32>>;
-        if metric.normalizes_vectors() {
-            normalized = queries
-                .iter()
-                .map(|q| {
-                    let mut v = q.to_vec();
-                    metric.normalize_for_index(&mut v);
-                    v
-                })
-                .collect();
-            queries = normalized.iter().map(|v| v.as_slice()).collect();
-        }
-
-        // Reference distances: once per query, not once per (query, shard).
-        let q_dists: Vec<Vec<f32>> = {
+        // Index form and reference distances: once per query, not once per
+        // (query, shard). A wrong-dimension query fails here, before any
+        // shard work.
+        let prepared: Vec<PreparedQuery> = {
             let _s = hd_telemetry::span!("engine_ref_dists_nanos");
             queries
                 .iter()
-                .map(|q| {
-                    let mut d = Vec::with_capacity(self.set.refs.m());
-                    self.set.refs.distances_to(q, &mut d);
-                    d
-                })
-                .collect()
+                .map(|q| self.set.refs.prepare(q))
+                .collect::<io::Result<_>>()?
         };
 
         // One task per *shard*, not per (query, shard): the task sweeps the
@@ -220,38 +204,30 @@ impl Engine {
         // amortizes toward zero as batches fill. Slots are shard-major:
         // slot (si, qi) lives at si·B + qi.
         let b = queries.len();
-        let queries = &queries;
-        let q_dists = &q_dists;
+        let prepared = &prepared;
         let mut slots: Vec<Option<io::Result<Vec<Neighbor>>>> =
             (0..b * s_count).map(|_| None).collect();
-        // Opened on the calling thread around the whole fan-out (the pool
-        // threads' own work lands in the shard_* histograms instead).
+        // Opened on the calling thread around the whole fan-out.
         let fanout_span = hd_telemetry::span!("engine_fanout_nanos");
         self.pool
             .run_scoped(slots.chunks_mut(b).enumerate().map(|(si, shard_slots)| {
                 let shard = &self.set.shards[si];
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     let index = shard.index.read();
-                    for (qi, slot) in shard_slots.iter_mut().enumerate() {
+                    for (query, slot) in prepared.iter().zip(shard_slots) {
                         // Expired budget: bail before touching the shard so
                         // one slow shard cannot hold the whole batch hostage
                         // — the remaining queries all fail fast and the
                         // caller gets TimedOut as soon as the latch opens.
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            *slot = Some(Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "batch exceeded its time budget",
-                            )));
-                            continue;
-                        }
-                        let result = index
-                            .knn_with_ref_dists(queries[qi], &q_dists[qi], qp)
-                            .map(|mut neighbors| {
+                        let result = match expired() {
+                            Some(err) => Err(err),
+                            None => index.knn_prepared(query, qp).map(|(mut neighbors, _)| {
                                 for nb in &mut neighbors {
                                     nb.id = global_of(si, nb.id, s_count as u64);
                                 }
                                 neighbors
-                            });
+                            }),
+                        };
                         *slot = Some(result);
                     }
                 });
@@ -274,7 +250,7 @@ impl Engine {
         drop(merge_span);
 
         self.metrics
-            .record_batch(queries.len() as u64, t0.elapsed().as_nanos() as u64);
+            .record_batch(b as u64, t0.elapsed().as_nanos() as u64);
         Ok(answers)
     }
 
@@ -630,41 +606,27 @@ impl AnnIndex for Engine {
 
     /// One-query batch through the sharded pipeline; `candidates` → α per
     /// RDB-tree of every shard, `refine` → γ, `time_budget` → batch-level
-    /// deadline ([`Engine::search_batch_deadline`]).
+    /// deadline.
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-        let qp = self.serve.resolve(req, self.len() as usize);
-        let deadline = req.time_budget.map(|b| Instant::now() + b);
-        Ok(SearchOutput::from_neighbors(
-            self.search_batch_deadline(std::iter::once(query), &qp, deadline)?
-                .pop()
-                .expect("one answer per query"),
-        ))
+        Ok(AnnIndex::search_batch(self, &[query], req)?
+            .pop()
+            .expect("one answer per query"))
     }
 
-    /// True batched execution: B·S shard tasks on the engine's worker pool,
-    /// exact-merged per query — result-identical to sequential
+    /// True batched execution: one task per shard on the engine's worker
+    /// pool, exact-merged per query — result-identical to sequential
     /// [`AnnIndex::search`] calls (the conformance suite checks this),
     /// including the metric-expectation guard the provided `search`
     /// applies (sequential calls would all fail, so the batch must too).
     fn search_batch(&self, queries: &[&[f32]], req: &SearchRequest) -> io::Result<Vec<SearchOutput>> {
-        if let Some(expected) = req.metric {
-            let actual = AnnIndex::metric(self);
-            if expected != actual {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "request expects metric {expected} but this engine serves {actual}"
-                    ),
-                ));
-            }
-        }
+        check_metric(req, self.metric())?;
         let k = req.k.min(self.len() as usize);
         if k == 0 {
             return Ok(queries.iter().map(|_| SearchOutput::default()).collect());
         }
         let qp = self.serve.resolve(&SearchRequest { k, ..*req }, self.len() as usize);
         let deadline = req.time_budget.map(|b| Instant::now() + b);
-        let answers = self.search_batch_deadline(queries.iter().copied(), &qp, deadline)?;
+        let answers = self.run_batch(queries, &qp, deadline)?;
         Ok(answers.into_iter().map(SearchOutput::from_neighbors).collect())
     }
 

@@ -8,10 +8,10 @@
 //! * [`shard`] — the corpus splits round-robin across S independent
 //!   HD-Index shards sharing one reference set and one page-cache budget;
 //!   global ↔ local id mapping is pure arithmetic.
-//! * [`Engine::search_batch`] — batched submission: B queries expand into
-//!   B·S shard tasks on a persistent worker pool
-//!   ([`hd_core::pool::WorkerPool`]); reference distances are computed once
-//!   per query; per-shard top-k lists exact-merge through bounded heaps.
+//! * [`Engine::search_batch`] — batched submission: each query is prepared
+//!   once (index form + reference distances), one task per shard sweeps the
+//!   batch on a persistent worker pool ([`hd_core::pool::WorkerPool`]), and
+//!   per-shard top-k lists exact-merge through bounded heaps.
 //! * Concurrent callers — searches take `&self`; inserts and deletes are
 //!   lock-guarded per shard and interleave with searches.
 //! * [`metrics`] — QPS, a log-linear latency histogram with p50/p95/p99

@@ -77,6 +77,7 @@ impl EngineMetrics {
     pub fn snapshot(&self, io: IoSnapshot) -> EngineStats {
         let queries = self.queries.load(Ordering::Relaxed);
         let busy_secs = self.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
+        let nanos = self.latency.percentiles(&[0.50, 0.95, 0.99]);
         EngineStats {
             queries,
             batches: self.batches.load(Ordering::Relaxed),
@@ -86,9 +87,9 @@ impl EngineMetrics {
                 0.0
             },
             busy_secs,
-            p50_ms: self.latency.percentile(0.50) as f64 / 1e6,
-            p95_ms: self.latency.percentile(0.95) as f64 / 1e6,
-            p99_ms: self.latency.percentile(0.99) as f64 / 1e6,
+            p50_ms: nanos[0] as f64 / 1e6,
+            p95_ms: nanos[1] as f64 / 1e6,
+            p99_ms: nanos[2] as f64 / 1e6,
             io,
         }
     }

@@ -104,22 +104,11 @@ impl ShardSet {
         // at submission (HdIndex::build_with needs a contiguous Dataset; a
         // zero-copy strided view is future work), but it decays as shards
         // complete instead of persisting through the whole parallel build.
+        // Every slice carries the corpus metric and the corpus rows bit for
+        // bit, so each shard builds under the same distance function over
+        // exactly the vectors an unsharded index would store.
         let slices: Vec<Dataset> = (0..s)
-            .map(|si| {
-                // Carry the corpus metric onto every slice so each shard
-                // builds under the same distance function. `push` then
-                // re-normalizes the (already unit) cosine rows, which can
-                // perturb last-ulp bits versus the unsharded corpus —
-                // acceptable: cosine answers are compared against ground
-                // truth with a tolerance, and bitwise shard/unsharded
-                // equality is only promised for L2.
-                let mut slice = Dataset::new(data.dim()).with_metric(data.metric());
-                slice.reserve(data.len() / s + 1);
-                for g in (si..data.len()).step_by(s) {
-                    slice.push(data.get(g));
-                }
-                slice
-            })
+            .map(|si| data.subset((si..data.len()).step_by(s)))
             .collect();
 
         let mut built: Vec<Option<io::Result<HdIndex>>> = (0..s).map(|_| None).collect();
@@ -254,14 +243,7 @@ impl ShardSet {
 
     /// Aggregated IO ledger over every shard's pools.
     pub fn io_stats(&self) -> IoSnapshot {
-        let mut total = IoSnapshot::default();
-        for shard in &self.shards {
-            let s = shard.index.read().io_stats();
-            total.logical_reads += s.logical_reads;
-            total.physical_reads += s.physical_reads;
-            total.physical_writes += s.physical_writes;
-        }
-        total
+        self.shards.iter().map(|s| s.index.read().io_stats()).sum()
     }
 }
 

@@ -4,12 +4,12 @@
 //! error instead of an arbitrarily late answer.
 
 use std::io::ErrorKind;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hd_core::api::{AnnIndex, SearchRequest};
 use hd_core::dataset::{generate, DatasetProfile};
 use hd_engine::{Engine, EngineParams};
-use hd_index::{HdIndexParams, QueryParams, RefSelection};
+use hd_index::{HdIndexParams, RefSelection};
 
 fn index_params() -> HdIndexParams {
     HdIndexParams {
@@ -46,17 +46,10 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 fn expired_deadline_fails_with_timed_out() {
     let dir = tmp("deadline_expired");
     let (engine, queries) = build(&dir, 300);
-    let qp = QueryParams::triangular(64, 32, 5);
     let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
 
-    // A deadline already in the past fails before any shard work starts.
-    let past = Instant::now() - Duration::from_millis(1);
-    let err = engine
-        .search_batch_deadline(refs.iter().copied(), &qp, Some(past))
-        .unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::TimedOut);
-
-    // Same through the trait surface: a zero time budget on the request.
+    // A zero time budget has expired before any shard work starts, for
+    // single queries and batches alike.
     let req = SearchRequest::new(5).with_time_budget(Duration::ZERO);
     let err = AnnIndex::search(&engine, &queries[0], &req).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::TimedOut);

@@ -129,30 +129,40 @@ fn cosine_engine_matches_exact_cosine_scan_when_saturated() {
 fn single_shard_engine_is_identical_even_unsaturated() {
     // With S = 1 the engine wraps the very same index the library would
     // build (same data order, same reference selection seed), so answers
-    // must match even when α/γ truncate the candidate stage.
-    let (data, queries) = generate(&DatasetProfile::SIFT, 1500, 10, 99);
-    let dir = scratch("s1_unsat");
-    let qp = QueryParams::triangular(128, 32, 10);
+    // must match bit for bit even when α/γ truncate the candidate stage:
+    // the engine's prepared query (normalized once, reference distances
+    // computed once) must equal what the index computes for itself. L2
+    // runs the triangular filter, cosine adds normalization and the
+    // Ptolemaic filter, L1 runs the triangular filter in another metric.
+    use hd_core::metric::Metric;
+    let (raw, queries) = generate(&DatasetProfile::SIFT, 1500, 10, 99);
+    for (metric, qp) in [
+        (Metric::L2, QueryParams::triangular(128, 32, 10)),
+        (Metric::Cosine, QueryParams::ptolemaic(128, 64, 32, 10)),
+        (Metric::L1, QueryParams::triangular(128, 32, 10)),
+    ] {
+        let data = raw.clone().with_metric(metric);
+        let dir = scratch(&format!("s1_unsat_{metric}"));
+        let index = HdIndex::build(&data, &index_params(), dir.join("plain")).unwrap();
+        let engine = Engine::build(
+            &data,
+            &EngineParams {
+                threads: 2,
+                ..EngineParams::new(index_params())
+            },
+            dir.join("engine"),
+        )
+        .unwrap();
 
-    let index = HdIndex::build(&data, &index_params(), dir.join("plain")).unwrap();
-    let engine = Engine::build(
-        &data,
-        &EngineParams {
-            threads: 2,
-            ..EngineParams::new(index_params())
-        },
-        dir.join("engine"),
-    )
-    .unwrap();
-
-    for q in queries.iter() {
-        assert_eq!(
-            engine.search(q, &qp).unwrap(),
-            index.knn(q, &qp).unwrap(),
-            "single-shard engine must be a transparent wrapper"
-        );
+        for q in queries.iter() {
+            assert_eq!(
+                engine.search(q, &qp).unwrap(),
+                index.knn(q, &qp).unwrap(),
+                "{metric}: single-shard engine must be a transparent wrapper"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

@@ -3,6 +3,7 @@
 use hd_core::api::SearchRequest;
 use hd_core::dataset::DatasetProfile;
 use hd_core::metric::Metric;
+use std::io;
 
 /// Reference-object selection algorithm (§3.3, §5.2.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,7 +16,7 @@ pub enum RefSelection {
     /// reference lower-bounds distances of `pairs` sampled object pairs.
     SssDyn { f: f32, pairs: usize },
     /// Greedy k-center ("maximize the minimum distance among themselves",
-    /// the §2.2.2 selection family of [23]): each new reference is the
+    /// the §2.2.2 selection family of \[23\]): each new reference is the
     /// sample point farthest from all chosen so far. `sample` bounds the
     /// candidate pool so selection stays O(sample · m).
     MaxMin { sample: usize },
@@ -136,37 +137,40 @@ impl QueryParams {
         }
     }
 
-    /// Panics on parameters that are degenerate or unsound for the index's
-    /// metric. Every query entry point calls this: `k`, `α`, and `γ` must
-    /// be positive; in [`FilterKind::TriangularPtolemaic`] mode `β ≥ γ` —
-    /// the triangular stage feeds β survivors into the Ptolemaic cut, so
-    /// `β = 0` would yield zero candidates and `β < γ` silently caps
-    /// survivors at β — and the metric must support the Ptolemaic bound
-    /// (Ptolemy's inequality is Euclidean: it holds for L2 and
+    /// Rejects parameters that are degenerate or unsound for the index's
+    /// metric. The query pipeline calls this once per query: `k`, `α`, and
+    /// `γ` must be positive; in [`FilterKind::TriangularPtolemaic`] mode
+    /// `β ≥ γ` — the triangular stage feeds β survivors into the Ptolemaic
+    /// cut, so `β = 0` would yield zero candidates and `β < γ` silently
+    /// caps survivors at β — and the metric must support the Ptolemaic
+    /// bound (Ptolemy's inequality is Euclidean: it holds for L2 and
     /// cosine-as-normalized-L2, **not** for L1, where the "bound" can
     /// exceed the true distance and prune correct answers).
-    pub fn validate(&self, metric: Metric) {
-        assert!(
-            self.k > 0 && self.alpha > 0 && self.gamma > 0,
-            "degenerate query params"
-        );
-        if self.filter == FilterKind::TriangularPtolemaic {
-            assert!(
-                metric.supports_ptolemaic(),
-                "the Ptolemaic filter is unsound under {metric}: Ptolemy's inequality only \
-                 holds in Euclidean geometry (use FilterKind::TriangularOnly)"
-            );
-            assert!(
-                self.beta >= self.gamma,
-                "beta ({}) must be >= gamma ({}) in the Ptolemaic pipeline",
-                self.beta,
-                self.gamma
-            );
+    ///
+    /// # Errors
+    /// `InvalidInput` naming the violated rule.
+    pub fn validate(&self, metric: Metric) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if self.k == 0 || self.alpha == 0 || self.gamma == 0 {
+            return invalid("degenerate query params".to_string());
         }
+        if self.filter == FilterKind::TriangularPtolemaic {
+            if !metric.supports_ptolemaic() {
+                return invalid(format!(
+                    "the Ptolemaic filter is unsound under {metric}: Ptolemy's inequality only \
+                     holds in Euclidean geometry (use FilterKind::TriangularOnly)"
+                ));
+            }
+            if self.beta < self.gamma {
+                return invalid(format!(
+                    "beta ({}) must be >= gamma ({}) in the Ptolemaic pipeline",
+                    self.beta, self.gamma
+                ));
+            }
+        }
+        Ok(())
     }
-}
 
-impl QueryParams {
     /// Resolves a trait-level [`SearchRequest`] against these serve-time
     /// defaults for an index of `n` objects: `k` comes from the request,
     /// `candidates`/`refine` override α/γ, everything is clamped into
@@ -230,39 +234,60 @@ mod tests {
 
     #[test]
     fn validate_accepts_the_convenience_constructors() {
-        QueryParams::triangular(256, 64, 10).validate(Metric::L2);
-        QueryParams::ptolemaic(256, 128, 64, 10).validate(Metric::L2);
+        let ok = |qp: QueryParams, metric| qp.validate(metric).unwrap();
+        ok(QueryParams::triangular(256, 64, 10), Metric::L2);
+        ok(QueryParams::ptolemaic(256, 128, 64, 10), Metric::L2);
         // β = γ is the paper's triangular-only framing and stays legal.
-        QueryParams::ptolemaic(256, 64, 64, 10).validate(Metric::L2);
+        ok(QueryParams::ptolemaic(256, 64, 64, 10), Metric::L2);
         // The Ptolemaic bound is sound on the unit sphere (cosine = L2
         // there), and triangular-only is fine in any metric space.
-        QueryParams::ptolemaic(256, 128, 64, 10).validate(Metric::Cosine);
-        QueryParams::triangular(256, 64, 10).validate(Metric::L1);
-        QueryParams::triangular(256, 64, 10).validate(Metric::Cosine);
+        ok(QueryParams::ptolemaic(256, 128, 64, 10), Metric::Cosine);
+        ok(QueryParams::triangular(256, 64, 10), Metric::L1);
+        ok(QueryParams::triangular(256, 64, 10), Metric::Cosine);
+    }
+
+    /// Asserts `qp` is refused under `metric` with `InvalidInput` and a
+    /// message containing `expected`.
+    fn assert_rejected(qp: QueryParams, metric: Metric, expected: &str) {
+        let err = qp.validate(metric).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(expected), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "beta (0) must be >= gamma")]
     fn validate_rejects_zero_beta_in_ptolemaic_mode() {
-        QueryParams::ptolemaic(256, 0, 64, 10).validate(Metric::L2);
+        assert_rejected(
+            QueryParams::ptolemaic(256, 0, 64, 10),
+            Metric::L2,
+            "beta (0) must be >= gamma",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "beta (32) must be >= gamma (64)")]
     fn validate_rejects_beta_below_gamma() {
-        QueryParams::ptolemaic(256, 32, 64, 10).validate(Metric::L2);
+        assert_rejected(
+            QueryParams::ptolemaic(256, 32, 64, 10),
+            Metric::L2,
+            "beta (32) must be >= gamma (64)",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "degenerate query params")]
     fn validate_rejects_zero_k() {
-        QueryParams::triangular(256, 64, 0).validate(Metric::L2);
+        assert_rejected(
+            QueryParams::triangular(256, 64, 0),
+            Metric::L2,
+            "degenerate query params",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "Ptolemaic filter is unsound under l1")]
     fn validate_rejects_ptolemaic_under_l1() {
-        QueryParams::ptolemaic(256, 128, 64, 10).validate(Metric::L1);
+        assert_rejected(
+            QueryParams::ptolemaic(256, 128, 64, 10),
+            Metric::L1,
+            "Ptolemaic filter is unsound under l1",
+        );
     }
 
     #[test]

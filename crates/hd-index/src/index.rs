@@ -1,17 +1,15 @@
-//! HD-Index construction (Algorithm 1), querying (Algorithm 2), and updates
-//! (§3.6).
+//! HD-Index construction (Algorithm 1), reopening, and updates (§3.6).
+//! Querying (Algorithm 2) lives in the `query` module.
 
-use crate::config::{FilterKind, HdIndexParams, QueryParams};
-use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb};
+use crate::build;
+use crate::config::{HdIndexParams, QueryParams};
 use crate::rdb;
 use crate::reference::{self, ReferenceSet};
 use hd_btree::BTree;
 use hd_core::api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, WriteStats};
-use crate::build;
 use hd_core::dataset::{Dataset, VectorSource};
 use hd_core::metric::Metric;
 use hd_core::partition::Partitioning;
-use hd_core::topk::{Neighbor, TopK};
 use hd_hilbert::HilbertCurve;
 use hd_storage::{
     BufferPool, BuildBudget, CacheBudget, IoSnapshot, VectorHeap, Wal, WalRecord, WAL_FILE,
@@ -21,113 +19,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Per-query diagnostics mirroring the paper's cost model (§4.4.1).
-///
-/// Since the unified index API landed this is the workspace-wide
-/// [`hd_core::api::SearchTrace`]; the historical name is kept as an alias
-/// because every HD-Index entry point and test speaks it.
-pub type QueryTrace = hd_core::api::SearchTrace;
-
-/// Per-tree outcome of candidate generation: surviving ids + scanned count.
-type TreeCandidates = io::Result<(Vec<u64>, usize)>;
-
-/// Counters produced by [`HdIndex::refine`], feeding [`QueryTrace`].
-#[derive(Debug, Clone, Copy, Default)]
-struct RefineStats {
-    /// Final candidate-set size κ = |C| (after dedup, before tombstones).
-    kappa: usize,
-    /// Distance evaluations attempted (κ minus tombstoned candidates).
-    evals: usize,
-    /// Evaluations abandoned early by the bounded kernel.
-    abandoned: usize,
-}
-
-/// Cached global-registry handles for the traced query pipeline — resolved
-/// once, then pure histogram records per query. Only touched while
-/// telemetry is enabled; the stage times themselves always land in the
-/// [`QueryTrace`] (a handful of clock reads per query).
-struct QueryTelemetry {
-    total: Arc<hd_telemetry::LatencyHistogram>,
-    ref_dists: Arc<hd_telemetry::LatencyHistogram>,
-    candidates: Arc<hd_telemetry::LatencyHistogram>,
-    refine: Arc<hd_telemetry::LatencyHistogram>,
-}
-
-fn query_telemetry() -> &'static QueryTelemetry {
-    static HANDLES: std::sync::OnceLock<QueryTelemetry> = std::sync::OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = hd_telemetry::global();
-        QueryTelemetry {
-            total: reg.histogram("hd_query_nanos", "end-to-end traced HD-Index query latency"),
-            ref_dists: reg.histogram(
-                "hd_query_ref_dists_nanos",
-                "stage 1: query-to-reference distances",
-            ),
-            candidates: reg.histogram(
-                "hd_query_candidates_nanos",
-                "stage 2: per-tree candidate walks + lower-bound filters",
-            ),
-            refine: reg.histogram(
-                "hd_query_refine_nanos",
-                "stage 3: blocked early-abandoning exact refinement",
-            ),
-        }
-    })
-}
-
-/// The blocked, early-abandoning scoring loop of the refinement pipeline —
-/// the single definition shared by [`HdIndex`]'s refine step and the
-/// `refine_bench` regression gate, so CI exercises exactly the code the
-/// index runs.
-///
-/// Walks sorted candidate `ids` in heap-page runs, fetches each run once
-/// into the reusable `arena` ([`VectorHeap::get_block_into`]), and scores
-/// every vector with `metric`'s bounded kernel
-/// ([`Metric::key_bounded_traced`]) against `tk`'s running radius, so the
-/// one refinement loop serves every metric (metrics without early
-/// abandonment simply evaluate fully). `tk` accumulates internal keys
-/// (squared L2 for L2/Cosine, …); callers convert with
-/// [`Metric::finalize`]. Returns `(evals, abandoned)`: distance
-/// evaluations attempted, and those truly abandoned before touching every
-/// dimension.
-pub fn score_candidates_blocked(
-    heap: &VectorHeap,
-    metric: Metric,
-    query: &[f32],
-    ids: &[u64],
-    tk: &mut TopK,
-    arena: &mut Vec<f32>,
-) -> io::Result<(usize, usize)> {
-    let dim = heap.dim();
-    let (mut evals, mut abandoned) = (0usize, 0usize);
-    let mut i = 0usize;
-    while i < ids.len() {
-        // One block per heap page: [i, j) are the candidates resident on
-        // the page holding ids[i] (ids are sorted, so pages arrive in
-        // sequential order).
-        let page = heap.page_of(ids[i]);
-        let mut j = i + 1;
-        while j < ids.len() && heap.page_of(ids[j]) == page {
-            j += 1;
-        }
-        let block = &ids[i..j];
-        heap.get_block_into(block, arena)?;
-        for (bi, &id) in block.iter().enumerate() {
-            let bound = tk.bound();
-            let (d, early) =
-                metric.key_bounded_traced(query, &arena[bi * dim..(bi + 1) * dim], bound);
-            evals += 1;
-            abandoned += usize::from(early);
-            if d <= bound {
-                tk.push(Neighbor::new(id, d));
-            }
-        }
-        i = j;
-    }
-    Ok((evals, abandoned))
-}
 
 /// Optional knobs for [`HdIndex::build_with`] / [`HdIndex::open_with`]
 /// beyond [`HdIndexParams`]. The defaults reproduce [`HdIndex::build`].
@@ -241,17 +132,17 @@ pub struct CompactionPlan {
 
 /// The HD-Index: τ RDB-trees over Hilbert keys plus a vector heap file.
 pub struct HdIndex {
-    params: HdIndexParams,
-    partitioning: Partitioning,
-    curves: Vec<HilbertCurve>,
-    trees: Vec<BTree>,
-    heap: VectorHeap,
-    refs: ReferenceSet,
-    tombstones: HashSet<u64>,
-    dim: usize,
+    pub(crate) params: HdIndexParams,
+    pub(crate) partitioning: Partitioning,
+    pub(crate) curves: Vec<HilbertCurve>,
+    pub(crate) trees: Vec<BTree>,
+    pub(crate) heap: VectorHeap,
+    pub(crate) refs: ReferenceSet,
+    pub(crate) tombstones: HashSet<u64>,
+    pub(crate) dim: usize,
     /// The metric this index was built under (from the dataset); persisted
     /// in the meta file and enforced at reopen.
-    metric: Metric,
+    pub(crate) metric: Metric,
     dir: PathBuf,
     /// Default query-time parameters used when this index is driven through
     /// the [`hd_core::api::AnnIndex`] trait (which only carries `k` and
@@ -268,7 +159,7 @@ pub struct HdIndex {
     /// `heap slot → original object id`, strictly ascending; `None` means
     /// identity. Becomes `Some` after a compaction drops tombstoned slots:
     /// survivors keep their ids while their heap slots shift down.
-    id_map: Option<Vec<u64>>,
+    pub(crate) id_map: Option<Vec<u64>>,
     /// Next object id to assign; never reused, so it exceeds the stored
     /// count once a compaction has dropped slots. Atomic so the engine can
     /// reserve ids while logging under a shard *read* lock.
@@ -814,301 +705,6 @@ impl HdIndex {
         &self.dir
     }
 
-    /// Answers a kANN query (Algorithm 2).
-    pub fn knn(&self, query: &[f32], qp: &QueryParams) -> io::Result<Vec<Neighbor>> {
-        self.knn_traced(query, qp).map(|(r, _)| r)
-    }
-
-    /// Answers a kANN query, also reporting the paper's cost-model
-    /// quantities for this query.
-    pub fn knn_traced(&self, query: &[f32], qp: &QueryParams) -> io::Result<(Vec<Neighbor>, QueryTrace)> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        qp.validate(self.metric);
-        let t_query = Instant::now();
-        let mut qbuf = Vec::new();
-        let query = self.metric.normalized_query(query, &mut qbuf);
-        let before = self.io_stats();
-
-        // Distances from the query to all references (kept in memory; §4.4.1
-        // argues the reference set always fits).
-        let t_stage = Instant::now();
-        let mut q_dists = Vec::with_capacity(self.refs.m());
-        self.refs.distances_to(query, &mut q_dists);
-        let ref_dist_nanos = t_stage.elapsed().as_nanos() as u64;
-
-        let t_stage = Instant::now();
-        let mut candidate_ids: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
-        let mut scanned_total = 0usize;
-        for g in 0..self.trees.len() {
-            let (survivors, scanned) = self.tree_candidates(g, query, &q_dists, qp)?;
-            scanned_total += scanned;
-            candidate_ids.extend(survivors);
-        }
-        let candidate_nanos = t_stage.elapsed().as_nanos() as u64;
-
-        // Union across trees: C, κ = |C|.
-        let t_stage = Instant::now();
-        let (answer, stats) = self.refine(query, candidate_ids, qp.k)?;
-        let refine_nanos = t_stage.elapsed().as_nanos() as u64;
-        let delta = self.io_stats().since(&before);
-        let total_nanos = t_query.elapsed().as_nanos() as u64;
-
-        if hd_telemetry::enabled() {
-            let t = query_telemetry();
-            t.total.record(total_nanos);
-            t.ref_dists.record(ref_dist_nanos);
-            t.candidates.record(candidate_nanos);
-            t.refine.record(refine_nanos);
-        }
-
-        Ok((
-            answer,
-            QueryTrace {
-                scanned: scanned_total,
-                kappa: stats.kappa,
-                physical_reads: delta.physical_reads,
-                logical_reads: delta.logical_reads,
-                refine_evals: stats.evals,
-                refine_abandoned: stats.abandoned,
-                // The budgets this query actually ran with, so sweeps see
-                // the effective operating point instead of the requested
-                // one. Clamped against the *live* count here (not only in
-                // QueryParams::resolve) so direct knn_traced callers get
-                // honest numbers too — a tree can never surface more
-                // candidates than undeleted objects, however large α is.
-                effective_candidates: qp.alpha.min(self.live_len()),
-                effective_refine: qp.gamma.min(self.live_len()),
-                ref_dist_nanos,
-                candidate_nanos,
-                refine_nanos,
-                total_nanos,
-            },
-        ))
-    }
-
-    /// Steps (i)–(iii) of Algorithm 2 for one RDB-tree: fetch α candidates
-    /// by Hilbert-key adjacency (walking the leaf chain outward in both
-    /// directions from the query's position), then shrink them to γ with
-    /// the triangular — and optionally Ptolemaic — lower bound, computed
-    /// purely from the leaf-resident reference distances.
-    ///
-    /// This is the one copy of the per-tree pipeline: the sequential path
-    /// ([`Self::knn_traced`]), the pooled path ([`Self::knn_parallel`]), and
-    /// the serving engine ([`Self::knn_with_ref_dists`]) all call it.
-    ///
-    /// Returns the surviving object ids and the number of scanned entries.
-    fn tree_candidates(
-        &self,
-        g: usize,
-        query: &[f32],
-        q_dists: &[f32],
-        qp: &QueryParams,
-    ) -> io::Result<(Vec<u64>, usize)> {
-        let m = self.refs.m();
-        let (lo, hi) = self.params.domain;
-
-        // (i) α candidates by Hilbert-key adjacency. Tombstoned entries are
-        // skipped *here*, not during refinement: a deleted object must not
-        // consume one of the α scan slots (nor, downstream, a γ survivor
-        // slot), or delete-heavy workloads silently shrink the effective
-        // candidate budget and recall decays.
-        let mut sub = Vec::new();
-        self.partitioning.project_into(query, g, &mut sub);
-        let probe = rdb::encode_probe_key(&self.curves[g].encode_floats(&sub, lo, hi));
-        let mut fwd = self.trees[g].seek(&probe)?;
-        let mut bwd = fwd.clone();
-        bwd.retreat()?;
-
-        let mut ids: Vec<u64> = Vec::with_capacity(qp.alpha);
-        let mut dists_flat: Vec<f32> = Vec::with_capacity(qp.alpha * m);
-        let take = |cursor: &hd_btree::Cursor, ids: &mut Vec<u64>, dists: &mut Vec<f32>| {
-            let id = rdb::decode_id(cursor.key());
-            // Skip tombstones and orphans (tree entries whose object a
-            // crash un-assigned or a compaction dropped) so neither
-            // consumes an α slot.
-            if self.tombstones.contains(&id) || !self.contains_id(id) {
-                return;
-            }
-            ids.push(id);
-            rdb::decode_value_into(cursor.value(), dists);
-        };
-        while ids.len() < qp.alpha && (fwd.valid() || bwd.valid()) {
-            if fwd.valid() {
-                take(&fwd, &mut ids, &mut dists_flat);
-                fwd.advance()?;
-            }
-            if ids.len() < qp.alpha && bwd.valid() {
-                take(&bwd, &mut ids, &mut dists_flat);
-                bwd.retreat()?;
-            }
-        }
-        let scanned = ids.len();
-
-        // (ii) Triangular filter (Eq. 5): α → β (or straight to γ when
-        // running triangular-only, the paper's "β = γ").
-        let tri_keep = match qp.filter {
-            FilterKind::TriangularOnly => qp.gamma,
-            FilterKind::TriangularPtolemaic => qp.beta,
-        };
-        let scored: Vec<(f32, u32)> = (0..ids.len())
-            .map(|i| (triangular_lb(q_dists, &dists_flat[i * m..(i + 1) * m]), i as u32))
-            .collect();
-        let mut survivors = keep_smallest(scored, tri_keep);
-
-        // (iii) Ptolemaic filter (Eq. 6): β → γ.
-        if qp.filter == FilterKind::TriangularPtolemaic {
-            let rescored: Vec<(f32, u32)> = survivors
-                .iter()
-                .map(|&(_, i)| {
-                    let o = &dists_flat[i as usize * m..(i as usize + 1) * m];
-                    (ptolemaic_lb(q_dists, o, &self.refs), i)
-                })
-                .collect();
-            survivors = keep_smallest(rescored, qp.gamma);
-        }
-
-        Ok((
-            survivors.into_iter().map(|(_, i)| ids[i as usize]).collect(),
-            scanned,
-        ))
-    }
-
-    /// Final refinement, as a blocked, early-abandoning pipeline (Algorithm
-    /// 2 step (iv), the dominant IO+CPU cost of a query): dedup the
-    /// candidate union, walk it in heap-page order fetching each page's
-    /// resident candidates once into a reusable arena
-    /// ([`VectorHeap::get_block_into`]), and score every vector with the
-    /// bounded kernel against the running top-k radius
-    /// ([`l2_sq_bounded`]) — κ random point reads become sequential
-    /// page-granular reads, and candidates that cannot enter the top-k are
-    /// abandoned mid-evaluation.
-    ///
-    /// Results are bit-identical to the naive per-id path: sorting by id
-    /// *is* sorting by heap page (ids are append-ordered), so candidates
-    /// are visited in the same order, and the bounded kernel only abandons
-    /// evaluations whose exact distance a full computation would also have
-    /// rejected (see the `hd_core::distance` contract).
-    fn refine(
-        &self,
-        query: &[f32],
-        mut candidate_ids: Vec<u64>,
-        k: usize,
-    ) -> io::Result<(Vec<Neighbor>, RefineStats)> {
-        candidate_ids.sort_unstable();
-        candidate_ids.dedup();
-        let kappa = candidate_ids.len();
-        // Normally a no-op: tree_candidates already drops tombstoned and
-        // absent ids. Kept as the last line of defense so refine never
-        // resurrects a delete or reads past the heap (e.g. candidates
-        // supplied by a future external caller).
-        candidate_ids.retain(|&id| !self.tombstones.contains(&id) && self.contains_id(id));
-        // The heap is addressed by slot. Until the first compaction slots
-        // and ids coincide; afterwards the strictly ascending id map keeps
-        // the translation monotone, so sorted ids stay sorted slots (the
-        // blocked scorer's page-order walk and TopK's id tie-breaking are
-        // unaffected by translating back afterwards).
-        let slots: std::borrow::Cow<[u64]> = match &self.id_map {
-            None => std::borrow::Cow::Borrowed(&candidate_ids),
-            Some(map) => std::borrow::Cow::Owned(
-                candidate_ids
-                    .iter()
-                    .filter_map(|id| map.binary_search(id).ok().map(|s| s as u64))
-                    .collect(),
-            ),
-        };
-        let mut tk = TopK::new(k);
-        let mut arena: Vec<f32> = Vec::new();
-        let (evals, abandoned) = score_candidates_blocked(
-            &self.heap,
-            self.metric,
-            query,
-            &slots,
-            &mut tk,
-            &mut arena,
-        )?;
-        let mut answer = tk.into_sorted();
-        for nb in &mut answer {
-            if let Some(map) = &self.id_map {
-                nb.id = map[nb.id as usize];
-            }
-            nb.dist = self.metric.finalize(nb.dist);
-        }
-        Ok((
-            answer,
-            RefineStats {
-                kappa,
-                evals,
-                abandoned,
-            },
-        ))
-    }
-
-    /// [`Self::knn`] with the query-to-reference distances supplied by the
-    /// caller. A sharded engine computes them once per query (all shards
-    /// share one reference set, see [`BuildOpts::references`]) and fans the
-    /// same slice out to every shard, amortizing the m distance kernels
-    /// that every per-tree filter depends on.
-    ///
-    /// `q_dists[i]` must be `d(query, R_i)` against exactly
-    /// [`Self::references`], in order, and `query` must already be in index
-    /// form (unit-normalized for cosine) — the engine normalizes once per
-    /// batch before computing the shared reference distances, so this path
-    /// must not normalize again.
-    pub fn knn_with_ref_dists(
-        &self,
-        query: &[f32],
-        q_dists: &[f32],
-        qp: &QueryParams,
-    ) -> io::Result<Vec<Neighbor>> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        assert_eq!(q_dists.len(), self.refs.m(), "reference-distance count mismatch");
-        qp.validate(self.metric);
-        // Distinct span names from the traced single-index pipeline: these
-        // run per (query, shard) on pool threads, so their counts scale
-        // with S and must not pollute the hd_query_* per-query breakdown.
-        let mut candidate_ids: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
-        {
-            let _s = hd_telemetry::span!("shard_candidates_nanos");
-            for g in 0..self.trees.len() {
-                candidate_ids.extend(self.tree_candidates(g, query, q_dists, qp)?.0);
-            }
-        }
-        let _s = hd_telemetry::span!("shard_refine_nanos");
-        self.refine(query, candidate_ids, qp.k).map(|(answer, _)| answer)
-    }
-
-    /// Parallel variant of [`Self::knn`] (§5.2.8, §6: the paper notes the
-    /// τ independent RDB-trees parallelize "with little synchronization").
-    /// Each tree's candidate generation + filtering runs as a task on the
-    /// process-wide [`hd_core::pool`] worker pool — no OS threads are
-    /// spawned per query — while the union and exact refinement stay
-    /// sequential.
-    pub fn knn_parallel(&self, query: &[f32], qp: &QueryParams) -> io::Result<Vec<Neighbor>> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        qp.validate(self.metric);
-        let mut qbuf = Vec::new();
-        let query = self.metric.normalized_query(query, &mut qbuf);
-        let mut q_dists = Vec::with_capacity(self.refs.m());
-        self.refs.distances_to(query, &mut q_dists);
-        let q_dists = &q_dists;
-
-        let tau = self.trees.len();
-        let mut per_tree: Vec<Option<TreeCandidates>> = (0..tau).map(|_| None).collect();
-        hd_core::pool::global().run_scoped(per_tree.iter_mut().enumerate().map(|(g, slot)| {
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                *slot = Some(self.tree_candidates(g, query, q_dists, qp));
-            });
-            (g, task)
-        }));
-
-        let mut candidate_ids = Vec::with_capacity(qp.gamma * tau);
-        for slot in per_tree {
-            let (survivors, _) = slot.expect("pool completed every tree task")?;
-            candidate_ids.extend(survivors);
-        }
-        self.refine(query, candidate_ids, qp.k).map(|(answer, _)| answer)
-    }
-
     /// Inserts a new object (§3.6): log to the WAL (fsynced unless
     /// [`Self::set_autocommit`] turned batching on), then append the
     /// descriptor, compute its reference distances and Hilbert keys, and
@@ -1140,7 +736,6 @@ impl HdIndex {
     /// normalizes (the WAL stores the caller's raw vector), appends the
     /// heap slot, and upserts into every tree.
     pub fn apply_insert(&mut self, id: u64, vector: &[f32]) -> io::Result<()> {
-        assert_eq!(vector.len(), self.dim, "dimensionality mismatch");
         let expected_slot = match &self.id_map {
             None => id,
             Some(map) => map.len() as u64,
@@ -1156,15 +751,15 @@ impl HdIndex {
                 ),
             ));
         }
-        let mut vbuf = Vec::new();
-        let vector = self.metric.normalized_query(vector, &mut vbuf);
+        // The WAL stores the caller's raw vector; prepare normalizes it and
+        // computes the leaf payload (its reference distances).
+        let prepared = self.refs.prepare(vector)?;
+        let vector = prepared.vector();
         self.heap.append(vector)?;
         if let Some(map) = &mut self.id_map {
             map.push(id); // id == next_id - 1 > every mapped id: stays sorted
         }
-        let mut dists = Vec::with_capacity(self.refs.m());
-        self.refs.distances_to(vector, &mut dists);
-        let value = rdb::encode_value(&dists);
+        let value = rdb::encode_value(prepared.ref_dists());
         let (lo, hi) = self.params.domain;
         let mut sub = Vec::new();
         for g in 0..self.trees.len() {
@@ -1255,10 +850,9 @@ impl HdIndex {
     /// state that loses a committed write.
     pub fn save(&mut self) -> io::Result<()> {
         self.wal.commit()?;
-        for t in &self.trees {
-            t.pool().sync()?;
+        for pool in self.pools() {
+            pool.sync()?;
         }
-        self.heap.pool().sync()?;
         self.snapshot_version += 1;
         self.wal.append(&WalRecord::Checkpoint {
             snapshot_version: self.snapshot_version,
@@ -1412,27 +1006,21 @@ impl HdIndex {
         self.tombstones.contains(&id)
     }
 
+    /// The τ tree pools followed by the heap pool.
+    fn pools(&self) -> impl Iterator<Item = &BufferPool> {
+        self.trees
+            .iter()
+            .map(|t| t.pool().as_ref())
+            .chain([self.heap.pool()])
+    }
+
     /// Aggregated IO counters over all τ tree pools and the heap pool.
     pub fn io_stats(&self) -> IoSnapshot {
-        let mut total = IoSnapshot::default();
-        for t in &self.trees {
-            let s = t.pool().stats();
-            total.logical_reads += s.logical_reads;
-            total.physical_reads += s.physical_reads;
-            total.physical_writes += s.physical_writes;
-        }
-        let s = self.heap.pool().stats();
-        total.logical_reads += s.logical_reads;
-        total.physical_reads += s.physical_reads;
-        total.physical_writes += s.physical_writes;
-        total
+        self.pools().map(BufferPool::stats).sum()
     }
 
     pub fn reset_io_stats(&self) {
-        for t in &self.trees {
-            t.pool().reset_stats();
-        }
-        self.heap.pool().reset_stats();
+        self.pools().for_each(BufferPool::reset_stats);
     }
 
     /// Total on-disk index size (trees + heap), the paper's "index size".
@@ -1449,13 +1037,7 @@ impl HdIndex {
     /// paper's cache-off configuration this is just the references — the
     /// "≤ 40 MB querying footprint" of Fig. 8e/j/o.
     pub fn memory_bytes(&self) -> usize {
-        let pools: usize = self
-            .trees
-            .iter()
-            .map(|t| t.pool().memory_bytes())
-            .sum::<usize>()
-            + self.heap.pool().memory_bytes();
-        self.refs.memory_bytes() + pools
+        self.refs.memory_bytes() + self.pools().map(BufferPool::memory_bytes).sum::<usize>()
     }
 
     /// Spill/scratch accounting of the most recent streaming build or
@@ -1494,15 +1076,11 @@ impl AnnIndex for HdIndex {
     /// ([`QueryParams::resolve`]).
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
         let qp = self.serve.resolve(req, self.heap.len() as usize);
-        if req.trace {
-            let (neighbors, trace) = self.knn_traced(query, &qp)?;
-            Ok(SearchOutput {
-                neighbors,
-                trace: Some(trace),
-            })
-        } else {
-            Ok(SearchOutput::from_neighbors(self.knn(query, &qp)?))
-        }
+        let (neighbors, trace) = self.knn_traced(query, &qp)?;
+        Ok(SearchOutput {
+            neighbors,
+            trace: req.trace.then_some(trace),
+        })
     }
 
     fn stats(&self) -> IndexStats {
@@ -1559,6 +1137,7 @@ mod tests {
     use hd_core::dataset::{generate, DatasetProfile};
     use hd_core::ground_truth::ground_truth_knn;
     use hd_core::metrics::{ids, score_workload};
+    use hd_core::topk::Neighbor;
     use proptest::prelude::*;
 
     fn test_dir(name: &str) -> PathBuf {
@@ -1815,26 +1394,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_matches_sequential() {
-        let (data, queries) = generate(&DatasetProfile::SIFT, 2500, 10, 13);
-        let dir = test_dir("parallel");
-        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-        for qp in [
-            QueryParams::triangular(256, 64, 10),
-            QueryParams::ptolemaic(256, 128, 64, 10),
-        ] {
-            for q in queries.iter() {
-                assert_eq!(
-                    index.knn_parallel(q, &qp).unwrap(),
-                    index.knn(q, &qp).unwrap(),
-                    "parallel and sequential answers must be identical"
-                );
-            }
-        }
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn open_missing_dir_errors() {
         let err = HdIndex::open("/nonexistent/hd_index_dir", 0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
@@ -1888,13 +1447,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Ptolemaic filter is unsound under l1")]
     fn l1_index_rejects_ptolemaic_queries() {
         let (raw, _) = generate(&DatasetProfile::SIFT, 300, 1, 23);
         let data = raw.with_metric(Metric::L1);
         let dir = test_dir("l1_pto");
         let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-        let _ = index.knn(data.get(0), &QueryParams::ptolemaic(64, 32, 16, 5));
+        let err = index
+            .knn(data.get(0), &QueryParams::ptolemaic(64, 32, 16, 5))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string()
+                .contains("Ptolemaic filter is unsound under l1"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -30,9 +30,11 @@ pub mod config;
 pub mod filters;
 pub mod index;
 pub mod meta;
+mod query;
 pub mod rdb;
 pub mod reference;
 
 pub use config::{FilterKind, HdIndexParams, QueryParams, RefSelection};
-pub use index::{score_candidates_blocked, BuildOpts, BuildStats, HdIndex, QueryTrace};
-pub use reference::ReferenceSet;
+pub use index::{BuildOpts, BuildStats, HdIndex};
+pub use query::{score_candidates_blocked, QueryTrace};
+pub use reference::{PreparedQuery, ReferenceSet};

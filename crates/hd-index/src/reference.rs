@@ -12,6 +12,7 @@ use hd_core::metric::Metric;
 use hd_core::ObjectId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::io;
 
 /// The selected reference objects, their vectors (pinned in memory: m ≪ n,
 /// §4.4.1), and the pairwise distance matrix the Ptolemaic filter divides by.
@@ -54,6 +55,31 @@ impl ReferenceSet {
         out.extend(self.vectors.iter().map(|r| self.metric.linear_dist(point, r)));
     }
 
+    /// Turns a caller's query into a [`PreparedQuery`] against this set:
+    /// checks its dimension, moves it into index form (unit-normalized for
+    /// cosine) and computes its distance to every reference. The only
+    /// place the query path normalizes.
+    ///
+    /// # Errors
+    /// `InvalidInput` when `query` differs in dimension from the references.
+    pub fn prepare(&self, query: &[f32]) -> io::Result<PreparedQuery> {
+        let dim = self.vectors.first().map_or(0, Vec::len);
+        if query.len() != dim {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "query has {} dimensions but the index has {dim}",
+                    query.len()
+                ),
+            ));
+        }
+        let mut vector = query.to_vec();
+        self.metric.normalize_for_index(&mut vector);
+        let mut ref_dists = Vec::with_capacity(self.m());
+        self.distances_to(&vector, &mut ref_dists);
+        Ok(PreparedQuery { vector, ref_dists })
+    }
+
     /// Heap bytes held by the reference set (query-resident state).
     pub fn memory_bytes(&self) -> usize {
         self.vectors.iter().map(|v| v.capacity() * 4).sum::<usize>()
@@ -85,6 +111,30 @@ impl ReferenceSet {
     fn from_ids(data: &Dataset, ids: Vec<ObjectId>) -> Self {
         let vectors: Vec<Vec<f32>> = ids.iter().map(|&i| data.get(i as usize).to_vec()).collect();
         Self::from_parts(ids, vectors, data.metric())
+    }
+}
+
+/// A query in index form plus its distances to one [`ReferenceSet`] —
+/// stage 1 of Algorithm 2, done once. Only [`ReferenceSet::prepare`]
+/// builds one, so holding a `PreparedQuery` *means* the vector is already
+/// normalized for the set's metric and `ref_dists[i] = d(vector, R_i)`.
+/// A sharded engine prepares each query once against the reference set all
+/// its shards share and hands the same value to every shard.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    vector: Vec<f32>,
+    ref_dists: Vec<f32>,
+}
+
+impl PreparedQuery {
+    /// The query in index form.
+    pub fn vector(&self) -> &[f32] {
+        &self.vector
+    }
+
+    /// `d(query, R_i)` for every reference `R_i`, in set order.
+    pub fn ref_dists(&self) -> &[f32] {
+        &self.ref_dists
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! The mapping is computed with the Butz algorithm in Hamilton's formulation
 //! (A. R. Butz, *Alternative algorithm for Hilbert's space-filling curve*,
-//! IEEE ToC 1971 — the paper's reference [19]; C. Hamilton, *Compact Hilbert
+//! IEEE ToC 1971 — the paper's reference \[19\]; C. Hamilton, *Compact Hilbert
 //! indices*, Dalhousie TR CS-2006-07): the index is produced one ω-level at a
 //! time by Gray-coding the bit-slice of the coordinates after rotating it
 //! into the orientation of the current sub-hypercube.

@@ -20,8 +20,8 @@ const SUB_BITS: u32 = 5;
 const SUB: u64 = 1 << SUB_BITS;
 const NUM_BUCKETS: usize = (SUB + (64 - SUB_BITS as u64) * SUB) as usize;
 
-/// Concurrent latency histogram; `record` is wait-free, `percentile` is a
-/// racy-but-monotone scan (fine for monitoring).
+/// Concurrent latency histogram; `record` is wait-free, `percentiles` reads
+/// one racy-but-consistent copy of the buckets (fine for monitoring).
 pub struct LatencyHistogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
@@ -118,22 +118,39 @@ impl LatencyHistogram {
 
     /// Value (nanoseconds) at quantile `q ∈ [0, 1]`: the upper bound of the
     /// bucket containing the ⌈q·count⌉-th smallest observation. Returns 0
-    /// for an empty histogram.
+    /// for an empty histogram. One rung of [`Self::percentiles`].
     pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (b, counter) in self.buckets.iter().enumerate() {
-            seen += counter.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(b);
-            }
-        }
-        bucket_upper(NUM_BUCKETS - 1)
+        self.percentiles(&[q])[0]
+    }
+
+    /// [`Self::percentile`] for every quantile in `qs`, all read from one
+    /// load of the buckets. Under concurrent recording each call sees one
+    /// consistent state, so a ladder like `[0.5, 0.9, 0.99]` is monotone
+    /// even mid-write — separate `percentile` calls could each see a
+    /// different state and cross.
+    pub fn percentiles(&self, qs: &[f64]) -> Vec<u64> {
+        let snapshot: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = snapshot.iter().sum();
+        qs.iter()
+            .map(|&q| {
+                if total == 0 {
+                    return 0;
+                }
+                let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+                let mut seen = 0u64;
+                for (b, &n) in snapshot.iter().enumerate() {
+                    seen += n;
+                    if seen >= rank {
+                        return bucket_upper(b);
+                    }
+                }
+                unreachable!("rank ≤ total is reached by the last bucket")
+            })
+            .collect()
     }
 
     /// Folds `other`'s observations into `self`, bucket by bucket. Like
@@ -234,6 +251,19 @@ mod tests {
         }
         assert!(h.percentile(0.5) <= h.percentile(0.95));
         assert!(h.percentile(0.95) <= h.percentile(0.99));
+    }
+
+    #[test]
+    fn ladder_matches_single_percentiles() {
+        let h = LatencyHistogram::new();
+        for v in 1..=10_000u64 {
+            h.record(v);
+        }
+        let qs = [0.0, 0.5, 0.9, 0.99, 1.0];
+        let ladder = h.percentiles(&qs);
+        let singles: Vec<u64> = qs.iter().map(|&q| h.percentile(q)).collect();
+        assert_eq!(ladder, singles);
+        assert_eq!(LatencyHistogram::new().percentiles(&qs), vec![0; qs.len()]);
     }
 
     #[test]

@@ -184,12 +184,9 @@ impl MetricsRegistry {
                 }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# TYPE {name} summary");
-                    for (q, label) in QUANTILES {
-                        let _ = writeln!(
-                            out,
-                            "{name}{{quantile=\"{label}\"}} {}",
-                            h.percentile(q)
-                        );
+                    let values = h.percentiles(&QUANTILES.map(|(q, _)| q));
+                    for ((_, label), v) in QUANTILES.iter().zip(values) {
+                        let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {v}");
                     }
                     let _ = writeln!(out, "{name}_sum {}", h.sum());
                     let _ = writeln!(out, "{name}_count {}", h.count());
@@ -227,11 +224,9 @@ impl MetricsRegistry {
                         ("sum".to_string(), Json::Num(h.sum() as f64)),
                         ("mean".to_string(), Json::Num((h.mean() * 10.0).round() / 10.0)),
                     ];
-                    for (q, _) in QUANTILES {
-                        fields.push((
-                            format!("p{}", (q * 100.0) as u64),
-                            Json::Num(h.percentile(q) as f64),
-                        ));
+                    let values = h.percentiles(&QUANTILES.map(|(q, _)| q));
+                    for ((q, _), v) in QUANTILES.iter().zip(values) {
+                        fields.push((format!("p{}", (q * 100.0) as u64), Json::Num(v as f64)));
                     }
                     fields
                 }

@@ -56,7 +56,7 @@ thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
-/// Live RAII timer; records on drop. Construct via the [`span!`] macro.
+/// Live RAII timer; records on drop. Construct via the [`span!`](crate::span!) macro.
 pub struct Span {
     name: &'static str,
     hist: Arc<LatencyHistogram>,

@@ -463,3 +463,26 @@ fn trace_stage_times_sum_to_approximately_total() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn wrong_dimension_queries_are_invalid_input() {
+    // The HD-Index query pipeline (and the engine, which runs it on pool
+    // threads) must refuse a query of the wrong dimensionality with a typed
+    // error, not a panic — on the single-query and the batched path.
+    let w = Workload::new("wrong_dim", DatasetProfile::SIFT, 200, 2, 41);
+    let short = vec![1.0f32; w.data.dim() - 1];
+    for name in ["hd-index", "engine"] {
+        let dir = scratch(&format!("wrong_dim_{name}"));
+        let spec = registry().iter().find(|s| s.name == name).unwrap();
+        let index = build(spec, &w, &dir).unwrap();
+        let err = index.search(&short, &SearchRequest::new(5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
+        assert!(err.to_string().contains("dimensions"), "{name}: {err}");
+        let batch = [w.queries.get(0), short.as_slice()];
+        let err = index
+            .search_batch(&batch, &SearchRequest::new(5))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
