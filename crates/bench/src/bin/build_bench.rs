@@ -27,6 +27,7 @@
 //!
 //! `--json PATH` writes the numbers for check-in (`BENCH_build_bench.json`).
 
+use hd_bench::config::flag_value;
 use hd_bench::{table, BenchConfig};
 use hd_core::dataset::{DatasetProfile, Dataset, RawF32Source, VectorSource};
 use hd_core::metric::Metric;
@@ -48,11 +49,6 @@ const BASE_N: usize = 10_000_000;
 const EQ_N: usize = 200_000;
 /// Build-span coverage the telemetry gate requires.
 const BUILD_COVERAGE_GATE: f64 = 0.80;
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
 
 /// `VmHWM` from `/proc/self/status` in bytes — the kernel's lifetime peak
 /// resident set, monotone by definition, so each section snapshots it

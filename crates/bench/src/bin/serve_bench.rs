@@ -1,34 +1,27 @@
-//! serve_bench: served throughput of the HTTP front-end, with and without
-//! cross-request coalescing, against the in-process engine baseline.
+//! serve_bench: served throughput of the HTTP front-end against the
+//! in-process engine baseline, and exactness of the served answers.
 //!
-//! Closed-loop load: C client threads each keep exactly one request in
-//! flight (send → wait → send) for a fixed request count. Three phases over
+//! Closed-loop load: 8 client threads each keep exactly one request in
+//! flight (send → wait → send) for a fixed request count. Two phases over
 //! one engine:
 //!
 //! 1. **direct** — clients call `AnnIndex::search` in-process; no HTTP.
-//!    The ceiling, and the cost floor every served number is judged against.
-//! 2. **passthrough** — real HTTP server, coalescing off: every request is
-//!    its own engine dispatch.
-//! 3. **coalesced** — coalescing on: concurrent requests drain into shared
-//!    engine batches (`max_batch` 8, `max_wait` 500µs).
+//!    The ceiling, and the cost floor the served number is judged against.
+//! 2. **served** — real TCP clients against a `ServerConfig::default()`
+//!    server; every request is one engine call on its handler thread.
 //!
-//! The headline claim this bench gates in CI: under ≥ 8 concurrent
-//! closed-loop clients, coalescing must **beat** passthrough on served QPS
-//! — batching amortizes per-dispatch overhead (pool wake-ups, shard lock
-//! traffic, fan-out latches) that passthrough pays per request. The two
-//! served modes run as back-to-back pairs in alternating order and the
-//! gate statistic is the mean of per-round QPS ratios, with adaptive round
-//! counts at CI scale so a near-tie buys more evidence instead of flapping
-//! the gate. The process exits nonzero if the claim fails. `--clients N`
-//! overrides the client count, `--json PATH` writes the checked-in
-//! artifact, `--probe` dumps per-phase telemetry deltas.
+//! The process exits nonzero when the server answers anything but 200, or
+//! when any served answer's ids differ from `AnnIndex::search` on the
+//! engine for the same query. `--json PATH` writes the checked-in
+//! artifact, `--probe` dumps the cumulative telemetry histograms after the
+//! served phase.
 
 use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use hd_bench::config::BenchConfig;
+use hd_bench::config::{flag_value, BenchConfig};
 use hd_bench::table;
 use hd_core::api::{AnnIndex, SearchRequest};
 use hd_core::dataset::{generate, DatasetProfile};
@@ -40,39 +33,31 @@ use std::fmt::Write as _;
 const BASE_N: usize = 20_000;
 /// Requests per client per phase (scaled, floor keeps statistics honest).
 const BASE_REQUESTS: usize = 3_000;
+/// Closed-loop clients; equal to `ServerConfig::default().max_connections`
+/// so every client holds a handler for the whole phase.
+const CLIENTS: usize = 8;
 const K: usize = 10;
-/// Light point-lookup knobs: a serving front-end's value shows on cheap
-/// queries, where per-dispatch fixed costs (pool wake-ups, reference
-/// distances, lock traffic) are a large fraction of the request and
-/// batching can actually amortize them.
+/// Light point-lookup knobs: the front-end's per-request fixed costs
+/// (socket, parse, handler handoff, serialise) show on cheap queries,
+/// where they are a large fraction of the request.
 const CANDIDATES: usize = 32;
 const REFINE: usize = 16;
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
 
 struct Phase {
     name: &'static str,
     qps: f64,
     p50_ms: f64,
     p99_ms: f64,
-    /// Engine dispatches and mean queries per dispatch (HTTP phases only).
-    batches: u64,
-    mean_batch: f64,
 }
 
-/// One request over an open connection; returns latency. Panics on any
-/// non-200 — a load generator that silently counts errors measures nothing.
+/// One request over an open connection; returns latency and the reply
+/// body. Panics on any non-200 — a load generator that silently counts
+/// errors measures nothing.
 fn http_roundtrip(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
     request: &[u8],
-) -> f64 {
+) -> (f64, Vec<u8>) {
     let t0 = Instant::now();
     writer.write_all(request).expect("write request");
     let mut status_line = String::new();
@@ -95,7 +80,20 @@ fn http_roundtrip(
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).expect("body");
-    t0.elapsed().as_secs_f64() * 1e3
+    (t0.elapsed().as_secs_f64() * 1e3, body)
+}
+
+/// The neighbor ids of a single-query reply, in rank order.
+fn served_ids(body: &[u8]) -> Vec<u64> {
+    let text = std::str::from_utf8(body).expect("UTF-8 reply");
+    let reply = hd_telemetry::json::parse(text).expect("JSON reply");
+    reply
+        .get("neighbors")
+        .and_then(|n| n.as_arr())
+        .expect("reply carries a neighbors array")
+        .iter()
+        .map(|n| n.get("id").and_then(|id| id.as_u64()).expect("neighbor id"))
+        .collect()
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -106,45 +104,39 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-fn summarize(
-    name: &'static str,
-    mut latencies: Vec<f64>,
-    wall_secs: f64,
-    batches: u64,
-    queries_batched: u64,
-) -> Phase {
+fn summarize(name: &'static str, mut latencies: Vec<f64>, wall_secs: f64) -> Phase {
     latencies.sort_by(|a, b| a.total_cmp(b));
     Phase {
         name,
         qps: latencies.len() as f64 / wall_secs,
         p50_ms: percentile(&latencies, 0.50),
         p99_ms: percentile(&latencies, 0.99),
-        batches,
-        mean_batch: if batches > 0 {
-            queries_batched as f64 / batches as f64
-        } else {
-            0.0
-        },
     }
 }
 
+fn request() -> SearchRequest {
+    SearchRequest::new(K)
+        .with_candidates(CANDIDATES)
+        .with_refine(REFINE)
+}
+
 /// Phase 1: in-process closed loop, no HTTP.
-fn direct_phase(engine: &Arc<Engine>, clients: usize, requests: usize, queries: &[Vec<f32>]) -> Phase {
-    let req = SearchRequest::new(K).with_candidates(CANDIDATES).with_refine(REFINE);
-    let barrier = Barrier::new(clients);
+fn direct_phase(engine: &Arc<Engine>, requests: usize, queries: &[Vec<f32>]) -> Phase {
+    let req = request();
+    let barrier = Barrier::new(CLIENTS);
     let t0 = std::sync::OnceLock::new();
     let latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
+        let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
-                let (engine, barrier, t0) = (engine, &barrier, &t0);
+                let (engine, barrier, t0, req) = (engine, &barrier, &t0, &req);
                 s.spawn(move || {
                     barrier.wait();
                     let _ = t0.set(Instant::now());
                     let mut lat = Vec::with_capacity(requests);
                     for i in 0..requests {
-                        let query = &queries[(c + i * clients) % queries.len()];
+                        let query = &queries[(c + i * CLIENTS) % queries.len()];
                         let s = Instant::now();
-                        AnnIndex::search(engine.as_ref(), query, &req).expect("direct search");
+                        AnnIndex::search(engine.as_ref(), query, req).expect("direct search");
                         lat.push(s.elapsed().as_secs_f64() * 1e3);
                     }
                     lat
@@ -154,35 +146,27 @@ fn direct_phase(engine: &Arc<Engine>, clients: usize, requests: usize, queries: 
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall = t0.get().expect("started").elapsed().as_secs_f64();
-    summarize("direct", latencies.concat(), wall, 0, 0)
+    summarize("direct", latencies.concat(), wall)
 }
 
-/// Phases 2 and 3: real TCP clients against a bound server.
+/// Phase 2: real TCP clients against a default-config server. Returns the
+/// phase and the number of replies whose ids differ from `expected`.
 fn served_phase(
-    name: &'static str,
     engine: &Arc<Engine>,
-    coalescing: bool,
-    clients: usize,
     requests: usize,
     bodies: &[Vec<u8>],
-) -> Phase {
-    let config = ServerConfig {
-        coalescing,
-        max_connections: clients,
-        max_batch: 8,
-        max_wait_us: 500,
-        save_on_shutdown: false, // phases share the engine; nothing to persist
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(Arc::clone(engine), config).expect("bind server");
+    expected: &[Vec<u64>],
+) -> (Phase, usize) {
+    let server = Server::bind(Arc::clone(engine), ServerConfig::default()).expect("bind server");
     let addr: SocketAddr = server.addr();
-    let batches_before = server.state().metrics.batches_total.get();
-    let batched_before = server.state().metrics.batch_size.sum();
 
-    let barrier = Barrier::new(clients);
+    let barrier = Barrier::new(CLIENTS);
     let t0 = std::sync::OnceLock::new();
-    let latencies: Vec<Vec<f64>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
+    // Per client: latencies, and (query index, reply body) checked after
+    // the clock stops so parsing does not load the measured loop.
+    type ClientRun = (Vec<f64>, Vec<(usize, Vec<u8>)>);
+    let runs: Vec<ClientRun> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let (barrier, t0) = (&barrier, &t0);
                 s.spawn(move || {
@@ -195,19 +179,20 @@ fn served_phase(
                     barrier.wait();
                     let _ = t0.set(Instant::now());
                     let mut lat = Vec::with_capacity(requests);
+                    let mut replies = Vec::with_capacity(requests);
                     for i in 0..requests {
-                        let body = &bodies[(c + i * clients) % bodies.len()];
-                        lat.push(http_roundtrip(&mut reader, &mut writer, body));
+                        let q = (c + i * CLIENTS) % bodies.len();
+                        let (ms, body) = http_roundtrip(&mut reader, &mut writer, &bodies[q]);
+                        lat.push(ms);
+                        replies.push((q, body));
                     }
-                    lat
+                    (lat, replies)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall = t0.get().expect("started").elapsed().as_secs_f64();
-    let batches = server.state().metrics.batches_total.get() - batches_before;
-    let batched = server.state().metrics.batch_size.sum() - batched_before;
     server.shutdown().expect("shutdown");
     if std::env::args().any(|a| a == "--probe") {
         let reg = hd_telemetry::global();
@@ -219,32 +204,43 @@ fn served_phase(
             "hd_server_request_nanos",
         ] {
             let h = reg.histogram(m, "");
-            eprintln!("probe {name} {m}: sum_ms={:.1} count={}", h.sum() as f64 / 1e6, h.count());
+            eprintln!(
+                "probe served {m}: sum_ms={:.1} count={}",
+                h.sum() as f64 / 1e6,
+                h.count()
+            );
         }
-        eprintln!("probe {name} wall_ms={:.1}", wall * 1e3);
+        eprintln!("probe served wall_ms={:.1}", wall * 1e3);
     }
-    summarize(name, latencies.concat(), wall, batches, batched)
+
+    let mut latencies = Vec::new();
+    let mut mismatches = 0;
+    for (lat, replies) in runs {
+        latencies.extend(lat);
+        for (q, body) in replies {
+            if served_ids(&body) != expected[q] {
+                mismatches += 1;
+            }
+        }
+    }
+    (summarize("served", latencies, wall), mismatches)
 }
 
 fn main() {
     let cfg = BenchConfig::from_args();
     hd_bench::telemetry_report::init(&cfg);
     let json_path = flag_value("--json").map(std::path::PathBuf::from);
-    let clients: usize = flag_value("--clients")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
     let n = cfg.n(BASE_N);
     let requests = ((BASE_REQUESTS as f64 * cfg.scale) as usize).max(100);
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     let profile = DatasetProfile::SIFT;
     let (data, queries) = generate(&profile, n, 64, cfg.seed);
     let queries: Vec<Vec<f32>> = queries.iter().map(|q| q.to_vec()).collect();
     let scratch = cfg.scratch("serve_bench");
     let params = EngineParams {
-        // 4 shards, not 2: the per-request fan-out cost passthrough pays
-        // (S pool handoffs + a latch per query) is exactly what coalescing
-        // amortizes, so the A/B contrast this bench gates on needs a
-        // realistic shard count to be visible above scheduler noise.
+        // 4 shards, so each request pays a realistic fan-out (S pool
+        // handoffs and a latch) on top of the wire costs.
         shards: 4,
         threads: 2,
         index: HdIndexParams {
@@ -256,10 +252,20 @@ fn main() {
     };
     let engine = Arc::new(Engine::build(&data, &params, scratch.join("engine")).expect("build"));
     println!(
-        "serve_bench: n = {n}, dim = {}, {clients} closed-loop clients × {requests} requests/phase, \
-         k = {K}",
+        "serve_bench: n = {n}, dim = {}, {CLIENTS} closed-loop clients × {requests} requests/phase, \
+         k = {K}, {nproc} CPUs",
         profile.dim
     );
+
+    // The reference answer for every query: the engine's own single-query
+    // path, which a served answer must match id for id.
+    let expected: Vec<Vec<u64>> = queries
+        .iter()
+        .map(|q| {
+            let out = AnnIndex::search(engine.as_ref(), q, &request()).expect("reference search");
+            out.neighbors.iter().map(|nb| nb.id).collect()
+        })
+        .collect();
 
     // Pre-rendered request bytes so the load loop measures serving, not
     // client-side formatting.
@@ -279,62 +285,14 @@ fn main() {
         })
         .collect();
 
-    // The two served modes alternate in back-to-back pairs, and the gate
-    // statistic is the mean of per-round QPS *ratios*: both halves of a
-    // pair see the same transient machine conditions, so inter-round drift
-    // (thermal, background load) cancels out of the ratio even when it
-    // dominates the absolute numbers. Rounds are adaptive — the loop stops
-    // as soon as the mean ratio is confidently away from 1.0 (|z| ≥ 1.5)
-    // or a cap is hit, so a noisy run buys itself more evidence instead of
-    // flapping a CI gate on a single near-tie.
-    const MIN_ROUNDS: usize = 5;
-    let max_rounds = if requests > 500 { MIN_ROUNDS } else { 31 };
-    let direct = direct_phase(&engine, clients, requests, &queries);
-    let mut passthrough_rounds = Vec::new();
-    let mut coalesced_rounds = Vec::new();
-    let mut ratios: Vec<f64> = Vec::new();
-    let speedup = loop {
-        // Alternate which mode goes first so within-pair warmup drift does
-        // not systematically favor either side of the ratio.
-        let (p, c) = if ratios.len().is_multiple_of(2) {
-            let p = served_phase("passthrough", &engine, false, clients, requests, &bodies);
-            let c = served_phase("coalesced", &engine, true, clients, requests, &bodies);
-            (p, c)
-        } else {
-            let c = served_phase("coalesced", &engine, true, clients, requests, &bodies);
-            let p = served_phase("passthrough", &engine, false, clients, requests, &bodies);
-            (p, c)
-        };
-        ratios.push(c.qps / p.qps);
-        passthrough_rounds.push(p);
-        coalesced_rounds.push(c);
-        let n = ratios.len() as f64;
-        let mean = ratios.iter().sum::<f64>() / n;
-        if ratios.len() >= MIN_ROUNDS {
-            let var = ratios.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (n - 1.0);
-            let se = (var / n).sqrt();
-            // Stop early only on a *conclusive* outcome (2 standard errors
-            // from parity); an inconclusive run keeps buying rounds up to
-            // the cap rather than flapping a CI gate on a near-tie. A real
-            // regression still fails fast — confidently worse exits here
-            // too once it has at least 9 rounds behind it.
-            let conclusive_win = mean - 1.0 >= 2.0 * se;
-            let conclusive_loss = 1.0 - mean >= 2.0 * se && ratios.len() >= 9;
-            if ratios.len() >= max_rounds || conclusive_win || conclusive_loss {
-                break mean;
-            }
-        }
-    };
-    let median = |mut rounds: Vec<Phase>| -> Phase {
-        rounds.sort_by(|a, b| a.qps.total_cmp(&b.qps));
-        rounds.remove(rounds.len() / 2)
-    };
-    let phases = [direct, median(passthrough_rounds), median(coalesced_rounds)];
+    let direct = direct_phase(&engine, requests, &queries);
+    let (served, mismatches) = served_phase(&engine, requests, &bodies, &expected);
+    let phases = [direct, served];
 
-    let widths = [13usize, 10, 10, 10, 9, 11];
+    let widths = [8usize, 10, 10, 10];
     table::header(
         "served throughput, closed loop",
-        &["phase", "qps", "p50", "p99", "batches", "mean batch"],
+        &["phase", "qps", "p50", "p99"],
         &widths,
     );
     for p in &phases {
@@ -344,33 +302,21 @@ fn main() {
                 format!("{:.0}", p.qps),
                 table::ms(p.p50_ms),
                 table::ms(p.p99_ms),
-                p.batches.to_string(),
-                if p.batches > 0 {
-                    format!("{:.2}", p.mean_batch)
-                } else {
-                    "-".to_string()
-                },
             ],
             &widths,
         );
     }
 
-    let (direct, passthrough, coalesced) = (&phases[0], &phases[1], &phases[2]);
+    let (direct, served) = (&phases[0], &phases[1]);
+    let served_share = served.qps / direct.qps;
     println!(
-        "\nHTTP overhead: passthrough serves {:.0}% of direct QPS; coalescing recovers to {:.0}%",
-        100.0 * passthrough.qps / direct.qps,
-        100.0 * coalesced.qps / direct.qps,
+        "\nHTTP overhead: served {:.0}% of direct QPS",
+        100.0 * served_share
     );
-    let wins = speedup > 1.0;
+    let answered = CLIENTS * requests;
     println!(
-        "coalescing gate ({clients} clients): {} (mean paired speedup {:.3}x over {} rounds, \
-         {:.0} vs {:.0} qps, mean batch {:.2})",
-        if wins { "PASS" } else { "FAIL" },
-        speedup,
-        ratios.len(),
-        coalesced.qps,
-        passthrough.qps,
-        coalesced.mean_batch,
+        "served-answer exactness: {} ({mismatches} of {answered} replies differ from the engine)",
+        if mismatches == 0 { "PASS" } else { "FAIL" },
     );
 
     if let Some(path) = json_path {
@@ -378,8 +324,9 @@ fn main() {
         let _ = writeln!(j, "  \"bench\": \"serve_bench\",");
         let _ = writeln!(j, "  \"scale\": {},", cfg.scale);
         let _ = writeln!(j, "  \"seed\": {},", cfg.seed);
+        let _ = writeln!(j, "  \"nproc\": {nproc},");
         let _ = writeln!(j, "  \"n\": {n},");
-        let _ = writeln!(j, "  \"clients\": {clients},");
+        let _ = writeln!(j, "  \"clients\": {CLIENTS},");
         let _ = writeln!(j, "  \"requests_per_client\": {requests},");
         let _ = writeln!(j, "  \"k\": {K},");
         let _ = writeln!(j, "  \"phases\": [");
@@ -387,15 +334,13 @@ fn main() {
             let comma = if i + 1 < phases.len() { "," } else { "" };
             let _ = writeln!(
                 j,
-                "    {{ \"phase\": \"{}\", \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-                 \"batches\": {}, \"mean_batch\": {:.2} }}{comma}",
-                p.name, p.qps, p.p50_ms, p.p99_ms, p.batches, p.mean_batch
+                "    {{ \"phase\": \"{}\", \"qps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3} }}{comma}",
+                p.name, p.qps, p.p50_ms, p.p99_ms
             );
         }
         let _ = writeln!(j, "  ],");
-        let _ = writeln!(j, "  \"paired_rounds\": {},", ratios.len());
-        let _ = writeln!(j, "  \"coalescing_speedup\": {speedup:.3},");
-        let _ = writeln!(j, "  \"coalescing_beats_passthrough\": {wins}");
+        let _ = writeln!(j, "  \"served_share_of_direct\": {served_share:.3},");
+        let _ = writeln!(j, "  \"served_mismatches\": {mismatches}");
         j.push_str("}\n");
         std::fs::write(&path, j).expect("write json");
         println!("wrote {}", path.display());
@@ -403,10 +348,8 @@ fn main() {
 
     std::fs::remove_dir_all(&scratch).ok();
     hd_bench::telemetry_report::report(&cfg);
-    if clients >= 8 && !wins {
-        eprintln!(
-            "serve_bench: coalescing must beat passthrough under {clients} concurrent clients"
-        );
+    if mismatches > 0 {
+        eprintln!("serve_bench: {mismatches} served answers differ from direct engine calls");
         std::process::exit(1);
     }
 }

@@ -119,6 +119,17 @@ impl BenchConfig {
     }
 }
 
+/// The argument after `name` on the command line, for a binary's own
+/// flags (`--json PATH`, `--budget-mb N`); `None` when the flag is absent
+/// or is the last argument.
+pub fn flag_value(name: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -198,10 +198,8 @@ impl Engine {
 
         // One task per *shard*, not per (query, shard): the task sweeps the
         // whole batch against its shard under a single read-lock
-        // acquisition. This is what makes server-side coalescing pay off —
-        // a batch of B costs S pool handoffs and one latch instead of B·S
-        // handoffs and B latches, so the per-query dispatch overhead
-        // amortizes toward zero as batches fill. Slots are shard-major:
+        // acquisition, so a batch of B costs S pool handoffs and one latch
+        // instead of B·S handoffs and B latches. Slots are shard-major:
         // slot (si, qi) lives at si·B + qi.
         let b = queries.len();
         let prepared = &prepared;

@@ -1,8 +1,8 @@
 //! Server tuning knobs, all in one plain struct.
 
 /// Configuration for [`crate::Server`]. The defaults suit an integration
-/// test or a small deployment: loopback-only, coalescing on, a megabyte of
-/// body, no rate limiting.
+/// test or a small deployment: loopback-only, a megabyte of body, no rate
+/// limiting.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address; `"127.0.0.1:0"` picks an ephemeral port (read the
@@ -14,18 +14,6 @@ pub struct ServerConfig {
     /// Per-request body cap; beyond it the server answers 413 without
     /// buffering the body.
     pub max_body_bytes: usize,
-    /// Cross-request dynamic batching for single-query `POST /v1/query`
-    /// bodies. Off = every request goes straight to the engine.
-    pub coalescing: bool,
-    /// Max queries parked in the coalescer; a full queue answers 503 with
-    /// `Retry-After` instead of buffering without bound.
-    pub queue_capacity: usize,
-    /// Flush the forming batch at this size even if more queries are
-    /// arriving.
-    pub max_batch: usize,
-    /// Flush the forming batch once its oldest query has waited this long
-    /// (microseconds) — bounds the latency cost of waiting for company.
-    pub max_wait_us: u64,
     /// Per-client token-bucket refill rate (requests/second) on `/v1/*`
     /// routes, keyed by `X-Api-Key` or peer IP. `0.0` disables limiting.
     pub rate_limit_qps: f64,
@@ -45,10 +33,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 8,
             max_body_bytes: 1024 * 1024,
-            coalescing: true,
-            queue_capacity: 256,
-            max_batch: 8,
-            max_wait_us: 250,
             rate_limit_qps: 0.0,
             rate_limit_burst: 8.0,
             read_timeout_ms: 50,

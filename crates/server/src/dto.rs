@@ -20,7 +20,8 @@ use hd_telemetry::json::{parse_with_limits, Json, ParseLimits};
 pub struct QueryDto {
     pub vectors: Vec<Vec<f32>>,
     /// `true` when the client sent `"vectors"` (an explicit batch) rather
-    /// than `"vector"` — batches bypass the coalescer, they already are one.
+    /// than `"vector"`; it selects the reply shape (`"results"` or
+    /// `"neighbors"`), not the engine call.
     pub batch: bool,
     pub req: SearchRequest,
 }

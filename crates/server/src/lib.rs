@@ -1,27 +1,23 @@
-//! # hd-server — an HTTP serving front-end with cross-request batching.
+//! # hd-server — an HTTP serving front-end over the engine.
 //!
-//! The engine's throughput story (PR 5) is batching: B queries amortize
-//! fan-out, reference-distance computation, and pool wake-ups. An HTTP
-//! server naturally un-batches — each client connection delivers one query
-//! at a time — so a naive front-end forfeits exactly the advantage the
-//! engine was built for. This crate serves [`hd_engine::Engine`] over
-//! HTTP/1.1 and wins the batching back at the door:
+//! This crate serves [`hd_engine::Engine`] over HTTP/1.1. Every
+//! `POST /v1/query` body, single or batch, makes one
+//! [`hd_core::api::AnnIndex::search_batch`] call on its own
+//! connection-handler thread. HD-Index shares no page work between
+//! queries, so holding requests back to batch them across connections
+//! would only add waiting.
 //!
-//! * [`coalescer`] — concurrent single-query requests park on a bounded
-//!   queue; a dispatcher thread drains them into one
-//!   [`hd_engine::Engine::search_batch`] call under a
-//!   flush-at-`max_batch`-or-`max_wait` policy. Results are id-identical
-//!   to direct calls (same engine path, grouped only with identical knobs).
 //! * [`routes`] — `GET /healthz` (engine health → 200/503), `GET /v1/info`,
 //!   `POST /v1/query` (single and batch bodies, per-request `k` /
 //!   `candidates` / `refine` / `metric` / `timeout_ms`), `POST /v1/records`
 //!   and `DELETE /v1/records/{id}` riding the engine's write path, and
 //!   `GET /metrics` in Prometheus exposition format.
-//! * Admission control — bounded-queue backpressure (503 + `Retry-After`),
-//!   a per-client token bucket (429, keyed by `X-Api-Key` or peer IP), body
-//!   caps (413), and per-request deadlines (504).
-//! * [`Server::shutdown`] — stop accepting, drain every in-flight request
-//!   and parked query, snapshot the engine.
+//! * Admission control — `max_connections` handler threads with the TCP
+//!   accept backlog behind them, a per-client token bucket (429, keyed by
+//!   `X-Api-Key` or peer IP), body caps (413), and per-request deadlines
+//!   (504).
+//! * [`Server::shutdown`] — stop accepting, drain every in-flight request,
+//!   snapshot the engine.
 //!
 //! The transport is the vendored std-only [`minihttp`] codec: HTTP/1.1
 //! keep-alive with explicit `Content-Length`, no TLS, no chunking — the
@@ -44,7 +40,6 @@
 //! server.shutdown().unwrap();
 //! ```
 
-pub mod coalescer;
 pub mod config;
 pub mod dto;
 pub mod limiter;
@@ -52,7 +47,6 @@ pub mod metrics;
 pub mod routes;
 pub mod server;
 
-pub use coalescer::{Coalescer, SubmitError, Ticket};
 pub use config::ServerConfig;
 pub use limiter::RateLimiter;
 pub use metrics::ServerMetrics;

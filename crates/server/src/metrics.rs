@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use hd_telemetry::{Counter, Gauge, LatencyHistogram};
+use hd_telemetry::{Counter, LatencyHistogram};
 
 /// Handles to every `hd_server_*` metric. Cloning clones the handles, not
 /// the metrics — all clones point at the same registry entries.
@@ -14,21 +14,19 @@ pub struct ServerMetrics {
     /// Wall-clock per request, nanoseconds, route handling only (excludes
     /// socket reads).
     pub request_nanos: Arc<LatencyHistogram>,
-    /// Queries currently parked in the coalescer (queue + forming batch).
-    pub queue_depth: Gauge,
-    /// Queries per engine dispatch — the coalescing evidence: values > 1
-    /// mean cross-request batches actually formed.
+    /// Queries per `/v1/query` engine call: 1 for a single-query body, B
+    /// for a batch body of B vectors.
     pub batch_size: Arc<LatencyHistogram>,
-    /// Engine dispatches issued by the coalescer.
+    /// Engine calls made by `/v1/query`: one per well-formed query body.
     pub batches_total: Counter,
-    /// Queries served through a coalesced (size > 1) batch.
+    /// Queries sent to the engine in a call that carried more than one
+    /// query, i.e. the vectors of batch bodies.
     pub coalesced_total: Counter,
-    /// Queries served by a direct engine call (coalescing off, or explicit
-    /// batch bodies).
-    pub passthrough_total: Counter,
     /// Requests refused with 429 by the per-client token bucket.
     pub throttled_total: Counter,
-    /// Requests refused with 503 by coalescer backpressure.
+    /// Nothing increments this any more: the server has no query queue to
+    /// overflow. It stays registered because the repository benchmark
+    /// (`perfbench`) still reads it.
     pub overload_total: Counter,
 }
 
@@ -44,25 +42,13 @@ impl ServerMetrics {
                 "hd_server_request_nanos",
                 "Per-request handling latency in nanoseconds",
             ),
-            queue_depth: registry.gauge(
-                "hd_server_queue_depth",
-                "Queries parked in the coalescer",
-            ),
-            batch_size: registry.histogram(
-                "hd_server_batch_size",
-                "Queries per coalesced engine dispatch",
-            ),
-            batches_total: registry.counter(
-                "hd_server_batches_total",
-                "Engine dispatches issued by the coalescer",
-            ),
+            batch_size: registry
+                .histogram("hd_server_batch_size", "Queries per /v1/query engine call"),
+            batches_total: registry
+                .counter("hd_server_batches_total", "Engine calls made by /v1/query"),
             coalesced_total: registry.counter(
                 "hd_server_coalesced_queries_total",
-                "Queries served through a batch of size > 1",
-            ),
-            passthrough_total: registry.counter(
-                "hd_server_passthrough_queries_total",
-                "Queries served by a direct engine call",
+                "Queries sent in an engine call carrying more than one query",
             ),
             throttled_total: registry.counter(
                 "hd_server_throttled_total",
@@ -70,7 +56,7 @@ impl ServerMetrics {
             ),
             overload_total: registry.counter(
                 "hd_server_overload_total",
-                "Requests refused with 503 (queue full)",
+                "Requests refused with 503 for load (never incremented)",
             ),
         }
     }

@@ -4,8 +4,8 @@
 //! Error contract: every non-2xx body is the uniform envelope
 //! `{"error":{"code":…,"message":…}}` ([`envelope`]); engine `io::Error`s
 //! map by kind (`TimedOut` → 504, `InvalidInput` → 400, `NotFound` → 404,
-//! anything else → 500), backpressure maps to 503 + `Retry-After`, and the
-//! token bucket to 429 + `Retry-After`.
+//! anything else → 500), and the token bucket maps to 429 +
+//! `Retry-After`.
 
 use std::io;
 use std::time::Instant;
@@ -14,7 +14,6 @@ use hd_core::api::AnnIndex;
 use hd_telemetry::json::Json;
 use minihttp::{Request, Response};
 
-use crate::coalescer::SubmitError;
 use crate::dto::{self, error_body};
 use crate::server::ServerState;
 
@@ -126,10 +125,6 @@ fn info(state: &ServerState) -> Response {
         ("len".to_string(), Json::Num(engine.len() as f64)),
         ("live_len".to_string(), Json::Num(stats.live_len as f64)),
         (
-            "coalescing".to_string(),
-            Json::Bool(state.coalescer.is_some()),
-        ),
-        (
             "stats".to_string(),
             Json::Obj(vec![
                 ("disk_bytes".to_string(), Json::Num(stats.disk_bytes as f64)),
@@ -165,59 +160,26 @@ fn query(state: &ServerState, req: &Request) -> Response {
         Err(message) => return envelope(400, "bad_request", &message),
     };
 
-    // Explicit batches are already batches; singles coalesce when enabled.
-    if dto.batch || state.coalescer.is_none() {
-        let refs: Vec<&[f32]> = dto.vectors.iter().map(|v| v.as_slice()).collect();
-        return match AnnIndex::search_batch(engine, &refs, &dto.req) {
-            Ok(outputs) => {
-                if state.coalescer.is_none() && !dto.batch {
-                    state.metrics.passthrough_total.inc();
-                }
-                if dto.batch {
-                    let results = Json::Arr(
-                        outputs.iter().map(|o| dto::neighbors_json(&o.neighbors)).collect(),
-                    );
-                    Response::json(
-                        200,
-                        Json::Obj(vec![("results".to_string(), results)]).render(),
-                    )
-                } else {
-                    single_answer(&outputs[0].neighbors, false)
-                }
-            }
-            Err(e) => io_error_response(&e),
-        };
+    // Single and batch bodies alike make one engine call on this handler
+    // thread; `timeout_ms` rides along as the call's `time_budget`.
+    let refs: Vec<&[f32]> = dto.vectors.iter().map(|v| v.as_slice()).collect();
+    let metrics = &state.metrics;
+    metrics.batches_total.inc();
+    metrics.batch_size.record(refs.len() as u64);
+    if refs.len() > 1 {
+        metrics.coalesced_total.add(refs.len() as u64);
     }
-
-    let coalescer = state.coalescer.as_ref().expect("checked above");
-    let mut vectors = dto.vectors;
-    let vector = vectors.pop().expect("single query has one vector");
-    match coalescer.submit(vector, dto.req) {
-        Ok(ticket) => match ticket.wait() {
-            Ok(neighbors) => single_answer(&neighbors, true),
-            Err(e) => io_error_response(&e),
-        },
-        Err(SubmitError::Full) => {
-            state.metrics.overload_total.inc();
-            envelope(503, "overloaded", "query queue is full; retry shortly")
-                .header("retry-after", "1")
-        }
-        Err(SubmitError::ShuttingDown) => {
-            envelope(503, "shutting_down", "server is draining; retry elsewhere")
-                .header("retry-after", "1")
-        }
-    }
-}
-
-fn single_answer(neighbors: &[hd_core::topk::Neighbor], coalesced: bool) -> Response {
-    Response::json(
-        200,
-        Json::Obj(vec![
-            ("neighbors".to_string(), dto::neighbors_json(neighbors)),
-            ("coalesced".to_string(), Json::Bool(coalesced)),
-        ])
-        .render(),
-    )
+    let outputs = match AnnIndex::search_batch(engine, &refs, &dto.req) {
+        Ok(outputs) => outputs,
+        Err(e) => return io_error_response(&e),
+    };
+    let (field, answer) = if dto.batch {
+        let results = outputs.iter().map(|o| dto::neighbors_json(&o.neighbors));
+        ("results", Json::Arr(results.collect()))
+    } else {
+        ("neighbors", dto::neighbors_json(&outputs[0].neighbors))
+    };
+    Response::json(200, Json::Obj(vec![(field.to_string(), answer)]).render())
 }
 
 fn upsert(state: &ServerState, req: &Request) -> Response {

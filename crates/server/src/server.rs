@@ -1,18 +1,18 @@
 //! The TCP front: accept loop, connection handlers, graceful shutdown.
 //!
 //! Threading: one accept thread plus a dedicated connection
-//! [`WorkerPool`] of `max_connections` handlers. Connection handlers must
-//! **not** share the engine's pool — a handler blocks on a coalescer
-//! ticket, and the dispatcher needs engine-pool workers to answer it;
-//! sharing would park the workers on the very latch they are supposed to
-//! open. The coalescer's dispatcher is its own thread for the same reason.
+//! [`WorkerPool`] of `max_connections` handlers, each of which calls the
+//! engine itself. Connection handlers must **not** share the engine's pool
+//! — a handler blocks on the engine's fan-out latch until engine-pool
+//! workers open it; sharing would park the workers on the very latch they
+//! are supposed to open.
 //!
 //! Shutdown protocol ([`Server::shutdown`]): set the stop flag; self-connect
 //! to unblock `accept`; join the accept thread; drop the connection pool
 //! (its `Drop` joins after handlers finish their current request — socket
 //! read timeouts make them notice the flag within `read_timeout_ms`);
-//! drain + join the coalescer (every parked query is answered); finally
-//! snapshot the engine. In-flight requests complete, new ones are refused.
+//! finally snapshot the engine. In-flight requests complete, new ones are
+//! refused.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -25,7 +25,6 @@ use hd_core::pool::WorkerPool;
 use hd_engine::Engine;
 use minihttp::{read_request, Error as HttpError, Limits, Response};
 
-use crate::coalescer::Coalescer;
 use crate::config::ServerConfig;
 use crate::limiter::RateLimiter;
 use crate::metrics::ServerMetrics;
@@ -34,7 +33,6 @@ use crate::routes;
 /// Everything a connection handler needs, shared across threads.
 pub struct ServerState {
     pub engine: Arc<Engine>,
-    pub coalescer: Option<Coalescer>,
     pub limiter: RateLimiter,
     pub metrics: ServerMetrics,
     pub max_body_bytes: usize,
@@ -55,26 +53,15 @@ pub struct Server {
 
 impl Server {
     /// Binds and starts serving `engine` per `config`. The engine arrives
-    /// in an `Arc` because handlers, the coalescer, and the caller (who may
-    /// keep querying it directly) all share it.
+    /// in an `Arc` because handlers and the caller (who may keep querying it
+    /// directly) share it.
     pub fn bind(engine: Arc<Engine>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let metrics = ServerMetrics::new();
-        let coalescer = config.coalescing.then(|| {
-            Coalescer::start(
-                Arc::clone(&engine),
-                config.queue_capacity,
-                config.max_batch,
-                config.max_wait_us,
-                metrics.clone(),
-            )
-        });
         let state = Arc::new(ServerState {
             engine,
-            coalescer,
             limiter: RateLimiter::new(config.rate_limit_qps, config.rate_limit_burst),
-            metrics,
+            metrics: ServerMetrics::new(),
             max_body_bytes: config.max_body_bytes,
             stop: AtomicBool::new(false),
             read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
@@ -121,8 +108,8 @@ impl Server {
         &self.state
     }
 
-    /// Graceful shutdown: stop accepting, drain in-flight requests and the
-    /// coalescer queue, then snapshot the engine (when configured).
+    /// Graceful shutdown: stop accepting, drain in-flight requests, then
+    /// snapshot the engine (when configured).
     pub fn shutdown(mut self) -> io::Result<()> {
         self.stop_serving();
         if self.save_on_shutdown {
@@ -145,9 +132,6 @@ impl Server {
                 Ok(pool) => drop(pool),
                 Err(still_shared) => drop(still_shared),
             }
-        }
-        if let Some(coalescer) = &self.state.coalescer {
-            coalescer.shutdown();
         }
     }
 }
