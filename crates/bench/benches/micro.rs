@@ -4,7 +4,9 @@
 //! * distance kernel throughput,
 //! * triangular vs Ptolemaic filter kernels (the ~m/2× CPU gap behind the
 //!   1.5–2× query-time difference of §5.2.5),
-//! * B+-tree point lookups and cursor scans.
+//! * B+-tree point lookups and cursor scans, including the fwd/bwd lockstep
+//!   leaf walk of the candidate stage,
+//! * heap block fetches, the refinement stage's 16-page fetch window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hd_core::dataset::{generate, DatasetProfile};
@@ -126,9 +128,91 @@ fn bench_btree(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The candidate stage's walk shape: from one seek, alternate a forward
+    // and a backward step, reading every key and value, for 4096 entries.
+    g.bench_function("walk_4096_lockstep", |b| {
+        b.iter_batched(
+            || {
+                let fwd = tree.seek(&50_000u64.to_be_bytes()).unwrap();
+                let mut bwd = fwd.clone();
+                bwd.retreat().unwrap();
+                (fwd, bwd)
+            },
+            |(mut fwd, mut bwd)| {
+                let mut sum = 0u64;
+                let mut seen = 0;
+                while seen < 4096 && (fwd.valid() || bwd.valid()) {
+                    if fwd.valid() {
+                        sum += u64::from(fwd.key()[7] ^ fwd.value()[0]);
+                        seen += 1;
+                        fwd.advance().unwrap();
+                    }
+                    if seen < 4096 && bwd.valid() {
+                        sum += u64::from(bwd.key()[7] ^ bwd.value()[0]);
+                        seen += 1;
+                        bwd.retreat().unwrap();
+                    }
+                }
+                sum
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
     std::fs::remove_file(path).ok();
 }
 
-criterion_group!(benches, bench_hilbert, bench_distance, bench_filters, bench_btree);
+fn bench_heap(c: &mut Criterion) {
+    use hd_storage::VectorHeap;
+
+    let dir = std::env::temp_dir().join("hd_bench_heap");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("bench_{}", std::process::id()));
+    // 32768 SIFT-sized vectors: 4096 pages (16 MiB), all cached — larger
+    // than a core's L2, like the heap of a real shard.
+    const VECTORS: u64 = 32_768;
+    let mut heap = VectorHeap::create(&path, 128, 4096).unwrap();
+    let rows: Vec<Vec<f32>> = (0..VECTORS)
+        .map(|i| (0..128).map(|j| ((i * 131 + j) % 251) as f32).collect())
+        .collect();
+    heap.append_all(rows.iter().map(Vec::as_slice)).unwrap();
+    drop(rows);
+
+    let mut g = c.benchmark_group("heap");
+    g.sample_size(50);
+    // One refinement fetch window: 18 sorted candidates on 16 heap pages
+    // spread over the file (two pages hold two). Every call draws a fresh
+    // window from the whole heap, so, as in refinement, the lines mostly
+    // start outside the core's private caches.
+    let pages = VECTORS / 8;
+    let mut state = 1u64;
+    let mut arena = Vec::new();
+    g.bench_function("block_fetch_16_pages", |b| {
+        b.iter(|| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let base = state >> 40;
+            let mut ids: Vec<u64> = (0..16u64)
+                .map(|p| ((base + p * 257) % pages) * 8 + (base + p) % 8)
+                .collect();
+            ids.push(ids[3] ^ 1);
+            ids.push(ids[11] ^ 1);
+            ids.sort_unstable();
+            heap.get_block_into(black_box(&ids), &mut arena).unwrap();
+            arena[0]
+        })
+    });
+    g.finish();
+    std::fs::remove_file(path).ok();
+}
+
+criterion_group!(
+    benches,
+    bench_hilbert,
+    bench_distance,
+    bench_filters,
+    bench_btree,
+    bench_heap
+);
 criterion_main!(benches);

@@ -506,14 +506,8 @@ impl BTree {
         }
         let (pid, page, _) = self.descend_to_leaf(key)?;
         let slot = Leaf::lower_bound(&page, key, self.key_len, self.val_len);
-        let mut c = Cursor {
-            pool: Arc::clone(&self.pool),
-            key_len: self.key_len,
-            val_len: self.val_len,
-            page_id: pid,
-            page,
-            slot: slot as isize,
-        };
+        let mut c = Cursor::on_leaf(self, pid, page);
+        c.slot = slot as isize;
         c.normalize_forward()?;
         Ok(c)
     }
@@ -524,14 +518,7 @@ impl BTree {
             return Ok(Cursor::dead(self));
         }
         let page = self.pool.read(self.first_leaf)?;
-        Ok(Cursor {
-            pool: Arc::clone(&self.pool),
-            key_len: self.key_len,
-            val_len: self.val_len,
-            page_id: self.first_leaf,
-            page,
-            slot: 0,
-        })
+        Ok(Cursor::on_leaf(self, self.first_leaf, page))
     }
 
     /// Cursor at the last entry of the tree.
@@ -540,15 +527,9 @@ impl BTree {
             return Ok(Cursor::dead(self));
         }
         let page = self.pool.read(self.last_leaf)?;
-        let slot = Leaf::count(&page) as isize - 1;
-        Ok(Cursor {
-            pool: Arc::clone(&self.pool),
-            key_len: self.key_len,
-            val_len: self.val_len,
-            page_id: self.last_leaf,
-            page,
-            slot,
-        })
+        let mut c = Cursor::on_leaf(self, self.last_leaf, page);
+        c.slot = c.count as isize - 1;
+        Ok(c)
     }
 }
 
@@ -557,7 +538,17 @@ impl BTree {
 /// A cursor is *valid* when it rests on an entry; walking past either end
 /// leaves it invalid, and further moves in that direction keep it invalid
 /// (moves in the opposite direction re-enter the chain, so an exhausted
-/// direction does not poison the other).
+/// direction does not poison the other). Past either end the cursor waits
+/// on the boundary: one move back returns to the last (first) entry however
+/// many moves went past it.
+///
+/// The cursor caches its leaf's entry count, so validity is one comparison
+/// and a step within the page ([`Self::advance`], [`Self::retreat`]) is an
+/// inlined slot increment; only a step across a page boundary takes the
+/// out-of-line path through the buffer pool. Whenever the cursor lands on a
+/// leaf it touches every cache line of the page
+/// ([`hd_storage::touch_lines`]), so the misses of the entries the walk is
+/// about to read overlap instead of stalling the walk one line at a time.
 #[derive(Clone)]
 pub struct Cursor {
     pool: Arc<BufferPool>,
@@ -565,6 +556,8 @@ pub struct Cursor {
     val_len: usize,
     page_id: u64,
     page: Arc<[u8]>,
+    /// Entry count of `page` (0 for a dead cursor).
+    count: usize,
     /// Slot within the page; -1 = before this page, count = after this page.
     slot: isize,
 }
@@ -577,20 +570,44 @@ impl Cursor {
             val_len: tree.val_len,
             page_id: NO_PAGE,
             page: Arc::from(vec![0u8; 0].into_boxed_slice()),
+            count: 0,
             slot: -1,
         }
     }
 
+    /// A cursor at slot 0 of leaf `page_id`.
+    fn on_leaf(tree: &BTree, page_id: u64, page: Arc<[u8]>) -> Self {
+        hd_storage::touch_lines(&page);
+        Cursor {
+            pool: Arc::clone(&tree.pool),
+            key_len: tree.key_len,
+            val_len: tree.val_len,
+            page_id,
+            count: Leaf::count(&page),
+            page,
+            slot: 0,
+        }
+    }
+
+    /// Moves onto leaf `page_id` (slot left to the caller), caching its
+    /// entry count and pulling its lines toward the cache.
+    fn land(&mut self, page_id: u64, page: Arc<[u8]>) {
+        hd_storage::touch_lines(&page);
+        self.count = Leaf::count(&page);
+        self.page_id = page_id;
+        self.page = page;
+    }
+
+    #[inline]
     pub fn valid(&self) -> bool {
-        self.page_id != NO_PAGE
-            && self.slot >= 0
-            && (self.slot as usize) < Leaf::count(&self.page)
+        self.slot >= 0 && (self.slot as usize) < self.count
     }
 
     /// Key at the cursor.
     ///
     /// # Panics
     /// Panics if the cursor is invalid.
+    #[inline]
     pub fn key(&self) -> &[u8] {
         assert!(self.valid(), "cursor not on an entry");
         Leaf::key(&self.page, self.slot as usize, self.key_len, self.val_len)
@@ -600,30 +617,45 @@ impl Cursor {
     ///
     /// # Panics
     /// Panics if the cursor is invalid.
+    #[inline]
     pub fn value(&self) -> &[u8] {
         assert!(self.valid(), "cursor not on an entry");
         Leaf::value(&self.page, self.slot as usize, self.key_len, self.val_len)
     }
 
-    /// If sitting past the end of a page, hop to the next page's first entry.
+    /// If sitting past the end of a page, hop to the next page's first
+    /// entry; past the last page, wait on its end (slot = count).
     fn normalize_forward(&mut self) -> io::Result<()> {
         if self.page_id == NO_PAGE {
             return Ok(());
         }
-        while self.slot >= 0 && self.slot as usize >= Leaf::count(&self.page) {
+        while self.slot >= 0 && self.slot as usize >= self.count {
             let right = Leaf::right(&self.page);
             if right == NO_PAGE {
+                self.slot = self.count as isize;
                 return Ok(()); // stays invalid (end)
             }
-            self.page = self.pool.read(right)?;
-            self.page_id = right;
+            let page = self.pool.read(right)?;
+            self.land(right, page);
             self.slot = 0;
         }
         Ok(())
     }
 
     /// Moves to the next entry; returns whether the cursor is now valid.
+    #[inline]
     pub fn advance(&mut self) -> io::Result<bool> {
+        let next = self.slot + 1;
+        if (next as usize) < self.count {
+            self.slot = next;
+            return Ok(true);
+        }
+        self.advance_across()
+    }
+
+    /// The page-boundary half of [`Self::advance`].
+    #[cold]
+    fn advance_across(&mut self) -> io::Result<bool> {
         if self.page_id == NO_PAGE {
             return Ok(false);
         }
@@ -633,7 +665,19 @@ impl Cursor {
     }
 
     /// Moves to the previous entry; returns whether the cursor is now valid.
+    #[inline]
     pub fn retreat(&mut self) -> io::Result<bool> {
+        if self.slot > 0 {
+            // slot <= count always holds, so slot - 1 is on the page.
+            self.slot -= 1;
+            return Ok(true);
+        }
+        self.retreat_across()
+    }
+
+    /// The page-boundary half of [`Self::retreat`].
+    #[cold]
+    fn retreat_across(&mut self) -> io::Result<bool> {
         if self.page_id == NO_PAGE {
             return Ok(false);
         }
@@ -644,9 +688,9 @@ impl Cursor {
                 self.slot = -1;
                 return Ok(false); // stays invalid (before begin)
             }
-            self.page = self.pool.read(left)?;
-            self.page_id = left;
-            self.slot = Leaf::count(&self.page) as isize - 1;
+            let page = self.pool.read(left)?;
+            self.land(left, page);
+            self.slot = self.count as isize - 1;
         }
         Ok(self.valid())
     }

@@ -127,4 +127,60 @@ proptest! {
         }
         std::fs::remove_file(path).ok();
     }
+
+    /// Random `seek` / `first` / `last` starts followed by random runs of
+    /// `advance` and `retreat`, against a sorted `Vec` whose position is an
+    /// index in -1..=n (one move past either end waits there). Small pages
+    /// make most steps cross leaves; trees of 0 and 1 entries and runs long
+    /// enough to walk off both ends and back pin the cursor's cached entry
+    /// count and its in-page fast paths.
+    #[test]
+    fn cursor_walks_match_sorted_vec(
+        bulk in prop_oneof![
+            proptest::collection::btree_set(0u16..3000, 0..2),
+            proptest::collection::btree_set(0u16..3000, 0..400),
+        ],
+        inserts in proptest::collection::vec(0u16..3000, 0..60),
+        starts in proptest::collection::vec((0u8..3, 0u16..3100), 1..6),
+        runs in proptest::collection::vec((any::<bool>(), 1usize..80), 1..12),
+        page_size in prop_oneof![Just(128usize), Just(256)],
+    ) {
+        let (mut tree, path) = fresh_tree("cursor", page_size);
+        let mut keys: Vec<u16> = bulk.into_iter().collect();
+        tree.bulk_load(keys.iter().map(|&v| (key(v), val(v))), 1.0).unwrap();
+        for &v in &inserts {
+            if let Err(at) = keys.binary_search(&v) {
+                keys.insert(at, v);
+                tree.insert(&key(v), &val(v)).unwrap();
+            }
+        }
+        let n = keys.len() as isize;
+        for &(how, probe) in &starts {
+            let (mut cur, mut pos) = match how {
+                0 => (tree.seek(&key(probe)).unwrap(), keys.partition_point(|&k| k < probe) as isize),
+                1 => (tree.first().unwrap(), 0),
+                _ => (tree.last().unwrap(), n - 1),
+            };
+            for &(forward, len) in &runs {
+                for _ in 0..len {
+                    let moved = if forward {
+                        pos = (pos + 1).min(n);
+                        cur.advance().unwrap()
+                    } else {
+                        pos = (pos - 1).max(-1);
+                        cur.retreat().unwrap()
+                    };
+                    let valid = (0..n).contains(&pos);
+                    prop_assert_eq!(moved, valid, "move result at model position {}", pos);
+                    prop_assert_eq!(cur.valid(), valid, "validity at model position {}", pos);
+                    if valid {
+                        let want = keys[pos as usize];
+                        prop_assert_eq!(cur.key(), key(want).as_slice());
+                        prop_assert_eq!(cur.value(), val(want).as_slice());
+                    }
+                }
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
 }

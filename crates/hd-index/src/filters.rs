@@ -23,6 +23,25 @@ use crate::reference::ReferenceSet;
 #[inline]
 pub fn triangular_lb(q_dists: &[f32], o_dists: &[f32]) -> f32 {
     debug_assert_eq!(q_dists.len(), o_dists.len());
+    max_abs_diff(q_dists, o_dists.iter().copied())
+}
+
+/// [`triangular_lb`] over `o_dists` as an RDB-tree leaf stores them
+/// (little-endian `f32`s, [`crate::rdb::encode_value`]): the candidate walk
+/// bounds each entry straight from the page bytes, bit-identical to
+/// decoding first.
+#[inline]
+pub(crate) fn triangular_lb_le(q_dists: &[f32], o_le: &[u8]) -> f32 {
+    debug_assert_eq!(q_dists.len() * 4, o_le.len());
+    let o_dists = o_le
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    max_abs_diff(q_dists, o_dists)
+}
+
+/// `max_i |q_dists[i] − o_dists[i]|`, folded left to right from 0.
+#[inline(always)]
+fn max_abs_diff(q_dists: &[f32], o_dists: impl Iterator<Item = f32>) -> f32 {
     let mut best = 0.0f32;
     for (qa, ob) in q_dists.iter().zip(o_dists) {
         let lb = (qa - ob).abs();

@@ -3,6 +3,7 @@
 
 use crate::build;
 use crate::config::{HdIndexParams, QueryParams};
+use crate::live::{IdMap, IdSet};
 use crate::rdb;
 use crate::reference::{self, ReferenceSet};
 use hd_btree::BTree;
@@ -14,7 +15,6 @@ use hd_hilbert::HilbertCurve;
 use hd_storage::{
     BufferPool, BuildBudget, CacheBudget, IoSnapshot, VectorHeap, Wal, WalRecord, WAL_FILE,
 };
-use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,7 +125,7 @@ pub struct CompactionPlan {
     epoch: u64,
     trees: Vec<BTree>,
     heap: VectorHeap,
-    id_map: Option<Vec<u64>>,
+    id_map: Option<IdMap>,
     /// Spill/scratch accounting of the streaming rebuild.
     build_stats: BuildStats,
 }
@@ -138,7 +138,8 @@ pub struct HdIndex {
     pub(crate) trees: Vec<BTree>,
     pub(crate) heap: VectorHeap,
     pub(crate) refs: ReferenceSet,
-    pub(crate) tombstones: HashSet<u64>,
+    /// Deleted ids, until a compaction drops them.
+    pub(crate) tombstones: IdSet,
     pub(crate) dim: usize,
     /// The metric this index was built under (from the dataset); persisted
     /// in the meta file and enforced at reopen.
@@ -156,10 +157,10 @@ pub struct HdIndex {
     /// Batching callers turn this off and call [`HdIndex::commit_wal`] per
     /// batch to amortize the fsync.
     autocommit: bool,
-    /// `heap slot → original object id`, strictly ascending; `None` means
-    /// identity. Becomes `Some` after a compaction drops tombstoned slots:
-    /// survivors keep their ids while their heap slots shift down.
-    pub(crate) id_map: Option<Vec<u64>>,
+    /// `heap slot ↔ original object id`; `None` means identity. Becomes
+    /// `Some` after a compaction drops tombstoned slots: survivors keep
+    /// their ids while their heap slots shift down.
+    pub(crate) id_map: Option<IdMap>,
     /// Next object id to assign; never reused, so it exceeds the stored
     /// count once a compaction has dropped slots. Atomic so the engine can
     /// reserve ids while logging under a shard *read* lock.
@@ -360,7 +361,7 @@ impl HdIndex {
             trees: artifacts.trees,
             heap: artifacts.heap,
             refs,
-            tombstones: HashSet::new(),
+            tombstones: IdSet::default(),
             dim,
             metric,
             dir,
@@ -537,7 +538,7 @@ impl HdIndex {
             serve: QueryParams::default(),
             wal,
             autocommit: true,
-            id_map: meta.id_map,
+            id_map: meta.id_map.map(IdMap::new).transpose()?,
             next_id: AtomicU64::new(meta.next_id),
             snapshot_version: meta.snapshot_version,
             generation: meta.generation,
@@ -588,7 +589,7 @@ impl HdIndex {
                     applied += 1;
                 }
                 WalRecord::Delete { id } => {
-                    if self.contains_id(*id) && !self.tombstones.contains(id) {
+                    if self.is_live(*id) {
                         self.apply_delete(*id)?;
                         applied += 1;
                     }
@@ -601,8 +602,6 @@ impl HdIndex {
     }
 
     fn persist_meta(&self) -> io::Result<()> {
-        let mut tombstones: Vec<u64> = self.tombstones.iter().copied().collect();
-        tombstones.sort_unstable();
         crate::meta::IndexMeta {
             dim: self.dim,
             n: self.heap.len(),
@@ -615,13 +614,13 @@ impl HdIndex {
                 .collect(),
             ref_ids: self.refs.ids.clone(),
             ref_vectors: self.refs.vectors.clone(),
-            tombstones,
+            tombstones: self.tombstones.iter().collect(),
             metric: self.metric,
             snapshot_version: self.snapshot_version,
             wal_pos: self.wal.position(),
             next_id: self.next_id.load(Ordering::Relaxed),
             generation: self.generation,
-            id_map: self.id_map.clone(),
+            id_map: self.id_map.as_ref().map(|map| map.ids().to_vec()),
         }
         .write(&self.dir)
     }
@@ -654,16 +653,42 @@ impl HdIndex {
     /// Whether object `id` is stored (tombstoned or not). Ids at or past
     /// [`Self::next_id`] and ids whose slot a compaction dropped are absent.
     pub fn contains_id(&self, id: u64) -> bool {
+        self.slot_of(id).is_some()
+    }
+
+    /// The heap slot holding object `id`, if it is stored. O(1): identity
+    /// until the first compaction, then the id map's dense inverse.
+    #[inline]
+    pub(crate) fn slot_of(&self, id: u64) -> Option<u64> {
         match &self.id_map {
-            None => id < self.heap.len(),
-            Some(map) => map.binary_search(&id).is_ok(),
+            None => (id < self.heap.len()).then_some(id),
+            Some(map) => map.slot(id),
+        }
+    }
+
+    /// The heap slot of object `id` if a query may return it (stored and
+    /// not tombstoned) — the per-entry check of the candidate walk.
+    #[inline]
+    pub(crate) fn live_slot(&self, id: u64) -> Option<u64> {
+        if self.tombstones.contains(id) {
+            return None;
+        }
+        self.slot_of(id)
+    }
+
+    /// The object id stored at heap `slot`.
+    #[inline]
+    pub(crate) fn id_at(&self, slot: u64) -> u64 {
+        match &self.id_map {
+            None => slot,
+            Some(map) => map.id(slot),
         }
     }
 
     /// Whether object `id` is stored *and* not tombstoned — i.e. a query
     /// can still return it.
     pub fn is_live(&self, id: u64) -> bool {
-        self.contains_id(id) && !self.tombstones.contains(&id)
+        self.live_slot(id).is_some()
     }
 
 
@@ -738,7 +763,7 @@ impl HdIndex {
     pub fn apply_insert(&mut self, id: u64, vector: &[f32]) -> io::Result<()> {
         let expected_slot = match &self.id_map {
             None => id,
-            Some(map) => map.len() as u64,
+            Some(map) => map.ids().len() as u64,
         };
         if self.heap.len() != expected_slot {
             return Err(io::Error::new(
@@ -757,7 +782,7 @@ impl HdIndex {
         let vector = prepared.vector();
         self.heap.append(vector)?;
         if let Some(map) = &mut self.id_map {
-            map.push(id); // id == next_id - 1 > every mapped id: stays sorted
+            map.push(id)?; // id == next_id - 1 > every mapped id: stays sorted
         }
         let value = rdb::encode_value(prepared.ref_dists());
         let (lo, hi) = self.params.domain;
@@ -770,7 +795,7 @@ impl HdIndex {
             // the same key again and must not grow a duplicate entry.
             self.trees[g].upsert(&key, &value)?;
         }
-        self.tombstones.remove(&id);
+        self.tombstones.remove(id);
         self.write_epoch += 1;
         Ok(())
     }
@@ -895,11 +920,8 @@ impl HdIndex {
         let mut survivor_slots: Vec<u64> = Vec::with_capacity(self.live_len());
         let mut survivor_ids: Vec<u64> = Vec::with_capacity(self.live_len());
         for slot in 0..self.heap.len() {
-            let id = match &self.id_map {
-                None => slot,
-                Some(map) => map[slot as usize],
-            };
-            if !self.tombstones.contains(&id) {
+            let id = self.id_at(slot);
+            if !self.tombstones.contains(id) {
                 survivor_slots.push(slot);
                 survivor_ids.push(id);
             }
@@ -931,7 +953,13 @@ impl HdIndex {
         // normalize it back to None so the fast path stays fast.
         let identity = self.next_id.load(Ordering::Relaxed) == n as u64
             && survivor_ids.iter().enumerate().all(|(s, &id)| s as u64 == id);
-        let id_map = if identity { None } else { Some(survivor_ids) };
+        // The inverse is built here, off the write lock, so installing the
+        // plan stays a swap.
+        let id_map = if identity {
+            None
+        } else {
+            Some(IdMap::new(survivor_ids)?)
+        };
 
         Ok(CompactionPlan {
             generation: next_gen,
@@ -1003,7 +1031,7 @@ impl HdIndex {
 
     /// Whether an object is deleted.
     pub fn is_deleted(&self, id: u64) -> bool {
-        self.tombstones.contains(&id)
+        self.tombstones.contains(id)
     }
 
     /// The τ tree pools followed by the heap pool.

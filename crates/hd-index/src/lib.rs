@@ -29,6 +29,7 @@ mod build;
 pub mod config;
 pub mod filters;
 pub mod index;
+mod live;
 pub mod meta;
 mod query;
 pub mod rdb;

@@ -15,7 +15,7 @@
 //! histograms.
 
 use crate::config::{FilterKind, QueryParams};
-use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb};
+use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb_le};
 use crate::rdb;
 use crate::reference::PreparedQuery;
 use crate::HdIndex;
@@ -36,9 +36,9 @@ pub type QueryTrace = hd_core::api::SearchTrace;
 /// Counters produced by [`HdIndex::refine`], feeding [`QueryTrace`].
 #[derive(Debug, Clone, Copy, Default)]
 struct RefineStats {
-    /// Final candidate-set size κ = |C| (after dedup, before tombstones).
+    /// Final candidate-set size κ = |C| (after dedup).
     kappa: usize,
-    /// Distance evaluations attempted (κ minus tombstoned candidates).
+    /// Distance evaluations attempted (κ: every candidate is live).
     evals: usize,
     /// Evaluations abandoned early by the bounded kernel.
     abandoned: usize,
@@ -77,21 +77,31 @@ fn query_telemetry() -> &'static QueryTelemetry {
     })
 }
 
+/// Heap pages whose candidates [`score_candidates_blocked`] fetches in one
+/// [`VectorHeap::get_block_into`] call: enough independent loads in the
+/// decode loop to overlap the misses of a cached query, few enough that the
+/// block stays in L1/L2 until it is scored.
+const FETCH_PAGES: usize = 16;
+
 /// The blocked, early-abandoning scoring loop of the refinement pipeline —
 /// the single definition shared by [`HdIndex`]'s refine step and the
 /// `refine_bench` regression gate, so CI exercises exactly the code the
 /// index runs.
 ///
-/// Walks sorted candidate `ids` in heap-page runs, fetches each run once
-/// into the reusable `arena` ([`VectorHeap::get_block_into`]), and scores
-/// every vector with `metric`'s bounded kernel
-/// ([`Metric::key_bounded_traced`]) against `tk`'s running radius, so the
-/// one refinement loop serves every metric (metrics without early
-/// abandonment simply evaluate fully). `tk` accumulates internal keys
-/// (squared L2 for L2/Cosine, …); callers convert with
-/// [`Metric::finalize`]. Returns `(evals, abandoned)`: distance
-/// evaluations attempted, and those truly abandoned before touching every
-/// dimension.
+/// Walks sorted candidate heap slots `ids` in windows of up to 16 distinct
+/// heap pages. Each window is one [`VectorHeap::get_block_into`] call into
+/// the reusable `arena` — one pool read per page, then a decode loop whose
+/// loads do not depend on each other, so the CPU overlaps the cache misses
+/// of the whole window instead of taking each page's misses between two
+/// scoring loops. Each vector is then scored with `metric`'s bounded
+/// kernel ([`Metric::key_bounded_traced`]) against `tk`'s running radius,
+/// in slot order, so the one refinement loop serves every metric (metrics
+/// without early abandonment simply evaluate fully). Windows end on page
+/// boundaries, so every page is still read once per query. `tk`
+/// accumulates internal keys (squared L2 for L2/Cosine, …) under the slot
+/// ids; callers convert with [`Metric::finalize`]. Returns
+/// `(evals, abandoned)`: distance evaluations attempted, and those truly
+/// abandoned before touching every dimension.
 pub fn score_candidates_blocked(
     heap: &VectorHeap,
     metric: Metric,
@@ -104,20 +114,27 @@ pub fn score_candidates_blocked(
     let (mut evals, mut abandoned) = (0usize, 0usize);
     let mut i = 0usize;
     while i < ids.len() {
-        // One block per heap page: [i, j) are the candidates resident on
-        // the page holding ids[i] (ids are sorted, so pages arrive in
-        // sequential order).
-        let page = heap.page_of(ids[i]);
-        let mut j = i + 1;
-        while j < ids.len() && heap.page_of(ids[j]) == page {
+        // [i, j): the candidates on the next FETCH_PAGES heap pages (ids
+        // are sorted, so pages arrive in sequential order).
+        let mut j = i;
+        let mut pages = 0usize;
+        let mut page = None;
+        while j < ids.len() {
+            let p = heap.page_of(ids[j]);
+            if page != Some(p) {
+                if pages == FETCH_PAGES {
+                    break;
+                }
+                pages += 1;
+                page = Some(p);
+            }
             j += 1;
         }
         let block = &ids[i..j];
         heap.get_block_into(block, arena)?;
-        for (bi, &id) in block.iter().enumerate() {
+        for (&id, row) in block.iter().zip(arena.chunks_exact(dim)) {
             let bound = tk.bound();
-            let (d, early) =
-                metric.key_bounded_traced(query, &arena[bi * dim..(bi + 1) * dim], bound);
+            let (d, early) = metric.key_bounded_traced(query, row, bound);
             evals += 1;
             abandoned += usize::from(early);
             if d <= bound {
@@ -203,18 +220,16 @@ impl HdIndex {
 
         // 3. Candidates from every tree.
         let t_stage = Instant::now();
-        let mut candidate_ids: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
+        let mut candidate_slots: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
         let mut scanned_total = 0usize;
         for g in 0..self.trees.len() {
-            let (survivors, scanned) = self.tree_candidates(g, query, qp)?;
-            scanned_total += scanned;
-            candidate_ids.extend(survivors);
+            scanned_total += self.tree_candidates(g, query, qp, &mut candidate_slots)?;
         }
         let candidate_nanos = t_stage.elapsed().as_nanos() as u64;
 
         // 4. Refine the union across trees: C, κ = |C|.
         let t_stage = Instant::now();
-        let (answer, stats) = self.refine(query.vector(), candidate_ids, qp.k)?;
+        let (answer, stats) = self.refine(query.vector(), candidate_slots, qp.k)?;
         let refine_nanos = t_stage.elapsed().as_nanos() as u64;
         let delta = self.io_stats().since(&before);
         let total_nanos = t_query.elapsed().as_nanos() as u64;
@@ -260,22 +275,32 @@ impl HdIndex {
     /// the triangular — and optionally Ptolemaic — lower bound, computed
     /// purely from the leaf-resident reference distances.
     ///
-    /// Returns the surviving object ids and the number of scanned entries.
+    /// The walk does the per-entry work in one visit: an O(1) liveness
+    /// check ([`HdIndex::live_slot`]: a tombstone bit, then the id's heap
+    /// slot) and the triangular bound straight from the leaf's value bytes.
+    /// Values are decoded to floats only for the Ptolemaic filter.
+    ///
+    /// Appends the surviving heap slots to `out`; returns the number of
+    /// scanned entries.
     fn tree_candidates(
         &self,
         g: usize,
         query: &PreparedQuery,
         qp: &QueryParams,
-    ) -> io::Result<(Vec<u64>, usize)> {
+        out: &mut Vec<u64>,
+    ) -> io::Result<usize> {
         let m = self.refs.m();
         let q_dists = query.ref_dists();
         let (lo, hi) = self.params.domain;
+        let ptolemaic = qp.filter == FilterKind::TriangularPtolemaic;
 
         // (i) α candidates by Hilbert-key adjacency. Tombstoned entries are
         // skipped *here*, not during refinement: a deleted object must not
         // consume one of the α scan slots (nor, downstream, a γ survivor
         // slot), or delete-heavy workloads silently shrink the effective
-        // candidate budget and recall decays.
+        // candidate budget and recall decays. Orphans (tree entries whose
+        // object a crash un-assigned or a compaction dropped) have no heap
+        // slot and are skipped the same way.
         let mut sub = Vec::new();
         self.partitioning.project_into(query.vector(), g, &mut sub);
         let probe = rdb::encode_probe_key(&self.curves[g].encode_floats(&sub, lo, hi));
@@ -283,49 +308,41 @@ impl HdIndex {
         let mut bwd = fwd.clone();
         bwd.retreat()?;
 
-        let mut ids: Vec<u64> = Vec::with_capacity(qp.alpha);
-        let mut dists_flat: Vec<f32> = Vec::with_capacity(qp.alpha * m);
-        let take = |cursor: &hd_btree::Cursor, ids: &mut Vec<u64>, dists: &mut Vec<f32>| {
-            let id = rdb::decode_id(cursor.key());
-            // Skip tombstones and orphans (tree entries whose object a
-            // crash un-assigned or a compaction dropped) so neither
-            // consumes an α slot.
-            if self.tombstones.contains(&id) || !self.contains_id(id) {
-                return;
+        // (lower bound, scan index) per scanned entry; scan index → slot.
+        let mut scored: Vec<(f32, u32)> = Vec::with_capacity(qp.alpha);
+        let mut slots: Vec<u64> = Vec::with_capacity(qp.alpha);
+        let mut dists_flat: Vec<f32> = Vec::with_capacity(if ptolemaic { qp.alpha * m } else { 0 });
+        let mut take = |cursor: &hd_btree::Cursor| {
+            let Some(slot) = self.live_slot(rdb::decode_id(cursor.key())) else {
+                return 0;
+            };
+            let value = cursor.value();
+            scored.push((triangular_lb_le(q_dists, value), slots.len() as u32));
+            slots.push(slot);
+            if ptolemaic {
+                rdb::decode_value_into(value, &mut dists_flat);
             }
-            ids.push(id);
-            rdb::decode_value_into(cursor.value(), dists);
+            1
         };
-        while ids.len() < qp.alpha && (fwd.valid() || bwd.valid()) {
+        let mut scanned = 0usize;
+        while scanned < qp.alpha && (fwd.valid() || bwd.valid()) {
             if fwd.valid() {
-                take(&fwd, &mut ids, &mut dists_flat);
+                scanned += take(&fwd);
                 fwd.advance()?;
             }
-            if ids.len() < qp.alpha && bwd.valid() {
-                take(&bwd, &mut ids, &mut dists_flat);
+            if scanned < qp.alpha && bwd.valid() {
+                scanned += take(&bwd);
                 bwd.retreat()?;
             }
         }
-        let scanned = ids.len();
 
         // (ii) Triangular filter (Eq. 5): α → β (or straight to γ when
         // running triangular-only, the paper's "β = γ").
-        let tri_keep = match qp.filter {
-            FilterKind::TriangularOnly => qp.gamma,
-            FilterKind::TriangularPtolemaic => qp.beta,
-        };
-        let scored: Vec<(f32, u32)> = (0..ids.len())
-            .map(|i| {
-                (
-                    triangular_lb(q_dists, &dists_flat[i * m..(i + 1) * m]),
-                    i as u32,
-                )
-            })
-            .collect();
+        let tri_keep = if ptolemaic { qp.beta } else { qp.gamma };
         let mut survivors = keep_smallest(scored, tri_keep);
 
         // (iii) Ptolemaic filter (Eq. 6): β → γ.
-        if qp.filter == FilterKind::TriangularPtolemaic {
+        if ptolemaic {
             let rescored: Vec<(f32, u32)> = survivors
                 .iter()
                 .map(|&(_, i)| {
@@ -336,66 +353,49 @@ impl HdIndex {
             survivors = keep_smallest(rescored, qp.gamma);
         }
 
-        Ok((
-            survivors
-                .into_iter()
-                .map(|(_, i)| ids[i as usize])
-                .collect(),
-            scanned,
-        ))
+        out.extend(survivors.iter().map(|&(_, i)| slots[i as usize]));
+        Ok(scanned)
     }
 
     /// Final refinement, as a blocked, early-abandoning pipeline (Algorithm
     /// 2 step (iv), the dominant IO+CPU cost of a query): dedup the
-    /// candidate union, walk it in heap-page order fetching each page's
-    /// resident candidates once into a reusable arena
-    /// ([`VectorHeap::get_block_into`]), and score every vector with the
-    /// bounded kernel against the running top-k radius
-    /// ([`score_candidates_blocked`]) — κ random point reads become
-    /// sequential page-granular reads, and candidates that cannot enter the
+    /// candidate union, walk it in heap-page order
+    /// ([`score_candidates_blocked`]: 16 pages per fetch, each page read
+    /// once, the window decoded before any of it is scored), and
+    /// score every vector with the bounded kernel against the running
+    /// top-k radius — κ random point reads become sequential page-granular
+    /// reads whose misses overlap, and candidates that cannot enter the
     /// top-k are abandoned mid-evaluation.
     ///
-    /// Results are bit-identical to the naive per-id path: sorting by id
-    /// *is* sorting by heap page (ids are append-ordered), so candidates
-    /// are visited in the same order, and the bounded kernel only abandons
-    /// evaluations whose exact distance a full computation would also have
-    /// rejected (see the `hd_core::distance` contract).
+    /// `candidate_slots` are heap slots of live objects (the walk already
+    /// dropped tombstones and orphans). The answer carries object ids:
+    /// slot → id is monotone, so TopK's tie-breaking on slots is its
+    /// tie-breaking on ids. Results are bit-identical to a per-candidate
+    /// path: the bounded kernel only abandons evaluations whose exact
+    /// distance a full computation would also have rejected (see the
+    /// `hd_core::distance` contract).
     fn refine(
         &self,
         query: &[f32],
-        mut candidate_ids: Vec<u64>,
+        mut candidate_slots: Vec<u64>,
         k: usize,
     ) -> io::Result<(Vec<Neighbor>, RefineStats)> {
-        candidate_ids.sort_unstable();
-        candidate_ids.dedup();
-        let kappa = candidate_ids.len();
-        // Normally a no-op: tree_candidates already drops tombstoned and
-        // absent ids. Kept as the last line of defense so refine never
-        // resurrects a delete or reads past the heap.
-        candidate_ids.retain(|&id| !self.tombstones.contains(&id) && self.contains_id(id));
-        // The heap is addressed by slot. Until the first compaction slots
-        // and ids coincide; afterwards the strictly ascending id map keeps
-        // the translation monotone, so sorted ids stay sorted slots (the
-        // blocked scorer's page-order walk and TopK's id tie-breaking are
-        // unaffected by translating back afterwards).
-        let slots: std::borrow::Cow<[u64]> = match &self.id_map {
-            None => std::borrow::Cow::Borrowed(&candidate_ids),
-            Some(map) => std::borrow::Cow::Owned(
-                candidate_ids
-                    .iter()
-                    .filter_map(|id| map.binary_search(id).ok().map(|s| s as u64))
-                    .collect(),
-            ),
-        };
+        candidate_slots.sort_unstable();
+        candidate_slots.dedup();
+        let kappa = candidate_slots.len();
         let mut tk = TopK::new(k);
         let mut arena: Vec<f32> = Vec::new();
-        let (evals, abandoned) =
-            score_candidates_blocked(&self.heap, self.metric, query, &slots, &mut tk, &mut arena)?;
+        let (evals, abandoned) = score_candidates_blocked(
+            &self.heap,
+            self.metric,
+            query,
+            &candidate_slots,
+            &mut tk,
+            &mut arena,
+        )?;
         let mut answer = tk.into_sorted();
         for nb in &mut answer {
-            if let Some(map) = &self.id_map {
-                nb.id = map[nb.id as usize];
-            }
+            nb.id = self.id_at(nb.id);
             nb.dist = self.metric.finalize(nb.dist);
         }
         Ok((
@@ -406,5 +406,234 @@ impl HdIndex {
                 abandoned,
             },
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RefSelection;
+    use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb};
+    use crate::HdIndexParams;
+    use hd_core::dataset::{generate, DatasetProfile};
+    use std::collections::HashSet;
+
+    /// What the reference predicts for one query.
+    struct Reference {
+        /// Per tree, the surviving object ids in `keep_smallest` order.
+        survivors: Vec<Vec<u64>>,
+        answer: Vec<Neighbor>,
+        scanned: usize,
+        kappa: usize,
+        evals: usize,
+        abandoned: usize,
+        logical_reads: u64,
+    }
+
+    /// Algorithm 2 spelled out with nothing but the public cursor API,
+    /// `triangular_lb` / `ptolemaic_lb` / `keep_smallest`, a per-candidate
+    /// heap read, and membership by binary search over the persisted
+    /// slot → id map plus the test's own record of deletes.
+    fn reference(
+        index: &HdIndex,
+        deleted: &HashSet<u64>,
+        q: &[f32],
+        qp: &QueryParams,
+    ) -> Reference {
+        let slot_of = |id: u64| match &index.id_map {
+            None => (id < index.heap.len()).then_some(id),
+            Some(map) => map.ids().binary_search(&id).ok().map(|s| s as u64),
+        };
+        let m = index.refs.m();
+        let prepared = index.refs.prepare(q).unwrap();
+        let q_dists = prepared.ref_dists();
+        let (lo, hi) = index.params.domain;
+        let before = index.io_stats();
+        let (mut survivors, mut scanned) = (Vec::new(), 0usize);
+        for g in 0..index.trees.len() {
+            let mut sub = Vec::new();
+            index
+                .partitioning
+                .project_into(prepared.vector(), g, &mut sub);
+            let probe = rdb::encode_probe_key(&index.curves[g].encode_floats(&sub, lo, hi));
+            let mut fwd = index.trees[g].seek(&probe).unwrap();
+            let mut bwd = fwd.clone();
+            bwd.retreat().unwrap();
+            let (mut ids, mut dists) = (Vec::new(), Vec::new());
+            let mut take = |c: &hd_btree::Cursor, ids: &mut Vec<u64>| {
+                let id = rdb::decode_id(c.key());
+                if !deleted.contains(&id) && slot_of(id).is_some() {
+                    ids.push(id);
+                    rdb::decode_value_into(c.value(), &mut dists);
+                }
+            };
+            while ids.len() < qp.alpha && (fwd.valid() || bwd.valid()) {
+                if fwd.valid() {
+                    take(&fwd, &mut ids);
+                    fwd.advance().unwrap();
+                }
+                if ids.len() < qp.alpha && bwd.valid() {
+                    take(&bwd, &mut ids);
+                    bwd.retreat().unwrap();
+                }
+            }
+            scanned += ids.len();
+            let row = |i: u32| &dists[i as usize * m..(i as usize + 1) * m];
+            let scored = (0..ids.len() as u32)
+                .map(|i| (triangular_lb(q_dists, row(i)), i))
+                .collect();
+            let mut kept = match qp.filter {
+                FilterKind::TriangularOnly => keep_smallest(scored, qp.gamma),
+                FilterKind::TriangularPtolemaic => keep_smallest(scored, qp.beta),
+            };
+            if qp.filter == FilterKind::TriangularPtolemaic {
+                let rescored = kept
+                    .iter()
+                    .map(|&(_, i)| (ptolemaic_lb(q_dists, row(i), &index.refs), i))
+                    .collect();
+                kept = keep_smallest(rescored, qp.gamma);
+            }
+            survivors.push(
+                kept.iter()
+                    .map(|&(_, i)| ids[i as usize])
+                    .collect::<Vec<_>>(),
+            );
+        }
+        let walk_reads = index.io_stats().since(&before).logical_reads;
+
+        let mut slots: Vec<u64> = survivors
+            .iter()
+            .flatten()
+            .map(|&id| slot_of(id).unwrap())
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let mut pages: Vec<u64> = slots.iter().map(|&s| index.heap.page_of(s)).collect();
+        pages.dedup();
+        let mut tk = TopK::new(qp.k);
+        let (mut evals, mut abandoned) = (0, 0);
+        for &slot in &slots {
+            let v = index.heap.get(slot).unwrap();
+            let bound = tk.bound();
+            let (d, early) = index
+                .metric
+                .key_bounded_traced(prepared.vector(), &v, bound);
+            evals += 1;
+            abandoned += usize::from(early);
+            if d <= bound {
+                tk.push(Neighbor::new(slot, d));
+            }
+        }
+        let mut answer = tk.into_sorted();
+        for nb in &mut answer {
+            nb.id = match &index.id_map {
+                None => nb.id,
+                Some(map) => map.ids()[nb.id as usize],
+            };
+            nb.dist = index.metric.finalize(nb.dist);
+        }
+        Reference {
+            survivors,
+            answer,
+            scanned,
+            kappa: slots.len(),
+            evals,
+            abandoned,
+            logical_reads: walk_reads + pages.len() as u64,
+        }
+    }
+
+    /// Runs every query under both filters and checks the walk's survivors,
+    /// the answer and the trace's cost-model counts against the reference.
+    fn assert_matches_reference(
+        index: &HdIndex,
+        deleted: &HashSet<u64>,
+        queries: &hd_core::Dataset,
+    ) {
+        for qp in [
+            QueryParams::triangular(200, 48, 10),
+            QueryParams::ptolemaic(200, 96, 48, 10),
+        ] {
+            for q in queries.iter() {
+                let want = reference(index, deleted, q, &qp);
+                let prepared = index.refs.prepare(q).unwrap();
+                for (g, want_ids) in want.survivors.iter().enumerate() {
+                    let mut slots = Vec::new();
+                    index
+                        .tree_candidates(g, &prepared, &qp, &mut slots)
+                        .unwrap();
+                    let ids: Vec<u64> = slots.iter().map(|&s| index.id_at(s)).collect();
+                    assert_eq!(&ids, want_ids, "tree {g} survivors, {:?}", qp.filter);
+                }
+                let (answer, trace) = index.knn_traced(q, &qp).unwrap();
+                let bits = |a: &[Neighbor]| {
+                    a.iter()
+                        .map(|n| (n.id, n.dist.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&answer), bits(&want.answer), "{:?}", qp.filter);
+                assert_eq!(trace.scanned, want.scanned);
+                assert_eq!(trace.kappa, want.kappa);
+                assert_eq!(trace.refine_evals, want.evals);
+                assert_eq!(trace.refine_abandoned, want.abandoned);
+                assert_eq!(trace.logical_reads, want.logical_reads);
+                // No page cache: every logical read is a physical one.
+                assert_eq!(trace.physical_reads, want.logical_reads);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_reference_through_deletes_compaction_and_inserts() {
+        let (data, queries) = generate(&DatasetProfile::SIFT, 1600, 6, 3);
+        let (extra, _) = generate(&DatasetProfile::SIFT, 120, 1, 4);
+        let dir = std::env::temp_dir()
+            .join("hd_index_tests")
+            .join(format!("walk_reference_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let params = HdIndexParams {
+            tau: 4,
+            hilbert_order: 8,
+            num_references: 6,
+            ref_selection: RefSelection::Sss { f: 0.3 },
+            domain: (0.0, 255.0),
+            random_partitioning: None,
+            build_cache_pages: 64,
+            query_cache_pages: 0,
+            seed: 11,
+        };
+        let mut index = HdIndex::build(&data, &params, &dir).unwrap();
+        let mut deleted = HashSet::new();
+        assert!(index.id_map.is_none());
+        assert_matches_reference(&index, &deleted, &queries);
+
+        // Tombstones: every 7th id.
+        for id in (0..1600u64).step_by(7) {
+            index.delete(id).unwrap();
+            deleted.insert(id);
+        }
+        assert_matches_reference(&index, &deleted, &queries);
+
+        // Compaction drops them: slots shift, the id map appears.
+        assert!(index.compact().unwrap());
+        assert!(
+            index.id_map.is_some(),
+            "compaction must leave a non-identity id map"
+        );
+        deleted.clear();
+        assert_matches_reference(&index, &deleted, &queries);
+
+        // Inserts after the compaction extend the map; fresh deletes mix
+        // old and new ids.
+        for v in extra.iter() {
+            index.insert(v).unwrap();
+        }
+        for id in [1u64, 2, 3, 500, 1601, 1650] {
+            index.delete(id).unwrap();
+            deleted.insert(id);
+        }
+        assert_matches_reference(&index, &deleted, &queries);
+        drop(index);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,9 @@
 //! crate provides the storage stack every disk-resident index in the
 //! workspace is built on:
 //!
-//! * [`page`] — fixed-size pages (4096 B, the paper's `B`).
+//! * [`page`] — fixed-size pages (4096 B, the paper's `B`), and
+//!   [`touch_lines`], which requests every cache line of a byte range at
+//!   once so the misses overlap (the query path's memory-level parallelism).
 //! * [`pager`] — a file-backed page allocator with raw page IO.
 //! * [`buffer`] — a buffer pool with CLOCK (second-chance) eviction,
 //!   pin-free `Arc` page handles, an exact IO-statistics ledger, and a
@@ -36,7 +38,7 @@ pub use budget::{BuildBudget, BuildReservation, CacheBudget};
 pub use buffer::BufferPool;
 pub use extsort::{ExternalSorter, MergeReader};
 pub use heap::VectorHeap;
-pub use page::{PageId, DEFAULT_PAGE_SIZE};
+pub use page::{touch_lines, PageId, DEFAULT_PAGE_SIZE};
 pub use pager::Pager;
 pub use stats::{IoSnapshot, IoStats};
 pub use wal::{Wal, WalCounters, WalRecord, WAL_FILE};

@@ -8,6 +8,26 @@ pub type PageId = u64;
 /// [`crate::pager::Pager`] accepts other sizes for tests.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
 
+/// Bytes per CPU cache line on the hardware this targets (x86-64, most
+/// AArch64 cores).
+const CACHE_LINE: usize = 64;
+
+/// Reads one byte of every 64-byte (cache-line-sized) stretch of `bytes`.
+///
+/// The loads are independent of each other, so when the lines are not in
+/// cache the CPU overlaps their misses instead of taking them one at a time
+/// when a later loop first needs each line. The B+-tree cursor calls this
+/// when a leaf walk lands on a page, then reads the entries from warm
+/// lines.
+#[inline]
+pub fn touch_lines(bytes: &[u8]) {
+    let folded = bytes
+        .iter()
+        .step_by(CACHE_LINE)
+        .fold(0u8, |acc, &b| acc ^ b);
+    std::hint::black_box(folded);
+}
+
 /// An owned, heap-allocated page buffer.
 ///
 /// Thin wrapper over `Box<[u8]>` so call sites can't confuse page buffers
