@@ -147,10 +147,6 @@ impl C2lsh {
         self.m
     }
 
-    pub fn collision_threshold(&self) -> usize {
-        self.l
-    }
-
     /// kANN query with dynamic collision counting.
     pub fn knn(&self, query: &[f32], k: usize) -> io::Result<Vec<Neighbor>> {
         let k = k.min(self.n);

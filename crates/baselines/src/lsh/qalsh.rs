@@ -139,10 +139,6 @@ impl Qalsh {
         self.m
     }
 
-    pub fn collision_threshold(&self) -> usize {
-        self.l
-    }
-
     /// kANN query with query-anchored virtual rehashing.
     pub fn knn(&self, query: &[f32], k: usize) -> io::Result<Vec<Neighbor>> {
         let k = k.min(self.n);

@@ -218,13 +218,12 @@ impl SearchOutput {
 
 /// Durability and space-reclamation counters for methods with a write-ahead
 /// log (HD-Index and the serving engine; zero for everything else).
-/// `wal_records / wal_commits` is the fsync amortization of the write path —
-/// the quantity `write_bench` tracks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteStats {
     /// WAL records appended since open.
     pub wal_records: u64,
-    /// WAL commit batches fsynced since open.
+    /// WAL commits fsynced since open: one per insert and per delete, plus
+    /// one per snapshot or compaction checkpoint.
     pub wal_commits: u64,
     /// WAL records applied by crash recovery at the last open.
     pub wal_replayed: u64,

@@ -286,8 +286,6 @@ impl Engine {
         Ok(global_of(si, local, s_count))
     }
 
-    /// Tombstones a global id so it is never returned again. May schedule a
-    /// background compaction (see [`EngineParams::compaction_threshold`]).
     /// Whether `global_id` is stored and not tombstoned — what a search
     /// can still return. The serving layer uses this to distinguish "never
     /// existed / already deleted" (404) from a failed delete.
@@ -300,6 +298,8 @@ impl Engine {
         self.set.shards[si].index.read().is_live(local)
     }
 
+    /// Tombstones a global id so it is never returned again. May schedule a
+    /// background compaction (see [`EngineParams::compaction_threshold`]).
     pub fn delete(&self, global_id: u64) -> io::Result<()> {
         {
             let n = self.append_gate.lock();
@@ -518,11 +518,6 @@ impl Engine {
     /// open time).
     pub fn metric(&self) -> hd_core::metric::Metric {
         self.set.shards[0].index.read().metric()
-    }
-
-    /// Worker threads in the serving pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Engine directory (shard subdirectories live underneath).

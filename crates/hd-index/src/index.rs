@@ -149,14 +149,10 @@ pub struct HdIndex {
     /// the [`hd_core::api::AnnIndex`] trait (which only carries `k` and
     /// generic budget knobs). Set with [`HdIndex::set_serve_params`].
     serve: QueryParams,
-    /// The write-ahead log: every insert/delete is logged (and, with
-    /// autocommit, fsynced) *before* the trees/heap are touched, so a crash
-    /// loses nothing that was committed.
+    /// The write-ahead log: every insert/delete is logged and fsynced
+    /// *before* the trees/heap are touched, so a crash loses nothing that
+    /// was acknowledged.
     wal: Wal,
-    /// Whether each logged write is fsynced immediately (the default).
-    /// Batching callers turn this off and call [`HdIndex::commit_wal`] per
-    /// batch to amortize the fsync.
-    autocommit: bool,
     /// `heap slot ↔ original object id`; `None` means identity. Becomes
     /// `Some` after a compaction drops tombstoned slots: survivors keep
     /// their ids while their heap slots shift down.
@@ -367,7 +363,6 @@ impl HdIndex {
             dir,
             serve: QueryParams::default(),
             wal,
-            autocommit: true,
             id_map: None,
             next_id: AtomicU64::new(n as u64),
             snapshot_version: 0,
@@ -537,7 +532,6 @@ impl HdIndex {
             dir,
             serve: QueryParams::default(),
             wal,
-            autocommit: true,
             id_map: meta.id_map.map(IdMap::new).transpose()?,
             next_id: AtomicU64::new(meta.next_id),
             snapshot_version: meta.snapshot_version,
@@ -730,9 +724,8 @@ impl HdIndex {
         &self.dir
     }
 
-    /// Inserts a new object (§3.6): log to the WAL (fsynced unless
-    /// [`Self::set_autocommit`] turned batching on), then append the
-    /// descriptor, compute its reference distances and Hilbert keys, and
+    /// Inserts a new object (§3.6): log to the WAL and fsync, then append
+    /// the descriptor, compute its reference distances and Hilbert keys, and
     /// insert into every RDB-tree. The reference set is deliberately not
     /// re-selected.
     pub fn insert(&mut self, vector: &[f32]) -> io::Result<u64> {
@@ -741,19 +734,26 @@ impl HdIndex {
         Ok(id)
     }
 
-    /// The durability half of [`Self::insert`]: reserves the id and logs
-    /// the record, fsyncing when autocommit is on. Takes `&self` so the
-    /// serving engine can log under a shard *read* lock — the fsync never
-    /// blocks searches — and apply under the write lock afterwards. Callers
-    /// splitting the halves must apply in id order (the engine's append
-    /// gate guarantees it).
+    /// The durability half of [`Self::insert`]: checks the dimensionality,
+    /// then reserves the id and logs and fsyncs the record. Takes `&self`
+    /// so the serving engine can log under a shard *read* lock — the fsync
+    /// never blocks searches — and apply under the write lock afterwards.
+    /// Callers splitting the halves must apply in id order (the engine's
+    /// append gate guarantees it).
     pub fn log_insert(&self, vector: &[f32]) -> io::Result<u64> {
-        assert_eq!(vector.len(), self.dim, "dimensionality mismatch");
+        if vector.len() != self.dim {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "insert has {} dimensions but the index has {}",
+                    vector.len(),
+                    self.dim
+                ),
+            ));
+        }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.wal.append(&WalRecord::Insert { id, vector: vector.to_vec() })?;
-        if self.autocommit {
-            self.wal.commit()?;
-        }
+        self.wal.commit()?;
         Ok(id)
     }
 
@@ -817,9 +817,7 @@ impl HdIndex {
     /// for the split's locking rationale).
     pub fn log_delete(&self, id: u64) -> io::Result<()> {
         self.wal.append(&WalRecord::Delete { id })?;
-        if self.autocommit {
-            self.wal.commit()?;
-        }
+        self.wal.commit()?;
         Ok(())
     }
 
@@ -828,25 +826,6 @@ impl HdIndex {
         self.tombstones.insert(id);
         self.write_epoch += 1;
         Ok(())
-    }
-
-    /// Whether each write is fsynced individually (the default).
-    pub fn autocommit(&self) -> bool {
-        self.autocommit
-    }
-
-    /// Turns per-write fsync on or off. With autocommit off, writes buffer
-    /// in the WAL and become durable at the next [`Self::commit_wal`] /
-    /// [`Self::save`] — batching callers use this to amortize the fsync
-    /// over many records.
-    pub fn set_autocommit(&mut self, on: bool) {
-        self.autocommit = on;
-    }
-
-    /// Flushes and fsyncs all buffered WAL records — the batch commit point
-    /// when autocommit is off. Returns the committed byte position.
-    pub fn commit_wal(&self) -> io::Result<u64> {
-        self.wal.commit()
     }
 
     /// Committed WAL bytes the next open would have to replay — `0` right

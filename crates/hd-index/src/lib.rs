@@ -37,5 +37,5 @@ pub mod reference;
 
 pub use config::{FilterKind, HdIndexParams, QueryParams, RefSelection};
 pub use index::{BuildOpts, BuildStats, HdIndex};
-pub use query::{score_candidates_blocked, QueryTrace};
+pub use query::QueryTrace;
 pub use reference::{PreparedQuery, ReferenceSet};

@@ -83,10 +83,8 @@ fn query_telemetry() -> &'static QueryTelemetry {
 /// block stays in L1/L2 until it is scored.
 const FETCH_PAGES: usize = 16;
 
-/// The blocked, early-abandoning scoring loop of the refinement pipeline —
-/// the single definition shared by [`HdIndex`]'s refine step and the
-/// `refine_bench` regression gate, so CI exercises exactly the code the
-/// index runs.
+/// The blocked, early-abandoning scoring loop of [`HdIndex`]'s refine
+/// step.
 ///
 /// Walks sorted candidate heap slots `ids` in windows of up to 16 distinct
 /// heap pages. Each window is one [`VectorHeap::get_block_into`] call into
@@ -102,7 +100,7 @@ const FETCH_PAGES: usize = 16;
 /// ids; callers convert with [`Metric::finalize`]. Returns
 /// `(evals, abandoned)`: distance evaluations attempted, and those truly
 /// abandoned before touching every dimension.
-pub fn score_candidates_blocked(
+fn score_candidates_blocked(
     heap: &VectorHeap,
     metric: Metric,
     query: &[f32],

@@ -143,24 +143,32 @@ fn truncation_at_every_byte_recovers_longest_prefix() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Kill-and-reopen after a committed (autocommit) write burst loses
-/// nothing, even though `save` was never called: the WAL alone carries the
-/// writes across the crash.
+/// Kill-and-reopen after a committed write burst loses nothing, even
+/// though `save` was never called: the WAL alone carries the writes across
+/// the crash. Every insert and every delete is its own WAL commit, so no
+/// write waits in a buffer for a later one.
 #[test]
 fn kill_after_committed_writes_loses_nothing() {
     let dir = scratch("kill_reopen");
     let base_n = 60u64;
     let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 6);
     let mut index = HdIndex::build(&data, &params(), dir.join("live")).unwrap();
+    let commits_before = index.write_stats().wal_commits;
     for i in 0..8 {
         index.insert(&vec_for(base_n + i)).unwrap();
     }
     for id in [3u64, 17, base_n + 2] {
         index.delete(id).unwrap();
     }
+    assert_eq!(
+        index.write_stats().wal_commits - commits_before,
+        8 + 3,
+        "one WAL commit per insert and per delete"
+    );
     let live_before = index.live_len();
     // Simulate kill -9: copy the directory out from under the open index
-    // (every record was fsynced by autocommit) and never call save.
+    // (every record was fsynced when its write returned) and never call
+    // save.
     let crashed = dir.join("crashed");
     copy_dir(&dir.join("live"), &crashed);
     drop(index);

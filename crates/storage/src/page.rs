@@ -56,10 +56,6 @@ impl PageBuf {
     pub fn as_slice(&self) -> &[u8] {
         &self.data
     }
-
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
 }
 
 impl std::ops::Deref for PageBuf {

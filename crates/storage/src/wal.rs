@@ -27,12 +27,12 @@
 //! it is trusted. `Wal::open` truncates the file back to the end of the
 //! valid prefix so later appends never interleave with garbage.
 //!
-//! ## Fsync batching
+//! ## Commits
 //!
-//! `append_*` buffers in memory; [`Wal::commit`] flushes the buffer and
-//! issues one `fsync` for the whole batch. A caller inserting `B` vectors
-//! pays one disk sync per batch instead of per record, which is the entire
-//! throughput story of `write_bench`.
+//! [`Wal::append`] buffers in memory; [`Wal::commit`] flushes the buffer
+//! and issues one `fsync` for everything buffered. The index commits after
+//! every insert and delete, so a write is durable before it is acknowledged
+//! and costs exactly one `fsync`.
 
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};

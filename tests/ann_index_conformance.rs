@@ -468,13 +468,15 @@ fn trace_stage_times_sum_to_approximately_total() {
 fn wrong_dimension_queries_are_invalid_input() {
     // The HD-Index query pipeline (and the engine, which runs it on pool
     // threads) must refuse a query of the wrong dimensionality with a typed
-    // error, not a panic — on the single-query and the batched path.
+    // error, not a panic — on the single-query and the batched path. An
+    // insert of the wrong dimensionality is refused the same way, before
+    // it reserves an id or reaches the WAL.
     let w = Workload::new("wrong_dim", DatasetProfile::SIFT, 200, 2, 41);
     let short = vec![1.0f32; w.data.dim() - 1];
     for name in ["hd-index", "engine"] {
         let dir = scratch(&format!("wrong_dim_{name}"));
         let spec = registry().iter().find(|s| s.name == name).unwrap();
-        let index = build(spec, &w, &dir).unwrap();
+        let mut index = build(spec, &w, &dir).unwrap();
         let err = index.search(&short, &SearchRequest::new(5)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
         assert!(err.to_string().contains("dimensions"), "{name}: {err}");
@@ -483,6 +485,17 @@ fn wrong_dimension_queries_are_invalid_input() {
             .search_batch(&batch, &SearchRequest::new(5))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
+
+        let len = index.len();
+        let lifecycle = index.lifecycle().unwrap();
+        let err = lifecycle.insert(&short).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
+        assert!(err.to_string().contains("dimensions"), "{name}: {err}");
+        assert_eq!(lifecycle.len(), len, "{name}: a refused insert stored nothing");
+        let id = lifecycle.insert(w.queries.get(0)).unwrap();
+        assert_eq!(id, len, "{name}: the refused insert consumed an id");
+        assert_eq!(index.len(), len + 1, "{name}");
+        drop(index);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
