@@ -21,7 +21,11 @@ fn bench_hilbert(c: &mut Criterion) {
     g.sample_size(30);
     for (dims, order) in [(16usize, 8u32), (24, 32), (64, 32)] {
         let curve = HilbertCurve::new(dims, order);
-        let cells = if order == 32 { u32::MAX as u64 } else { (1 << order) - 1 };
+        let cells = if order == 32 {
+            u32::MAX as u64
+        } else {
+            (1 << order) - 1
+        };
         let point: Vec<u64> = (0..dims).map(|i| (i as u64 * 7919) % (cells + 1)).collect();
         g.bench_function(format!("encode_{dims}d_w{order}"), |b| {
             b.iter(|| curve.encode(black_box(&point)))

@@ -27,9 +27,9 @@
 //!
 //! `--json PATH` writes the numbers for check-in (`BENCH_build_bench.json`).
 
-use hd_bench::config::flag_value;
+use hd_bench::config::{self, parse_value};
 use hd_bench::{table, BenchConfig};
-use hd_core::dataset::{DatasetProfile, Dataset, RawF32Source, VectorSource};
+use hd_core::dataset::{Dataset, DatasetProfile, RawF32Source, VectorSource};
 use hd_core::metric::Metric;
 use hd_core::metrics::score_workload;
 use hd_core::topk::{Neighbor, TopK};
@@ -59,7 +59,11 @@ fn peak_rss_bytes() -> u64 {
     };
     for line in status.lines() {
         if let Some(rest) = line.strip_prefix("VmHWM:") {
-            if let Some(kb) = rest.split_whitespace().next().and_then(|v| v.parse::<u64>().ok()) {
+            if let Some(kb) = rest
+                .split_whitespace()
+                .next()
+                .and_then(|v| v.parse::<u64>().ok())
+            {
                 return kb * 1024;
             }
         }
@@ -84,8 +88,9 @@ fn write_corpus(
     let sigma = span * 0.05;
     let mut centers = Vec::with_capacity(n_clusters);
     for _ in 0..n_clusters {
-        let c: Vec<f32> =
-            (0..profile.dim).map(|_| rng.gen_range(profile.lo..=profile.hi)).collect();
+        let c: Vec<f32> = (0..profile.dim)
+            .map(|_| rng.gen_range(profile.lo..=profile.hi))
+            .collect();
         centers.push(c);
     }
     let normal = rand::distributions::Uniform::new(-1.0f32, 1.0f32);
@@ -194,13 +199,22 @@ fn build_span_nanos() -> (u64, u64, u64) {
     )
 }
 
+/// The shared flags plus `--budget-mb N` (default 64) and `--json PATH`.
+fn parse_args(args: &[String]) -> Result<(BenchConfig, usize, Option<PathBuf>), String> {
+    let (cfg, own) = BenchConfig::parse(args, &["--budget-mb", "--json"])?;
+    let budget_mb = own[0]
+        .as_deref()
+        .map_or(Ok(64), |v| parse_value("--budget-mb", v))?;
+    Ok((cfg, budget_mb, own[1].as_ref().map(PathBuf::from)))
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let cfg = BenchConfig::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cfg, budget_mb, json_path) = parse_args(&args)
+        .unwrap_or_else(|err| config::exit_usage(&err, &config::build_bench_usage()));
     hd_bench::telemetry_report::init(&cfg);
-    let budget_mb: usize = flag_value("--budget-mb").and_then(|v| v.parse().ok()).unwrap_or(64);
     let budget = budget_mb << 20;
-    let json_path = flag_value("--json").map(PathBuf::from);
 
     let profile = DatasetProfile::SIFT;
     let n = cfg.n(BASE_N);
@@ -268,7 +282,14 @@ fn main() {
     let widths = [12usize, 12, 12, 12, 12, 12];
     table::header(
         "budgeted build",
-        &["wall", "points/s", "spills", "spill MB", "peak ΔRSS", "disk MB"],
+        &[
+            "wall",
+            "points/s",
+            "spills",
+            "spill MB",
+            "peak ΔRSS",
+            "disk MB",
+        ],
         &widths,
     );
     table::row(
@@ -369,10 +390,18 @@ fn main() {
         cache_budget: None,
         build_budget: budget,
     };
-    let unbounded =
-        HdIndex::build_from_source(&mut eq_src, &params, scratch.join("eq_unbounded"), shared(None))
-            .expect("unbounded build");
-    assert_eq!(unbounded.build_stats().spilled_runs, 0, "unbounded build must not spill");
+    let unbounded = HdIndex::build_from_source(
+        &mut eq_src,
+        &params,
+        scratch.join("eq_unbounded"),
+        shared(None),
+    )
+    .expect("unbounded build");
+    assert_eq!(
+        unbounded.build_stats().spilled_runs,
+        0,
+        "unbounded build must not spill"
+    );
     eq_src.reset().expect("rewind eq corpus");
     let budgeted = HdIndex::build_from_source(
         &mut eq_src,
@@ -421,15 +450,30 @@ fn main() {
         let _ = writeln!(j, "    \"points_per_sec\": {:.0},", n as f64 / build_secs);
         let _ = writeln!(j, "    \"spilled_runs\": {},", stats.spilled_runs);
         let _ = writeln!(j, "    \"spilled_bytes\": {},", stats.spilled_bytes);
-        let _ = writeln!(j, "    \"scratch_reads\": {},", stats.scratch_io.physical_reads);
-        let _ = writeln!(j, "    \"scratch_writes\": {},", stats.scratch_io.physical_writes);
+        let _ = writeln!(
+            j,
+            "    \"scratch_reads\": {},",
+            stats.scratch_io.physical_reads
+        );
+        let _ = writeln!(
+            j,
+            "    \"scratch_writes\": {},",
+            stats.scratch_io.physical_writes
+        );
         let _ = writeln!(j, "    \"peak_rss_delta_bytes\": {rss_delta},");
         let _ = writeln!(j, "    \"rss_allowance_bytes\": {allowance},");
         let _ = writeln!(j, "    \"naive_build_bytes\": {naive_bytes},");
-        let _ = writeln!(j, "    \"index_disk_bytes\": {},", disk_bytes_final(&scratch));
+        let _ = writeln!(
+            j,
+            "    \"index_disk_bytes\": {},",
+            disk_bytes_final(&scratch)
+        );
         let _ = writeln!(j, "    \"span_coverage\": {build_coverage:.3}");
         let _ = writeln!(j, "  }},");
-        let _ = writeln!(j, "  \"queries\": {{ \"count\": {nq}, \"qps\": {qps:.2} }},");
+        let _ = writeln!(
+            j,
+            "  \"queries\": {{ \"count\": {nq}, \"qps\": {qps:.2} }},"
+        );
         let _ = writeln!(
             j,
             "  \"equivalence\": {{ \"n\": {eq_n}, \"identical\": {identical}, \

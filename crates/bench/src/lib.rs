@@ -1,23 +1,15 @@
 //! Benchmark harness regenerating every table and figure of the HD-Index
-//! evaluation (paper §5). See DESIGN.md §4 for the experiment-to-binary map.
-//!
-//! Each experiment is a binary under `src/bin/`; all share:
-//!
-//! * [`config`] — command-line scaling (`--scale`, `--queries`, `--seed`) so
-//!   every experiment runs at laptop scale by default and can be dialed up;
-//! * [`methods`] — the method *registry* plus one generic runner: every
-//!   method builds behind `Box<dyn AnnIndex>` (the `hd_core::api` trait)
-//!   and is measured by the same code path (build, query workload, score
-//!   against exact ground truth, account memory/disk/IO). `--methods a,b`
-//!   selects registry entries on any comparative binary;
-//! * [`sweep`] — HD-Index parameter-study entry point for the Fig. 4/5/6/10
-//!   binaries (custom construction/query parameters, same measurement core);
-//! * [`table`] — fixed-width table printing in the shape of the paper's
-//!   figures.
+//! evaluation (paper §5): `paper <experiment>` runs one entry of the
+//! experiment table in [`paper`] (DESIGN.md §4), and `build_bench` is the
+//! out-of-core build's memory gate (DESIGN.md §11). Both share the strict
+//! command line of [`config`]; every method builds behind
+//! `Box<dyn AnnIndex>` from the registry in [`methods`] and is measured by
+//! its one code path.
 
+pub mod bespoke;
 pub mod config;
 pub mod methods;
-pub mod sweep;
+pub mod paper;
 pub mod table;
 pub mod telemetry_report;
 

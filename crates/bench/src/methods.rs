@@ -5,7 +5,7 @@
 //!
 //! Adding a method to every comparative figure is one [`MethodSpec`] entry;
 //! selecting methods on the command line (`--methods hd-index,pq`) works on
-//! any registry-driven binary for free.
+//! every comparative experiment for free.
 
 use hd_baselines::hnsw::{Hnsw, HnswParams};
 use hd_baselines::idistance::{IDistance, IDistanceParams};
@@ -42,7 +42,13 @@ pub struct Workload {
 }
 
 impl Workload {
-    pub fn new(name: impl Into<String>, profile: DatasetProfile, n: usize, nq: usize, seed: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        profile: DatasetProfile,
+        n: usize,
+        nq: usize,
+        seed: u64,
+    ) -> Self {
         Self::with_metric(name, profile, n, nq, seed, Metric::L2)
     }
 
@@ -70,10 +76,11 @@ impl Workload {
     /// Exact ground truth at depth `k` (multi-threaded scan) in the
     /// workload metric.
     pub fn truth(&self, k: usize) -> Vec<Vec<Neighbor>> {
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+        let threads = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4);
         ground_truth_knn(&self.data, &self.queries, k, threads)
     }
-
 }
 
 /// Uniform per-method measurements (§5's evaluation dimensions).
@@ -136,6 +143,7 @@ const L2_ONLY: &[Metric] = &[Metric::L2];
 
 /// One registered method: a CLI-friendly name, the paper's display label,
 /// and a builder producing the method behind the unified trait.
+#[derive(Debug)]
 pub struct MethodSpec {
     /// Registry key (`--methods` selector), kebab-case.
     pub name: &'static str,
@@ -145,7 +153,7 @@ pub struct MethodSpec {
     /// the conformance suite and the Fig. 1 exactness reference.
     pub exact: bool,
     pub lineup: LineupRole,
-    /// The metrics this method can serve. [`run_method`] skips unsupported
+    /// The metrics this method can serve. [`build`] refuses unsupported
     /// combinations with a CR/NP outcome, and the builders refuse them too
     /// (the registry declaration is the *announcement*, the builder guard
     /// the enforcement).
@@ -340,11 +348,19 @@ fn build_multicurves<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn A
 }
 
 fn build_c2lsh<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
-    Ok(Box::new(C2lsh::build(&w.data, C2lshParams::default(), dir)?))
+    Ok(Box::new(C2lsh::build(
+        &w.data,
+        C2lshParams::default(),
+        dir,
+    )?))
 }
 
 fn build_qalsh<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
-    Ok(Box::new(Qalsh::build(&w.data, QalshParams::default(), dir)?))
+    Ok(Box::new(Qalsh::build(
+        &w.data,
+        QalshParams::default(),
+        dir,
+    )?))
 }
 
 fn build_srs<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
@@ -358,7 +374,11 @@ fn build_srs<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex 
 }
 
 fn build_e2lsh<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
-    Ok(Box::new(E2lsh::build(&w.data, E2lshParams::default(), dir)?))
+    Ok(Box::new(E2lsh::build(
+        &w.data,
+        E2lshParams::default(),
+        dir,
+    )?))
 }
 
 fn build_vafile<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
@@ -381,7 +401,11 @@ fn pq_params(w: &Workload) -> PqParams {
 }
 
 fn build_pq<'a>(w: &'a Workload, _dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
-    hd_baselines::require_l2(&w.data, "PQ", "its ADC distance tables accumulate squared-L2 terms")?;
+    hd_baselines::require_l2(
+        &w.data,
+        "PQ",
+        "its ADC distance tables accumulate squared-L2 terms",
+    )?;
     let pq = Pq::build(&w.data, pq_params(w));
     Ok(Box::new(PqRerank { pq, data: &w.data }))
 }
@@ -391,7 +415,11 @@ fn build_opq<'a>(w: &'a Workload, _dir: &'a Path) -> io::Result<Box<dyn AnnIndex
     // SVD); beyond ~300 dims that dominates everything else, so the harness
     // falls back to the identity rotation (plain PQ codebooks) there — the
     // same quality envelope the paper's OPQ shows on SUN/Enron.
-    hd_baselines::require_l2(&w.data, "OPQ", "its rotation objective and ADC tables are squared-L2")?;
+    hd_baselines::require_l2(
+        &w.data,
+        "OPQ",
+        "its rotation objective and ADC tables are squared-L2",
+    )?;
     let opt_iters = if w.data.dim() > 300 { 0 } else { 6 };
     let params = OpqParams {
         pq: pq_params(w),
@@ -412,51 +440,43 @@ fn build_linear_scan<'a>(w: &'a Workload, _dir: &'a Path) -> io::Result<Box<dyn 
     Ok(Box::new(LinearScan::new(&w.data)))
 }
 
-fn build_disk_linear_scan<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
+fn build_disk_linear_scan<'a>(
+    w: &'a Workload,
+    dir: &'a Path,
+) -> io::Result<Box<dyn AnnIndex + 'a>> {
     std::fs::create_dir_all(dir)?;
     // One cache page: a sequential scan then reads each page exactly once.
-    Ok(Box::new(DiskLinearScan::build(&w.data, dir.join("scan.heap"), 1)?))
+    Ok(Box::new(DiskLinearScan::build(
+        &w.data,
+        dir.join("scan.heap"),
+        1,
+    )?))
 }
 
 fn build_kdtree<'a>(w: &'a Workload, _dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
     Ok(Box::new(KdTree::build(&w.data)))
 }
 
-// ---------------------------------------------------------------------------
-// The generic runner.
-// ---------------------------------------------------------------------------
-
-/// Builds `spec` over the workload and measures it — **the** runner every
-/// comparative binary drives; there are no per-method variants.
-pub fn run_method(
+/// Builds `spec` over the workload, or returns the CR/NP reason: an
+/// unsupported metric or a failed build.
+pub fn build<'a>(
     spec: &MethodSpec,
-    w: &Workload,
-    k: usize,
-    truth: &[Vec<Neighbor>],
-    dir: &Path,
-) -> MethodOutcome {
+    w: &'a Workload,
+    dir: &'a Path,
+) -> Result<Box<dyn AnnIndex + 'a>, String> {
     if !spec.supports(w.metric) {
-        return MethodOutcome::NotPossible(
-            spec.label,
-            format!("metric {} unsupported (serves: {})", w.metric, {
-                let names: Vec<&str> = spec.supported_metrics.iter().map(|m| m.name()).collect();
-                names.join(", ")
-            }),
-        );
+        let names: Vec<&str> = spec.supported_metrics.iter().map(|m| m.name()).collect();
+        return Err(format!(
+            "metric {} unsupported (serves: {})",
+            w.metric,
+            names.join(", ")
+        ));
     }
-    let subdir = dir.join(spec.name);
-    let t0 = Instant::now();
-    let index = match (spec.build)(w, &subdir) {
-        Ok(i) => i,
-        Err(e) => return MethodOutcome::NotPossible(spec.label, e.to_string()),
-    };
-    let build_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    run_built(spec.label, w, k, truth, index.as_ref(), build_ms)
+    (spec.build)(w, dir).map_err(|e| e.to_string())
 }
 
-/// The measurement half of [`run_method`]: answers the workload through the
-/// unified trait, scores it, and reads the uniform accounting. Parameter
-/// sweeps (`sweep::run_hd_variant`) reuse it with hand-built indexes.
+/// **The** measurement every experiment runs: answers the workload through
+/// the unified trait, scores it, and reads the uniform accounting.
 pub fn run_built(
     label: &'static str,
     w: &Workload,
@@ -494,30 +514,6 @@ pub fn run_built(
     })
 }
 
-/// Runs a list of registry names in order, skipping unknown names with a
-/// warning on stderr (so `--methods` typos do not abort a long run).
-pub fn run_methods(
-    names: &[&str],
-    w: &Workload,
-    k: usize,
-    truth: &[Vec<Neighbor>],
-    dir: &Path,
-) -> Vec<MethodOutcome> {
-    names
-        .iter()
-        .filter_map(|name| match spec(name) {
-            Some(s) => Some(run_method(s, w, k, truth, dir)),
-            None => {
-                eprintln!(
-                    "warning: unknown method {name:?} (known: {})",
-                    registry().iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
-                );
-                None
-            }
-        })
-        .collect()
-}
-
 /// The default lineup names of the Fig. 8 comparative study.
 /// `include_exact` adds iDistance (slow; it is only the exactness
 /// reference).
@@ -533,26 +529,12 @@ pub fn lineup_names(include_exact: bool) -> Vec<&'static str> {
         .collect()
 }
 
-/// Runs the comparative lineup on one workload: the default Fig. 8 methods,
-/// or exactly `filter` (registry names, e.g. from `--methods`) when given.
-pub fn run_lineup(
-    w: &Workload,
-    k: usize,
-    truth: &[Vec<Neighbor>],
-    dir: &Path,
-    include_exact: bool,
-    filter: Option<&[String]>,
-) -> Vec<MethodOutcome> {
-    let names: Vec<&str> = match filter {
-        Some(f) => f.iter().map(|s| s.as_str()).collect(),
-        None => lineup_names(include_exact),
-    };
-    run_methods(&names, w, k, truth, dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::{self, measure, Build, Cell, Ctx, Data, Query};
+    use crate::BenchConfig;
+    use hd_index::QueryParams;
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -568,7 +550,16 @@ mod tests {
     fn lineup_matches_fig8_ordering() {
         assert_eq!(
             lineup_names(true),
-            vec!["hd-index", "idistance", "multicurves", "c2lsh", "qalsh", "srs", "opq", "hnsw"]
+            vec![
+                "hd-index",
+                "idistance",
+                "multicurves",
+                "c2lsh",
+                "qalsh",
+                "srs",
+                "opq",
+                "hnsw"
+            ]
         );
         assert_eq!(lineup_names(false).len(), 7);
         assert!(!lineup_names(false).contains(&"idistance"));
@@ -579,8 +570,9 @@ mod tests {
         let w = Workload::new("t", DatasetProfile::SIFT, 1500, 10, 1);
         let truth = w.truth(10);
         let dir = std::env::temp_dir().join(format!("hd_bench_m_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        match run_method(spec("hd-index").unwrap(), &w, 10, &truth, &dir) {
+        let registry_dir = dir.join("registry");
+        let index = build(spec("hd-index").unwrap(), &w, &registry_dir).unwrap();
+        match run_built("HD-Index", &w, 10, &truth, index.as_ref(), 0.0) {
             MethodOutcome::Done(r) => {
                 assert_eq!(r.method, "HD-Index");
                 assert!(r.map > 0.3, "MAP {}", r.map);
@@ -591,35 +583,91 @@ mod tests {
             }
             MethodOutcome::NotPossible(_, e) => panic!("should run: {e}"),
         }
+
+        // Build once, query twice: one HD-Index serving a triangular and a
+        // Ptolemaic variant must measure exactly like a fresh build per
+        // variant.
+        let params = HdIndexParams::for_profile(&w.profile);
+        let queries = [
+            Query::hd(QueryParams::triangular(512, 128, 10), vec![]),
+            Query::hd(QueryParams::ptolemaic(1024, 512, 64, 10), vec![]),
+        ];
+        let numbers = |c: &Cell| {
+            let r = c.result().expect("HD-Index runs");
+            (
+                r.map,
+                r.ratio,
+                r.recall,
+                r.index_disk_bytes,
+                r.avg_physical_reads,
+            )
+        };
+        let shared = measure(
+            &w,
+            &[Build::hd(vec![], params.clone())],
+            &queries,
+            &dir.join("shared"),
+        );
+        assert_ne!(
+            numbers(&shared[0]).4,
+            numbers(&shared[1]).4,
+            "the variants must differ"
+        );
+        for (i, cell) in shared.iter().enumerate() {
+            let q = std::slice::from_ref(&queries[i]);
+            let fresh = measure(
+                &w,
+                &[Build::hd(vec![], params.clone())],
+                q,
+                &dir.join(format!("fresh{i}")),
+            );
+            assert_eq!(numbers(cell), numbers(&fresh[0]), "variant {i}");
+        }
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// The measured cells of `experiment`'s grid on a workload.
+    fn grid_cells(experiment: &str, cfg: &BenchConfig, w: &Workload, exact: bool) -> Vec<Cell> {
+        let e = paper::experiment(experiment).unwrap();
+        let data = Data {
+            exact,
+            ..paper::SIFT10K
+        };
+        let c = Ctx {
+            cfg,
+            data: &data,
+            w,
+        };
+        let dir =
+            std::env::temp_dir().join(format!("hd_bench_{experiment}_{}", std::process::id()));
+        let cells = measure(w, &(e.builds)(&c), &(e.queries)(&c), &dir);
+        std::fs::remove_dir_all(dir).ok();
+        cells
     }
 
     #[test]
     fn lineup_produces_all_methods() {
         let w = Workload::new("t", DatasetProfile::SIFT, 800, 5, 2);
-        let truth = w.truth(5);
-        let dir = std::env::temp_dir().join(format!("hd_bench_l_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = run_lineup(&w, 5, &truth, &dir, false, None);
+        let out = grid_cells("fig7", &BenchConfig::default(), &w, false);
         assert_eq!(out.len(), 7);
         for o in &out {
-            if let MethodOutcome::Done(r) = o {
+            if let Some(r) = o.result() {
                 assert!(r.map >= 0.0 && r.map <= 1.0, "{}: map {}", r.method, r.map);
             }
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn methods_filter_selects_by_name() {
         let w = Workload::new("t", DatasetProfile::SIFT, 400, 3, 3);
-        let truth = w.truth(3);
-        let dir = std::env::temp_dir().join(format!("hd_bench_f_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let filter = vec!["linear-scan".to_string(), "pq".to_string()];
-        let out = run_lineup(&w, 3, &truth, &dir, true, Some(&filter));
-        let labels: Vec<&str> = out.iter().filter_map(|o| o.result()).map(|r| r.method).collect();
+        let args = ["--methods", "linear-scan,pq"].map(String::from);
+        let (cfg, _) = BenchConfig::parse(&args, &[]).unwrap();
+        let out = grid_cells("fig8", &cfg, &w, true);
+        let labels: Vec<&str> = out
+            .iter()
+            .filter_map(|o| o.result())
+            .map(|r| r.method)
+            .collect();
         assert_eq!(labels, vec!["LinearScan", "PQ"]);
-        std::fs::remove_dir_all(dir).ok();
     }
 }

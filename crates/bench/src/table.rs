@@ -20,6 +20,14 @@ pub fn row(cells: &[String], widths: &[usize]) {
     println!("{line}");
 }
 
+/// Prints a header and then every row.
+pub fn print(title: &str, heads: &[&str], widths: &[usize], rows: &[Vec<String>]) {
+    header(title, heads, widths);
+    for r in rows {
+        row(r, widths);
+    }
+}
+
 /// Formats a float with 3 decimals, or a dash for NaN (method not run).
 pub fn f3(v: f64) -> String {
     if v.is_nan() {

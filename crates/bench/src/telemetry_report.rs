@@ -1,11 +1,11 @@
-//! `--telemetry` support for the experiment binaries: flips the global
+//! `--telemetry` support for `paper` and `build_bench`: flips the global
 //! telemetry gate on, and at exit prints a per-stage latency breakdown, the
 //! Prometheus exposition (self-validated), and a JSON snapshot.
 //!
 //! Two numbers double as CI gates (the process exits non-zero when either
 //! fails):
 //!
-//! * **coverage** — on binaries that run traced HD-Index queries, the three
+//! * **coverage** — on runs with traced HD-Index queries, the three
 //!   instrumented stages (reference distances, candidate walk, refinement)
 //!   must account for ≥ 90% of measured end-to-end query time, i.e. the
 //!   breakdown explains where queries spend their time rather than leaving
