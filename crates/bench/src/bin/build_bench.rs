@@ -10,8 +10,8 @@
 //! 1. **Budgeted build** — `HdIndex::build_from_source` under
 //!    `--budget-mb` (default 64). Reports wall time, spill-run counts, the
 //!    scratch-IO ledger, and the `VmHWM` delta, which must stay under
-//!    `1.5 × budget + slack` (slack covers the buffer pools, merge
-//!    cursors, and allocator overhead — itemized below). At ≥ 1M points the
+//!    `1.5 × budget + 96 MiB` (the slack covers merge cursors, thread
+//!    stacks, and allocator overhead). At ≥ 1M points the
 //!    whole cap must also undercut a tenth of what the naive in-memory
 //!    build would materialize (corpus + n×m reference table + sort vec).
 //! 2. **Query stage** — QPS and mean latency over the freshly built index.
@@ -236,14 +236,9 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    // Buffer pools are cache, not pipeline working memory; still, a
-    // memory-capped build should not smuggle an uncapped cache in through
-    // the back door, so the per-pool page quota scales with the budget
-    // (τ+1 pools sharing ~budget/4).
-    let mut params = HdIndexParams::for_profile(&profile);
-    let pool_pages = ((budget / 4) / 4096 / (params.tau + 1)).clamp(64, 1024);
-    params.build_cache_pages = pool_pages;
-    let pool_bytes = pool_pages * 4096 * (params.tau + 1);
+    // The profile's pools hold no pages (`query_cache_pages = 0`), so the
+    // build's only cache is the OS page cache, which RSS does not count.
+    let params = HdIndexParams::for_profile(&profile);
 
     let mut src = RawF32Source::open(&corpus, profile.dim, Metric::L2).expect("open corpus");
     let refs = select_refs(&mut src, &params).expect("select references");
@@ -269,15 +264,10 @@ fn main() {
     let stats = index.build_stats();
 
     let rss_delta = peak_rss.saturating_sub(baseline_rss);
-    // Slack components, itemized: the τ+1 buffer pools (page cache is
-    // outside the pipeline budget but capped above), and a fixed 96 MiB
-    // for allocator retention, merge cursors, thread stacks, and the
-    // index's in-memory tombstone/metadata state.
-    let allowance = (3 * budget) / 2 + pool_bytes + (96 << 20);
-    let m = params.num_references;
-    let eta = profile.dim.div_ceil(params.tau);
-    let naive_entry = eta * params.hilbert_order as usize / 8 + 8 + 4 * m + 48;
-    let naive_bytes = n * (profile.dim * 4 + m * 4 + naive_entry);
+    // Slack: a fixed 96 MiB for allocator retention, merge cursors, thread
+    // stacks, and the index's in-memory tombstone/metadata state.
+    let allowance = (3 * budget) / 2 + (96 << 20);
+    let naive_bytes = n * profile.dim * 4 + params.build_memory_bytes(n, profile.dim);
 
     let widths = [12usize, 12, 12, 12, 12, 12];
     table::header(
@@ -308,11 +298,10 @@ fn main() {
         stats.scratch_io.physical_reads, stats.scratch_io.physical_writes
     );
     println!(
-        "memory: peak ΔRSS {:.1} MB vs allowance {:.1} MB (1.5×budget + pools {:.1} MB + 96 MB); \
+        "memory: peak ΔRSS {:.1} MB vs allowance {:.1} MB (1.5×budget + 96 MB); \
          naive in-memory build ≈ {:.1} MB",
         rss_delta as f64 / 1e6,
         allowance as f64 / 1e6,
-        pool_bytes as f64 / 1e6,
         naive_bytes as f64 / 1e6,
     );
     if rss_delta > allowance as u64 {
@@ -443,7 +432,7 @@ fn main() {
         let _ = writeln!(j, "  \"n\": {n},");
         let _ = writeln!(j, "  \"dim\": {},", profile.dim);
         let _ = writeln!(j, "  \"tau\": {},", params.tau);
-        let _ = writeln!(j, "  \"num_references\": {m},");
+        let _ = writeln!(j, "  \"num_references\": {},", params.num_references);
         let _ = writeln!(j, "  \"budget_bytes\": {budget},");
         let _ = writeln!(j, "  \"build\": {{");
         let _ = writeln!(j, "    \"seconds\": {build_secs:.2},");

@@ -34,20 +34,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Formats a duration in adaptive units (ns/µs/ms/s) for harness tables.
-pub fn fmt_duration(d: std::time::Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 1_000 {
-        format!("{ns}ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2}µs", ns as f64 / 1e3)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2}s", ns as f64 / 1e9)
-    }
-}
-
 /// Formats a byte count in adaptive units (B/KB/MB/GB) for harness tables.
 pub fn fmt_bytes(b: usize) -> String {
     const KB: f64 = 1024.0;
@@ -66,7 +52,6 @@ pub fn fmt_bytes(b: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn mean_and_std() {
@@ -81,13 +66,6 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&[]), 0.0);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        assert_eq!(fmt_duration(Duration::from_nanos(500)), "500ns");
-        assert_eq!(fmt_duration(Duration::from_micros(1500)), "1.50ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
     }
 
     #[test]

@@ -44,6 +44,9 @@ pub struct Engine {
     /// invariant (`global id n → shard n mod S`) holds under concurrency.
     /// Shared (`Arc`) with background compaction jobs, which take it while
     /// installing a rebuilt shard so no write can interleave with the swap.
+    /// Lock order: the gate first, then a shard lock. Never take the gate
+    /// while holding a shard guard (read or write) — writers hold the gate
+    /// while they wait for a shard's write lock.
     append_gate: Arc<Mutex<u64>>,
     /// Tombstone-density trigger for background compaction (see
     /// [`EngineParams::compaction_threshold`]).
@@ -625,16 +628,13 @@ impl AnnIndex for Engine {
 
     fn stats(&self) -> IndexStats {
         // Peak construction memory: every shard builds in parallel, so the
-        // sort-buffer estimate applies to the whole corpus at once (same
-        // per-entry formula as `HdIndex`).
-        let shard0 = self.set.shards[0].index.read();
-        let params = shard0.params().clone();
-        let dim = shard0.dim();
-        drop(shard0);
+        // sort-buffer estimate applies to the whole corpus at once. `len`
+        // takes the append gate, so it runs before any shard guard is held.
         let n = self.len() as usize;
-        let m = params.num_references;
-        let eta = dim.div_ceil(params.tau);
-        let entry = eta * params.hilbert_order as usize / 8 + 8 + 4 * m + 48;
+        let build_memory_bytes = {
+            let shard0 = self.set.shards[0].index.read();
+            shard0.params().build_memory_bytes(n, shard0.dim())
+        };
         let mut stored = 0u64;
         let mut live = 0u64;
         let mut write = WriteStats::default();
@@ -651,7 +651,7 @@ impl AnnIndex for Engine {
         IndexStats {
             disk_bytes: self.disk_bytes(),
             memory_bytes: self.memory_bytes(),
-            build_memory_bytes: n * (entry + 4 * m),
+            build_memory_bytes,
             io: self.serving_stats().io,
             metric: self.metric(),
             stored_len: stored,
@@ -684,5 +684,60 @@ impl Lifecycle for Engine {
 
     fn compact(&mut self) -> io::Result<bool> {
         Engine::compact_now(self).map(|rebuilt| rebuilt > 0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hd_core::dataset::{generate, DatasetProfile};
+    use hd_index::HdIndexParams;
+
+    /// `build_budget_bytes` caps compaction rebuilds of a reopened engine,
+    /// not only of the engine that built the shards.
+    #[test]
+    fn reopened_engine_compacts_under_its_build_budget() {
+        let dir =
+            std::env::temp_dir().join(format!("hd_engine_reopen_budget_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (data, _) = generate(&DatasetProfile::SIFT, 1200, 1, 7);
+        let params = EngineParams {
+            shards: 2,
+            threads: 2,
+            build_budget_bytes: 16 << 10,
+            ..EngineParams::new(HdIndexParams {
+                tau: 4,
+                num_references: 5,
+                ..HdIndexParams::for_profile(&DatasetProfile::SIFT)
+            })
+        };
+        let spilled = |engine: &Engine| -> Vec<u64> {
+            let shards = &engine.set.shards;
+            shards
+                .iter()
+                .map(|s| s.index.read().build_stats().spilled_runs)
+                .collect()
+        };
+        let built = Engine::build(&data, &params, &dir).unwrap();
+        let runs = spilled(&built);
+        assert!(
+            runs.iter().all(|&r| r > 0),
+            "budget too generous to spill: {runs:?}"
+        );
+        built.save().unwrap();
+        drop(built);
+
+        let engine = Engine::open(&dir, &params).unwrap();
+        for id in (0..engine.len()).filter(|id| id % 10 < 3) {
+            engine.delete(id).unwrap();
+        }
+        assert_eq!(engine.compact_now().unwrap(), 2);
+        let runs = spilled(&engine);
+        assert!(
+            runs.iter().all(|&r| r > 0),
+            "compaction ignored the build budget: {runs:?}"
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,11 +14,12 @@
 //!   per-shard top-k lists exact-merge through bounded heaps.
 //! * Concurrent callers — searches take `&self`; inserts and deletes are
 //!   lock-guarded per shard and interleave with searches.
-//! * [`metrics`] — QPS, a log-linear latency histogram with p50/p95/p99
-//!   (the histogram itself now lives in [`hd_telemetry`] and is re-exported
-//!   here for compatibility), and the aggregated IO ledger of every shard's
-//!   pools. Stage timings flow into the global `hd_telemetry` registry when
-//!   telemetry is enabled.
+//! * [`metrics`] — [`EngineStats`]: QPS, p50/p95/p99 latency from a
+//!   log-linear [`hd_telemetry::LatencyHistogram`], and the aggregated IO
+//!   ledger of every shard's pools, all kept per engine
+//!   ([`Engine::serving_stats`]). Only the fan-out stage spans
+//!   (`engine_*_nanos`) record into the global `hd_telemetry` registry,
+//!   and only while telemetry is enabled.
 //!
 //! ```no_run
 //! use hd_core::dataset::{generate, DatasetProfile};
@@ -44,9 +45,5 @@ pub mod shard;
 
 pub use config::EngineParams;
 pub use engine::{Engine, EngineHealth};
-// Compatibility re-export: the histogram grew into the workspace-wide
-// telemetry crate in PR 7; existing `hd_engine::LatencyHistogram` users
-// keep compiling unchanged.
-pub use hd_telemetry::LatencyHistogram;
-pub use metrics::{EngineMetrics, EngineStats};
+pub use metrics::EngineStats;
 pub use shard::{global_of, shard_of};

@@ -1,14 +1,18 @@
 //! Engine-level serving metrics: throughput, latency percentiles, and the
 //! aggregated IO ledger of every shard's buffer pools.
+//!
+//! These counters live on the engine and nowhere else: the process-global
+//! telemetry registry has no labels, so it could not tell two engines in
+//! one process apart. Callers read them through
+//! [`crate::Engine::serving_stats`].
 
 use hd_storage::IoSnapshot;
 use hd_telemetry::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Live counters owned by an [`crate::Engine`].
 #[derive(Debug, Default)]
-pub struct EngineMetrics {
+pub(crate) struct EngineMetrics {
     queries: AtomicU64,
     batches: AtomicU64,
     /// Summed batch latencies — the engine's *busy* serving time. QPS is
@@ -33,27 +37,6 @@ impl EngineMetrics {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.busy_nanos.fetch_add(elapsed_nanos, Ordering::Relaxed);
         self.latency.record_n(elapsed_nanos, queries);
-        if hd_telemetry::enabled() {
-            // Mirror into the process-global registry so `/metrics`-style
-            // exposition sees engine traffic even across multiple engines.
-            struct Global {
-                queries: hd_telemetry::Counter,
-                batches: hd_telemetry::Counter,
-                batch_nanos: std::sync::Arc<LatencyHistogram>,
-            }
-            static GLOBAL: OnceLock<Global> = OnceLock::new();
-            let g = GLOBAL.get_or_init(|| {
-                let reg = hd_telemetry::global();
-                Global {
-                    queries: reg.counter("engine_queries_total", "queries answered by engines"),
-                    batches: reg.counter("engine_batches_total", "batches submitted to engines"),
-                    batch_nanos: reg.histogram("engine_batch_nanos", "engine batch latency"),
-                }
-            });
-            g.queries.add(queries);
-            g.batches.inc();
-            g.batch_nanos.record(elapsed_nanos);
-        }
     }
 
     /// Zeroes the query/batch/busy counters and the latency histogram —
@@ -64,12 +47,6 @@ impl EngineMetrics {
         self.batches.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
         self.latency.reset();
-    }
-
-    /// The latency histogram (shared with callers that want more quantiles
-    /// than [`EngineStats`] carries).
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
     }
 
     /// Snapshot with the IO ledger supplied by the engine (it owns the

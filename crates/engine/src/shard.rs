@@ -151,18 +151,26 @@ impl ShardSet {
 
     /// Reopens a previously built shard fleet from `dir`. Only the serving
     /// fields of `params` are used (`cache_budget_pages`,
-    /// `index.query_cache_pages`); the shard count comes from the metadata.
+    /// `build_budget_bytes`, `index.query_cache_pages`); the shard count
+    /// comes from the metadata.
     pub fn open(dir: &Path, params: &EngineParams) -> io::Result<Self> {
         let s = Self::read_meta(dir)?;
         let budget = (params.cache_budget_pages > 0)
             .then(|| CacheBudget::new(params.cache_budget_pages));
+        // Compaction rebuilds share one build quota, as the original
+        // parallel shard builds did.
+        let build_budget =
+            (params.build_budget_bytes > 0).then(|| BuildBudget::new(params.build_budget_bytes));
         let mut shards = Vec::with_capacity(s);
         for si in 0..s {
-            let index = HdIndex::open_with(
+            let mut index = HdIndex::open_with(
                 shard_dir(dir, si),
                 params.index.query_cache_pages,
                 budget.clone(),
             )?;
+            if let Some(build_budget) = &build_budget {
+                index.set_build_budget(build_budget.clone());
+            }
             // Shards of one engine were built together under one metric;
             // a disagreement means the directory holds a mix of index
             // generations, and serving it would return wrong distances for

@@ -15,7 +15,6 @@ fn index_params() -> HdIndexParams {
         ref_selection: RefSelection::Sss { f: 0.3 },
         domain: (0.0, 255.0),
         random_partitioning: None,
-        build_cache_pages: 64,
         query_cache_pages: 0,
         seed: 7,
     }

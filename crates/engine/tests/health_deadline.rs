@@ -19,7 +19,6 @@ fn index_params() -> HdIndexParams {
         ref_selection: RefSelection::Sss { f: 0.3 },
         domain: (0.0, 255.0),
         random_partitioning: None,
-        build_cache_pages: 64,
         query_cache_pages: 64,
         seed: 7,
     }

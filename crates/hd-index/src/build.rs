@@ -400,16 +400,6 @@ pub(crate) fn run(
     // does) — and a populated directory is swept at next open anyway.
     let _ = std::fs::remove_dir(&tmp);
 
-    if hd_telemetry::enabled() {
-        let reg = hd_telemetry::global();
-        reg.counter("build_spill_runs_total", "external-sort runs spilled by index builds")
-            .add(spilled_runs);
-        reg.counter(
-            "build_spill_bytes_total",
-            "bytes spilled to external-sort runs by index builds",
-        )
-        .add(spilled_bytes);
-    }
     Ok(BuildArtifacts {
         trees,
         heap,

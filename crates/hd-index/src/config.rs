@@ -56,11 +56,9 @@ pub struct HdIndexParams {
     /// Use a seeded random dimension partitioning instead of contiguous
     /// (the §5.2.1 ablation).
     pub random_partitioning: Option<u64>,
-    /// Buffer-pool capacity in pages for each RDB-tree and the heap file
-    /// during **construction** (query-time caching is controlled separately;
-    /// the paper measures with caches off).
-    pub build_cache_pages: usize,
-    /// Buffer-pool capacity during querying (0 = paper measurement mode).
+    /// Buffer-pool capacity in pages for each RDB-tree and the heap file,
+    /// during construction and querying alike (0 = paper measurement mode:
+    /// every read is physical).
     pub query_cache_pages: usize,
     /// RNG seed for reference selection.
     pub seed: u64,
@@ -77,10 +75,21 @@ impl HdIndexParams {
             ref_selection: RefSelection::default(),
             domain: (p.lo, p.hi),
             random_partitioning: None,
-            build_cache_pages: 1024,
             query_cache_pages: 0,
             seed: 0x4844_5F53_4545_4453, // deterministic default ("HD_SEEDS")
         }
+    }
+
+    /// Estimated peak memory of an in-memory build of `n` objects of
+    /// dimensionality `dim` (`IndexStats::build_memory_bytes`): one tree's
+    /// sort buffer — per entry the η·ω-bit Hilbert key, the 8-byte id, m
+    /// f32 reference distances and 48 bytes of `Vec` headers — plus the
+    /// n×m reference-distance table.
+    pub fn build_memory_bytes(&self, n: usize, dim: usize) -> usize {
+        let m = self.num_references;
+        let eta = dim.div_ceil(self.tau);
+        let entry = eta * self.hilbert_order as usize / 8 + 8 + 4 * m + 48;
+        n * (entry + 4 * m)
     }
 }
 

@@ -176,7 +176,7 @@ pub struct HdIndex {
     cache_budget: Option<CacheBudget>,
     /// Working-memory cap this index was built under; compaction rebuilds
     /// through the same streaming pipeline with the same cap. Unbounded
-    /// for indexes opened from disk.
+    /// for indexes opened from disk until [`Self::set_build_budget`].
     build_budget: BuildBudget,
     /// Spill/scratch accounting of the most recent build or compaction.
     build_stats: BuildStats,
@@ -511,7 +511,6 @@ impl HdIndex {
             ref_selection: crate::config::RefSelection::default(),
             domain: meta.domain,
             random_partitioning: None,
-            build_cache_pages: 0,
             query_cache_pages,
             seed: 0,
         };
@@ -716,6 +715,13 @@ impl HdIndex {
         self.serve = qp;
     }
 
+    /// Caps later compaction rebuilds at `budget`. An index opened from
+    /// disk has no record of the cap it was built under, so a caller that
+    /// keeps one (the sharded engine) restores it here.
+    pub fn set_build_budget(&mut self, budget: BuildBudget) {
+        self.build_budget = budget;
+    }
+
     pub fn references(&self) -> &ReferenceSet {
         &self.refs
     }
@@ -889,9 +895,9 @@ impl HdIndex {
     /// becomes visible until [`Self::apply_compaction`].
     ///
     /// Survivors stream through the same out-of-core pipeline as a fresh
-    /// build (DESIGN.md §11), under the [`BuildBudget`] the index was built
-    /// with — compacting a shard much larger than RAM spills sorted runs
-    /// instead of materializing every entry.
+    /// build (DESIGN.md §11), under the index's [`BuildBudget`] —
+    /// compacting a shard much larger than RAM spills sorted runs instead
+    /// of materializing every entry.
     pub fn prepare_compaction(&self) -> io::Result<CompactionPlan> {
         let _s = hd_telemetry::span!("compaction_prepare_nanos");
         let next_gen = self.generation + 1;
@@ -989,13 +995,12 @@ impl HdIndex {
         remove_stale_generations(&self.dir, self.generation)?;
         if hd_telemetry::enabled() {
             let reclaimed = bytes_before.saturating_sub(self.disk_bytes());
-            let reg = hd_telemetry::global();
-            reg.counter("compactions_total", "compaction plans installed").inc();
-            reg.counter(
-                "compaction_bytes_reclaimed_total",
-                "on-disk bytes freed by installed compactions",
-            )
-            .add(reclaimed);
+            hd_telemetry::global()
+                .counter(
+                    "compaction_bytes_reclaimed_total",
+                    "on-disk bytes freed by installed compactions",
+                )
+                .add(reclaimed);
             hd_telemetry::event!(
                 hd_telemetry::Level::Info,
                 "compaction",
@@ -1091,17 +1096,12 @@ impl AnnIndex for HdIndex {
     }
 
     fn stats(&self) -> IndexStats {
-        // Peak construction memory: the per-tree sort buffer dominates
-        // (keys + values + Vec headers) plus the n×m reference-distance
-        // table.
-        let n = self.heap.len() as usize;
-        let m = self.params.num_references;
-        let eta = self.dim.div_ceil(self.params.tau);
-        let entry = eta * self.params.hilbert_order as usize / 8 + 8 + 4 * m + 48;
         IndexStats {
             disk_bytes: self.disk_bytes(),
             memory_bytes: self.memory_bytes(),
-            build_memory_bytes: n * (entry + 4 * m),
+            build_memory_bytes: self
+                .params
+                .build_memory_bytes(self.heap.len() as usize, self.dim),
             io: self.io_stats(),
             metric: self.metric,
             stored_len: self.heap.len(),
@@ -1164,7 +1164,6 @@ mod tests {
             ref_selection: RefSelection::Sss { f: 0.3 },
             domain: (0.0, 255.0),
             random_partitioning: None,
-            build_cache_pages: 64,
             query_cache_pages: 0,
             seed: 7,
         }

@@ -40,7 +40,6 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
         ref_selection: RefSelection::Sss { f: 0.3 },
         domain: (0.0, 255.0),
         random_partitioning: None,
-        build_cache_pages: 64,
         query_cache_pages: 0,
         seed: 7,
     };
@@ -136,7 +135,6 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         ref_selection: RefSelection::Sss { f: 0.3 },
         domain: (0.0, 255.0),
         random_partitioning: None,
-        build_cache_pages: 64,
         query_cache_pages: 0,
         seed: 9,
     };

@@ -49,22 +49,6 @@ impl HilbertKey {
             bytes: bytes.to_vec().into_boxed_slice(),
         }
     }
-
-    /// The immediate successor key of the same width, or `None` if this is
-    /// the all-ones maximum.
-    pub fn successor(&self) -> Option<HilbertKey> {
-        let mut b = self.bytes.to_vec();
-        for i in (0..b.len()).rev() {
-            if b[i] != 0xFF {
-                b[i] += 1;
-                for x in &mut b[i + 1..] {
-                    *x = 0;
-                }
-                return Some(HilbertKey::from_bytes(b));
-            }
-        }
-        None
-    }
 }
 
 impl std::fmt::Display for HilbertKey {
@@ -94,14 +78,6 @@ mod tests {
         let a = HilbertKey::from_bytes(vec![0x00, 0xFF]);
         let b = HilbertKey::from_bytes(vec![0x01, 0x00]);
         assert!(a < b);
-    }
-
-    #[test]
-    fn successor_carries() {
-        let a = HilbertKey::from_bytes(vec![0x00, 0xFF]);
-        assert_eq!(a.successor().unwrap().as_bytes(), &[0x01, 0x00]);
-        let max = HilbertKey::from_bytes(vec![0xFF, 0xFF]);
-        assert!(max.successor().is_none());
     }
 
     #[test]

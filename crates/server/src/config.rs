@@ -19,12 +19,6 @@ pub struct ServerConfig {
     pub rate_limit_qps: f64,
     /// Token-bucket burst capacity (full bucket size).
     pub rate_limit_burst: f64,
-    /// Socket read timeout — how often an idle connection handler wakes up
-    /// to notice shutdown.
-    pub read_timeout_ms: u64,
-    /// Snapshot the engine ([`hd_engine::Engine::save`]) as the last step
-    /// of [`crate::Server::shutdown`].
-    pub save_on_shutdown: bool,
 }
 
 impl Default for ServerConfig {
@@ -35,8 +29,6 @@ impl Default for ServerConfig {
             max_body_bytes: 1024 * 1024,
             rate_limit_qps: 0.0,
             rate_limit_burst: 8.0,
-            read_timeout_ms: 50,
-            save_on_shutdown: true,
         }
     }
 }

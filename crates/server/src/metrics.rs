@@ -15,10 +15,9 @@ pub struct ServerMetrics {
     /// socket reads).
     pub request_nanos: Arc<LatencyHistogram>,
     /// Queries per `/v1/query` engine call: 1 for a single-query body, B
-    /// for a batch body of B vectors.
+    /// for a batch body of B vectors. Its count is the number of engine
+    /// calls.
     pub batch_size: Arc<LatencyHistogram>,
-    /// Engine calls made by `/v1/query`: one per well-formed query body.
-    pub batches_total: Counter,
     /// Queries sent to the engine in a call that carried more than one
     /// query, i.e. the vectors of batch bodies.
     pub coalesced_total: Counter,
@@ -44,8 +43,6 @@ impl ServerMetrics {
             ),
             batch_size: registry
                 .histogram("hd_server_batch_size", "Queries per /v1/query engine call"),
-            batches_total: registry
-                .counter("hd_server_batches_total", "Engine calls made by /v1/query"),
             coalesced_total: registry.counter(
                 "hd_server_coalesced_queries_total",
                 "Queries sent in an engine call carrying more than one query",

@@ -164,7 +164,6 @@ fn query(state: &ServerState, req: &Request) -> Response {
     // thread; `timeout_ms` rides along as the call's `time_budget`.
     let refs: Vec<&[f32]> = dto.vectors.iter().map(|v| v.as_slice()).collect();
     let metrics = &state.metrics;
-    metrics.batches_total.inc();
     metrics.batch_size.record(refs.len() as u64);
     if refs.len() > 1 {
         metrics.coalesced_total.add(refs.len() as u64);

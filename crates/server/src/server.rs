@@ -10,7 +10,7 @@
 //! Shutdown protocol ([`Server::shutdown`]): set the stop flag; self-connect
 //! to unblock `accept`; join the accept thread; drop the connection pool
 //! (its `Drop` joins after handlers finish their current request — socket
-//! read timeouts make them notice the flag within `read_timeout_ms`);
+//! read timeouts make them notice the flag within `READ_TIMEOUT`);
 //! finally snapshot the engine. In-flight requests complete, new ones are
 //! refused.
 
@@ -30,6 +30,10 @@ use crate::limiter::RateLimiter;
 use crate::metrics::ServerMetrics;
 use crate::routes;
 
+/// Socket read timeout: how often an idle connection handler wakes up to
+/// notice shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
 /// Everything a connection handler needs, shared across threads.
 pub struct ServerState {
     pub engine: Arc<Engine>,
@@ -37,18 +41,16 @@ pub struct ServerState {
     pub metrics: ServerMetrics,
     pub max_body_bytes: usize,
     pub(crate) stop: AtomicBool,
-    pub(crate) read_timeout: Duration,
 }
 
 /// The running HTTP server. Bind with [`Server::bind`], stop with
-/// [`Server::shutdown`] (graceful) or by dropping (best-effort, no final
-/// snapshot).
+/// [`Server::shutdown`] (graceful, ends with an engine snapshot) or by
+/// dropping (best-effort, no final snapshot).
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     accept: Option<JoinHandle<()>>,
     pool: Option<Arc<WorkerPool>>,
-    save_on_shutdown: bool,
 }
 
 impl Server {
@@ -64,7 +66,6 @@ impl Server {
             metrics: ServerMetrics::new(),
             max_body_bytes: config.max_body_bytes,
             stop: AtomicBool::new(false),
-            read_timeout: Duration::from_millis(config.read_timeout_ms.max(1)),
         });
         let pool = Arc::new(WorkerPool::new(config.max_connections));
 
@@ -94,7 +95,6 @@ impl Server {
             state,
             accept: Some(accept),
             pool: Some(pool),
-            save_on_shutdown: config.save_on_shutdown,
         })
     }
 
@@ -109,13 +109,10 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests, then
-    /// snapshot the engine (when configured).
+    /// snapshot the engine ([`Engine::save`]).
     pub fn shutdown(mut self) -> io::Result<()> {
         self.stop_serving();
-        if self.save_on_shutdown {
-            self.state.engine.save()?;
-        }
-        Ok(())
+        self.state.engine.save()
     }
 
     fn stop_serving(&mut self) {
@@ -153,7 +150,7 @@ fn serve_connection(state: &ServerState, stream: TcpStream) {
         .peer_addr()
         .map(|a| a.ip().to_string())
         .unwrap_or_else(|_| "unknown".to_string());
-    if stream.set_read_timeout(Some(state.read_timeout)).is_err() {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {

@@ -31,7 +31,6 @@ fn index_params() -> HdIndexParams {
         ref_selection: RefSelection::Sss { f: 0.3 },
         domain: (0.0, 255.0),
         random_partitioning: None,
-        build_cache_pages: 64,
         query_cache_pages: 64,
         seed: 7,
     }
@@ -200,7 +199,7 @@ fn served_answers_match_direct_engine_calls() {
     let metrics = &server.state().metrics;
     let counts = || {
         (
-            metrics.batches_total.get(),
+            metrics.batch_size.count(),
             metrics.batch_size.sum(),
             metrics.coalesced_total.get(),
         )

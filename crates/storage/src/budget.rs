@@ -125,11 +125,6 @@ impl BuildBudget {
         Self::new(usize::MAX)
     }
 
-    /// Whether this budget actually constrains anything.
-    pub fn is_bounded(&self) -> bool {
-        self.inner.capacity != usize::MAX
-    }
-
     /// Total byte quota.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
@@ -257,7 +252,7 @@ mod tests {
     #[test]
     fn build_budget_unbounded_grants_want() {
         let b = BuildBudget::unbounded();
-        assert!(!b.is_bounded());
+        assert_eq!(b.capacity(), usize::MAX);
         let r = b.reserve(1, 1 << 30);
         assert_eq!(r.bytes(), 1 << 30);
     }

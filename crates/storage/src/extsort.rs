@@ -118,11 +118,6 @@ impl ExternalSorter {
         self.count == 0
     }
 
-    /// Runs spilled to disk so far.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Sort order of the records currently buffered, as indices into the
     /// flat buffer (ties broken by input order, though build keys are
     /// unique so ties cannot arise there).
@@ -594,8 +589,8 @@ mod tests {
         for r in &recs {
             sorter.push(r).unwrap();
         }
-        assert!(sorter.run_count() >= 1);
         let mut reader = sorter.finish().unwrap();
+        assert!(reader.spilled_runs() >= 1);
         assert!(std::fs::read_dir(&dir).unwrap().count() > 0);
         while reader.next().unwrap().is_some() {}
         drop(reader);

@@ -260,11 +260,6 @@ impl VectorHeap {
         }
     }
 
-    /// Vectors that share one heap page (0 when a vector exceeds a page).
-    pub fn vectors_per_page(&self) -> usize {
-        self.per_page
-    }
-
     /// Fetches the vectors of `ids` into `out` as one flat row-major block
     /// (`ids.len() * dim` floats, row order = id order).
     ///
@@ -516,7 +511,6 @@ mod tests {
     fn page_of_follows_layout() {
         let path = temp("pageof");
         let heap = VectorHeap::create(&path, 128, 0).unwrap();
-        assert_eq!(heap.vectors_per_page(), 8);
         assert_eq!(heap.page_of(0), 0);
         assert_eq!(heap.page_of(7), 0);
         assert_eq!(heap.page_of(8), 1);

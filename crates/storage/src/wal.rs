@@ -142,8 +142,9 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Cumulative write-path counters, mirrored into `IndexStats` so benches can
-/// report fsync amortization (`records_appended / commits`).
+/// Cumulative write-path counters of one log, surfaced as
+/// `IndexStats::write` (`WriteStats`) so benches can report fsync
+/// amortization (`records_appended / commits`).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WalCounters {
     /// Records appended since open.
@@ -161,34 +162,6 @@ struct WalInner {
     /// Byte offset of the end of the last buffered record.
     append_pos: u64,
     dirty: bool,
-    /// Records appended since the last commit — the batch size the next
-    /// fsync amortizes over, recorded into `wal_commit_batch_records`.
-    pending: u64,
-}
-
-/// Cached handles into the global telemetry registry — resolved once, then
-/// pure atomic updates on the append/commit paths.
-struct WalTelemetry {
-    records: hd_telemetry::Counter,
-    fsyncs: hd_telemetry::Counter,
-    replayed: hd_telemetry::Counter,
-    batch_records: std::sync::Arc<hd_telemetry::LatencyHistogram>,
-}
-
-fn wal_telemetry() -> &'static WalTelemetry {
-    static HANDLES: std::sync::OnceLock<WalTelemetry> = std::sync::OnceLock::new();
-    HANDLES.get_or_init(|| {
-        let reg = hd_telemetry::global();
-        WalTelemetry {
-            records: reg.counter("wal_records_total", "records appended across all WALs"),
-            fsyncs: reg.counter("wal_fsyncs_total", "commits that reached the disk"),
-            replayed: reg.counter("wal_replayed_total", "records recovered at open"),
-            batch_records: reg.histogram(
-                "wal_commit_batch_records",
-                "records amortized per fsync (batch size, not nanos)",
-            ),
-        }
-    })
 }
 
 /// Append-only, checksummed, per-shard write-ahead log.
@@ -253,7 +226,6 @@ impl Wal {
                 committed_pos: pos,
                 append_pos: pos,
                 dirty: false,
-                pending: 0,
             }),
             path,
             records_appended: AtomicU64::new(0),
@@ -284,14 +256,10 @@ impl Wal {
         inner.writer.write_all(&frame)?;
         inner.append_pos += frame.len() as u64;
         inner.dirty = true;
-        inner.pending += 1;
         let end = inner.append_pos;
         drop(inner);
         drop(span);
         self.records_appended.fetch_add(1, Ordering::Relaxed);
-        if hd_telemetry::enabled() {
-            wal_telemetry().records.inc();
-        }
         Ok(end)
     }
 
@@ -308,14 +276,7 @@ impl Wal {
             }
             inner.committed_pos = inner.append_pos;
             inner.dirty = false;
-            let batch = inner.pending;
-            inner.pending = 0;
             self.commits.fetch_add(1, Ordering::Relaxed);
-            if hd_telemetry::enabled() {
-                let t = wal_telemetry();
-                t.fsyncs.inc();
-                t.batch_records.record(batch);
-            }
         }
         Ok(inner.committed_pos)
     }
@@ -337,7 +298,6 @@ impl Wal {
         inner.committed_pos = 0;
         inner.append_pos = 0;
         inner.dirty = false;
-        inner.pending = 0;
         Ok(())
     }
 
@@ -368,7 +328,6 @@ impl Wal {
     pub fn note_replayed(&self, n: u64) {
         self.records_replayed.fetch_add(n, Ordering::Relaxed);
         if hd_telemetry::enabled() && n > 0 {
-            wal_telemetry().replayed.add(n);
             hd_telemetry::event!(
                 hd_telemetry::Level::Info,
                 "wal",

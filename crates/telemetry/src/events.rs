@@ -3,10 +3,10 @@
 //! One global log, disabled by default. Each event is a single JSON line —
 //! `{"ms":…,"seq":…,"level":"info","target":"wal","msg":"…", …fields}` —
 //! written to an installed sink (stderr, a file, or a test buffer). Events
-//! carry a `target` (component name: `"wal"`, `"compaction"`, `"engine"`),
-//! filtered by a global minimum level with per-target overrides, and are
-//! rate-limited per target per second so a hot loop cannot flood the sink;
-//! suppressed events are counted in the `events_dropped_total` counter.
+//! carry a `target` (component name: `"wal"`, `"compaction"`), are
+//! filtered by one global minimum level, and are rate-limited per target
+//! per second so a hot loop cannot flood the sink; [`uninstall_events`]
+//! returns how many were suppressed.
 //!
 //! The disabled path is one relaxed atomic load; levels, limits, and the
 //! sink are only consulted once an event passes it.
@@ -88,7 +88,6 @@ struct LogState {
     start: Instant,
     seq: u64,
     min_level: Level,
-    target_levels: HashMap<String, Level>,
     /// Max events per target per second; 0 = unlimited.
     rate_limit: u32,
     /// target -> (second window, events emitted in it).
@@ -99,9 +98,8 @@ struct LogState {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static STATE: Mutex<Option<LogState>> = Mutex::new(None);
 
-/// Installs a sink and enables the event log. `min_level` applies to every
-/// target without an override; `rate_limit` caps events per target per
-/// second (0 = unlimited).
+/// Installs a sink and enables the event log. Events below `min_level` are
+/// dropped; `rate_limit` caps events per target per second (0 = unlimited).
 pub fn install_events(sink: Box<dyn Write + Send>, min_level: Level, rate_limit: u32) {
     let mut state = STATE.lock().unwrap();
     *state = Some(LogState {
@@ -109,20 +107,11 @@ pub fn install_events(sink: Box<dyn Write + Send>, min_level: Level, rate_limit:
         start: Instant::now(),
         seq: 0,
         min_level,
-        target_levels: HashMap::new(),
         rate_limit,
         windows: HashMap::new(),
         dropped: 0,
     });
     ACTIVE.store(true, Ordering::Relaxed);
-}
-
-/// Overrides the minimum level for one target (e.g. quiet `"wal"` down to
-/// `Warn` while the rest logs at `Info`). No-op if no log is installed.
-pub fn set_target_level(target: &str, level: Level) {
-    if let Some(state) = STATE.lock().unwrap().as_mut() {
-        state.target_levels.insert(target.to_string(), level);
-    }
 }
 
 /// Disables the log, flushes, and drops the sink. Returns the number of
@@ -154,18 +143,16 @@ pub fn event(level: Level, target: &str, msg: &str, fields: &[(&str, FieldValue)
         Some(s) => s,
         None => return,
     };
-    let min = state
-        .target_levels
-        .get(target)
-        .copied()
-        .unwrap_or(state.min_level);
-    if level < min {
+    if level < state.min_level {
         return;
     }
     let ms = state.start.elapsed().as_millis() as u64;
     if state.rate_limit > 0 {
         let window = ms / 1000;
-        let entry = state.windows.entry(target.to_string()).or_insert((window, 0));
+        let entry = state
+            .windows
+            .entry(target.to_string())
+            .or_insert((window, 0));
         if entry.0 != window {
             *entry = (window, 0);
         }
@@ -275,18 +262,20 @@ mod tests {
         assert!(line.ends_with('}'));
     }
 
+    // The name predates the removal of per-target level overrides; the
+    // level is global now, and the last event checks that another target
+    // is filtered by it too.
     #[test]
     fn level_filtering_global_and_per_target() {
         let _g = GATE.lock().unwrap();
         let buf = Buffer::default();
         install_events(Box::new(buf.clone()), Level::Warn, 0);
-        set_target_level("chatty", Level::Debug);
         event(Level::Info, "engine", "suppressed by global min", &[]);
         event(Level::Warn, "engine", "passes", &[]);
-        event(Level::Debug, "chatty", "passes via override", &[]);
+        event(Level::Debug, "chatty", "suppressed on every target", &[]);
         uninstall_events();
         let out = buf.contents();
-        assert_eq!(out.lines().count(), 2, "got: {out}");
+        assert_eq!(out.lines().count(), 1, "got: {out}");
         assert!(!out.contains("suppressed"));
     }
 

@@ -8,9 +8,8 @@
 //! multi-second cold scans, in a few KB of atomics.
 //!
 //! Grown out of `hd-engine`'s serving histogram into the workspace-wide
-//! telemetry primitive: every stage span and write-path measurement records
-//! into one of these, and [`LatencyHistogram::merge`] folds per-component
-//! histograms into fleet aggregates.
+//! telemetry primitive: every stage span, the engine's serving latency and
+//! the HTTP server's request latency record into one of these.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,7 +92,8 @@ impl LatencyHistogram {
         }
         self.buckets[bucket_of(nanos)].fetch_add(n, Ordering::Relaxed);
         self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(nanos.saturating_mul(n), Ordering::Relaxed);
+        self.sum
+            .fetch_add(nanos.saturating_mul(n), Ordering::Relaxed);
     }
 
     /// Total observations.
@@ -153,24 +153,6 @@ impl LatencyHistogram {
             .collect()
     }
 
-    /// Folds `other`'s observations into `self`, bucket by bucket. Like
-    /// `percentile`, the walk is racy-but-monotone under concurrent
-    /// recording: every observation that was in `other` before the call
-    /// lands in `self`; observations recorded into `other` *during* the
-    /// call may or may not be included.
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Clears all counters.
     pub fn reset(&self) {
         for b in &self.buckets {
@@ -196,7 +178,17 @@ mod tests {
     #[test]
     fn upper_bounds_are_tight_and_monotone() {
         let mut last = 0;
-        for v in [32u64, 33, 63, 64, 100, 1_000, 123_456, 10_000_000, u64::MAX / 2] {
+        for v in [
+            32u64,
+            33,
+            63,
+            64,
+            100,
+            1_000,
+            123_456,
+            10_000_000,
+            u64::MAX / 2,
+        ] {
             let b = bucket_of(v);
             let upper = bucket_upper(b);
             assert!(upper >= v, "upper {upper} below value {v}");
@@ -295,50 +287,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0);
         assert_eq!(h.percentile(0.99), 0);
-    }
-
-    #[test]
-    fn merge_is_count_sum_and_percentile_exact() {
-        // Two disjoint exact-bucket distributions: after merge the combined
-        // histogram reports exact order statistics over the union.
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        for v in 1..=5u64 {
-            a.record(v);
-        }
-        for v in 6..=10u64 {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 10);
-        assert_eq!(a.sum(), 55);
-        assert_eq!(a.percentile(0.5), 5);
-        assert_eq!(a.percentile(1.0), 10);
-        // The source histogram is untouched.
-        assert_eq!(b.count(), 5);
-        assert_eq!(b.percentile(1.0), 10);
-    }
-
-    #[test]
-    fn merge_of_empty_is_identity() {
-        let a = LatencyHistogram::new();
-        a.record_n(100, 3);
-        let before = (a.count(), a.sum(), a.percentile(0.99));
-        a.merge(&LatencyHistogram::new());
-        assert_eq!((a.count(), a.sum(), a.percentile(0.99)), before);
-    }
-
-    #[test]
-    fn merge_then_reset_round_trips() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        b.record_n(1_000, 50);
-        a.merge(&b);
-        assert_eq!(a.count(), 50);
-        a.reset();
-        assert_eq!(a.count(), 0);
-        assert_eq!(a.sum(), 0);
-        assert_eq!(a.percentile(0.5), 0);
     }
 
     #[test]

@@ -217,7 +217,11 @@ pub fn parse_with_limits(text: &str, limits: &ParseLimits) -> Result<Json, JsonE
     if text.len() > limits.max_bytes {
         return Err(JsonError {
             offset: 0,
-            msg: format!("input of {} bytes exceeds limit {}", text.len(), limits.max_bytes),
+            msg: format!(
+                "input of {} bytes exceeds limit {}",
+                text.len(),
+                limits.max_bytes
+            ),
         });
     }
     let mut p = Parser {
@@ -379,9 +383,10 @@ impl<'a> Parser<'a> {
             if self.pos > start {
                 // The input is a &str, so slicing on byte positions that
                 // stop at ASCII delimiters stays on char boundaries.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(
-                    |_| self.err("invalid UTF-8 inside string"),
-                )?);
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8 inside string"))?,
+                );
             }
             match self.peek() {
                 Some(b'"') => {
@@ -442,7 +447,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let c = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let c = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = (c as char)
                 .to_digit(16)
                 .ok_or_else(|| self.err("non-hex digit in \\u escape"))?;
@@ -517,11 +524,18 @@ mod tests {
     fn accessors() {
         let v = parse(r#"{"k":10,"q":[1.5,2],"name":"x","on":true}"#).unwrap();
         assert_eq!(v.get("k").and_then(Json::as_u64), Some(10));
-        assert_eq!(v.get("q").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            v.get("q").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("name").and_then(Json::as_str), Some("x"));
         assert_eq!(v.get("on").and_then(Json::as_bool), Some(true));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(parse("1.5").unwrap().as_u64(), None, "fractional is not u64");
+        assert_eq!(
+            parse("1.5").unwrap().as_u64(),
+            None,
+            "fractional is not u64"
+        );
         assert_eq!(parse("-1").unwrap().as_u64(), None, "negative is not u64");
     }
 
@@ -602,7 +616,10 @@ mod tests {
     #[test]
     fn whitespace_is_tolerated_everywhere() {
         let v = parse(" { \"a\" : [ 1 , 2 ] , \"b\" : { } } ").unwrap();
-        assert_eq!(v.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(2));
+        assert_eq!(
+            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
         assert_eq!(v.get("b"), Some(&Json::Obj(vec![])));
     }
 

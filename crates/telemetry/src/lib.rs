@@ -3,14 +3,19 @@
 //! Three layers, all usable independently:
 //!
 //! - **Metrics** ([`MetricsRegistry`], [`global`]): named lock-free
-//!   counters, gauges, and log-linear latency histograms with Prometheus
-//!   text exposition ([`MetricsRegistry::render_prometheus`]) and a JSON
-//!   snapshot ([`MetricsRegistry::render_json`]).
-//! - **Spans** ([`span!`], [`collect_stages`]): RAII stage timers that feed
-//!   per-stage histograms and nest into a per-query breakdown. Gated by
-//!   [`set_enabled`]; the disabled path is one relaxed atomic load.
+//!   counters and log-linear latency histograms with Prometheus text
+//!   exposition ([`MetricsRegistry::render_prometheus`]) and a JSON
+//!   snapshot ([`MetricsRegistry::render_json`]). The registry is
+//!   process-global and unlabelled, so it holds only measurements with no
+//!   per-instance home: stage spans, compaction bytes reclaimed, the build
+//!   merge time and the HTTP server's counters. Per-engine and per-WAL
+//!   numbers live on their instances (`EngineStats`, `WriteStats`,
+//!   `BuildStats`, `QueryTrace`) and are not mirrored here.
+//! - **Spans** ([`span!`]): RAII stage timers that feed per-stage
+//!   histograms. Gated by [`set_enabled`]; the disabled path is one relaxed
+//!   atomic load.
 //! - **Events** ([`event!`], [`install_events`]): a structured JSONL log
-//!   with levels, per-target overrides, and per-target rate limiting.
+//!   with a minimum level and per-target rate limiting.
 //! - **JSON** ([`json`]): the shared std-only JSON tree, writer, and strict
 //!   parser (depth/size limits) behind the JSON exposition, the event log's
 //!   escaping, and the HTTP serving front-end's DTOs.
@@ -32,7 +37,7 @@ pub mod json;
 mod registry;
 mod span;
 
-pub use events::{event, install_events, set_target_level, uninstall_events, FieldValue, Level};
+pub use events::{event, install_events, uninstall_events, FieldValue, Level};
 pub use histogram::LatencyHistogram;
-pub use registry::{global, validate_prometheus, Counter, Gauge, MetricsRegistry};
-pub use span::{collect_stages, enabled, set_enabled, Span, StageRecord};
+pub use registry::{global, validate_prometheus, Counter, MetricsRegistry};
+pub use span::{enabled, set_enabled, Span};

@@ -1,13 +1,11 @@
-//! Process-global metrics registry: named counters, gauges, and latency
-//! histograms with Prometheus text and JSON exposition.
+//! Process-global metrics registry: named counters and latency histograms
+//! with Prometheus text and JSON exposition.
 //!
-//! Handles returned by [`MetricsRegistry::counter`] / [`gauge`] /
-//! [`histogram`] are cheap clones of `Arc`-backed atomics: look a metric up
-//! once (e.g. in a `OnceLock` at the call site), then update it with pure
-//! atomic ops on the hot path — the registry lock is only taken at
-//! lookup/render time.
+//! Handles returned by [`MetricsRegistry::counter`] / [`histogram`] are
+//! cheap clones of `Arc`-backed atomics: look a metric up once (e.g. in a
+//! `OnceLock` at the call site), then update it with pure atomic ops on the
+//! hot path — the registry lock is only taken at lookup/render time.
 //!
-//! [`gauge`]: MetricsRegistry::gauge
 //! [`histogram`]: MetricsRegistry::histogram
 
 use std::collections::BTreeMap;
@@ -35,23 +33,8 @@ impl Counter {
     }
 }
 
-/// Point-in-time value (f64 stored as bits in an atomic).
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Arc<LatencyHistogram>),
 }
 
@@ -59,7 +42,6 @@ impl Metric {
     fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
             Metric::Histogram(_) => "histogram",
         }
     }
@@ -107,7 +89,6 @@ impl MetricsRegistry {
         });
         match &entry.metric {
             Metric::Counter(c) => Metric::Counter(c.clone()),
-            Metric::Gauge(g) => Metric::Gauge(g.clone()),
             Metric::Histogram(h) => Metric::Histogram(Arc::clone(h)),
         }
     }
@@ -120,18 +101,6 @@ impl MetricsRegistry {
         });
         match m {
             Metric::Counter(c) => c,
-            other => panic!("metric {name:?} already registered as {}", other.kind()),
-        }
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let m = self.get_or_insert(name, help, || {
-            Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0.0f64.to_bits()))))
-        });
-        match m {
-            Metric::Gauge(g) => g,
             other => panic!("metric {name:?} already registered as {}", other.kind()),
         }
     }
@@ -153,13 +122,12 @@ impl MetricsRegistry {
         self.entries.lock().unwrap().keys().cloned().collect()
     }
 
-    /// Zeroes every counter and histogram and clears every gauge. Handles
-    /// held by callers stay valid and keep pointing at the same metrics.
+    /// Zeroes every counter and histogram. Handles held by callers stay
+    /// valid and keep pointing at the same metrics.
     pub fn reset(&self) {
         for entry in self.entries.lock().unwrap().values() {
             match &entry.metric {
                 Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.set(0.0),
                 Metric::Histogram(h) => h.reset(),
             }
         }
@@ -177,10 +145,6 @@ impl MetricsRegistry {
                 Metric::Counter(c) => {
                     let _ = writeln!(out, "# TYPE {name} counter");
                     let _ = writeln!(out, "{name} {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", g.get());
                 }
                 Metric::Histogram(h) => {
                     let _ = writeln!(out, "# TYPE {name} summary");
@@ -210,19 +174,15 @@ impl MetricsRegistry {
                     ("type".to_string(), Json::Str("counter".to_string())),
                     ("value".to_string(), Json::Num(c.get() as f64)),
                 ],
-                Metric::Gauge(g) => {
-                    let v = g.get();
-                    vec![
-                        ("type".to_string(), Json::Str("gauge".to_string())),
-                        ("value".to_string(), Json::Num(if v.is_finite() { v } else { 0.0 })),
-                    ]
-                }
                 Metric::Histogram(h) => {
                     let mut fields = vec![
                         ("type".to_string(), Json::Str("histogram".to_string())),
                         ("count".to_string(), Json::Num(h.count() as f64)),
                         ("sum".to_string(), Json::Num(h.sum() as f64)),
-                        ("mean".to_string(), Json::Num((h.mean() * 10.0).round() / 10.0)),
+                        (
+                            "mean".to_string(),
+                            Json::Num((h.mean() * 10.0).round() / 10.0),
+                        ),
                     ];
                     let values = h.percentiles(&QUANTILES.map(|(q, _)| q));
                     for ((q, _), v) in QUANTILES.iter().zip(values) {
@@ -237,8 +197,8 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-global registry used by `span!`, the engine, and the write
-/// path. Bench binaries render this one.
+/// The process-global registry used by `span!`, the query, build and
+/// compaction paths, and the HTTP server. Bench binaries render this one.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new)
@@ -275,7 +235,10 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             if !valid_name(name) {
                 return Err(format!("line {lineno}: bad metric name {name:?} in TYPE"));
             }
-            if !matches!(kind, "counter" | "gauge" | "summary" | "histogram" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "summary" | "histogram" | "untyped"
+            ) {
                 return Err(format!("line {lineno}: unknown type {kind:?} for {name}"));
             }
             if typed.insert(name.to_string(), kind.to_string()).is_some() {
@@ -335,21 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_round_trips_f64() {
-        let reg = MetricsRegistry::new();
-        let g = reg.gauge("queue_depth", "current depth");
-        g.set(12.5);
-        assert_eq!(g.get(), 12.5);
-        g.set(-3.0);
-        assert_eq!(g.get(), -3.0);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered")]
     fn cross_kind_collision_panics() {
         let reg = MetricsRegistry::new();
         reg.counter("x_total", "");
-        reg.gauge("x_total", "");
+        reg.histogram("x_total", "");
     }
 
     #[test]
@@ -361,20 +314,19 @@ mod tests {
     #[test]
     fn prometheus_output_is_valid() {
         let reg = MetricsRegistry::new();
-        reg.counter("wal_records_total", "records appended").add(7);
-        reg.gauge("shard_count", "live shards").set(4.0);
+        reg.counter("requests_total", "requests received").add(7);
         let h = reg.histogram("query_nanos", "per-query latency");
         for v in [100u64, 200, 300] {
             h.record(v);
         }
         let text = reg.render_prometheus();
         let samples = validate_prometheus(&text).expect("exposition must validate");
-        // counter + gauge + 3 quantiles + _sum + _count
-        assert_eq!(samples, 7);
+        // counter + 3 quantiles + _sum + _count
+        assert_eq!(samples, 6);
         assert!(text.contains("# TYPE query_nanos summary"));
         assert!(text.contains("query_nanos_count 3"));
         assert!(text.contains("query_nanos_sum 600"));
-        assert!(text.contains("wal_records_total 7"));
+        assert!(text.contains("requests_total 7"));
     }
 
     #[test]
@@ -400,11 +352,9 @@ mod tests {
     fn json_snapshot_contains_values() {
         let reg = MetricsRegistry::new();
         reg.counter("a_total", "").add(5);
-        reg.gauge("b", "").set(1.5);
         reg.histogram("c_nanos", "").record(1000);
         let json = reg.render_json();
         assert!(json.contains("\"a_total\":{\"type\":\"counter\",\"value\":5}"));
-        assert!(json.contains("\"b\":{\"type\":\"gauge\",\"value\":1.5}"));
         assert!(json.contains("\"c_nanos\":{\"type\":\"histogram\",\"count\":1"));
     }
 
@@ -412,7 +362,6 @@ mod tests {
     fn json_snapshot_reparses_under_the_strict_parser() {
         let reg = MetricsRegistry::new();
         reg.counter("a_total", "").add(5);
-        reg.gauge("b", "").set(f64::NAN); // rendered as 0.0, still valid JSON
         let h = reg.histogram("c_nanos", "");
         for v in [100u64, 900, 12345] {
             h.record(v);
@@ -438,14 +387,11 @@ mod tests {
     fn reset_zeroes_everything_but_keeps_handles() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("a_total", "");
-        let g = reg.gauge("b", "");
         let h = reg.histogram("c_nanos", "");
         c.add(3);
-        g.set(2.0);
         h.record(500);
         reg.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0.0);
         assert_eq!(h.count(), 0);
         c.inc(); // handle still live
         assert_eq!(c.get(), 1);
