@@ -8,14 +8,20 @@
 //! current k-th **upper bound** are refined by fetching the exact vector —
 //! the two-phase scan that made VA-files the standard against which early
 //! high-dimensional indexes were judged. Exact by construction.
+//!
+//! The grid and its bound are [`hd_core::grid`]'s, shared with HD-Index's
+//! refine codes; its edge cells are open on their outer side, so values
+//! outside `domain` still get sound bounds.
 
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::l2_sq;
+use hd_core::grid::UniformGrid;
+use hd_core::metric::Metric;
 use hd_core::topk::{Neighbor, TopK};
 use hd_storage::{IoSnapshot, VectorHeap};
 use std::io;
 use std::path::Path;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters: `bits` per dimension (the classic choice is 4–8) and the
 /// per-axis domain used for grid quantization.
@@ -41,11 +47,9 @@ impl Default for VaFileParams {
 pub struct VaFile {
     params: VaFileParams,
     dim: usize,
-    cells: u32,
+    grid: UniformGrid,
     /// n × dim cell indices (u8 ⇒ bits ≤ 8).
     approx: Vec<u8>,
-    /// Cell boundary values (shared across dimensions; uniform grid).
-    boundaries: Vec<f32>,
     heap: VectorHeap,
     n: usize,
 }
@@ -70,22 +74,11 @@ impl VaFile {
         assert!((1..=8).contains(&params.bits), "bits must be in 1..=8");
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let (lo, hi) = params.domain;
-        assert!(hi > lo, "degenerate domain");
-        let cells = 1u32 << params.bits;
+        let grid = UniformGrid::new(params.domain, 1u32 << params.bits);
         let dim = data.dim();
-
-        // Uniform grid boundaries: boundaries[c] .. boundaries[c+1] is cell c.
-        let step = (hi - lo) / cells as f32;
-        let boundaries: Vec<f32> = (0..=cells).map(|c| lo + c as f32 * step).collect();
-
-        let quantize = |v: f32| -> u8 {
-            let t = ((v - lo) / (hi - lo)).clamp(0.0, 1.0);
-            (((t * cells as f32) as u32).min(cells - 1)) as u8
-        };
         let mut approx = Vec::with_capacity(data.len() * dim);
         for p in data.iter() {
-            approx.extend(p.iter().map(|&v| quantize(v)));
+            grid.encode_into(p, &mut approx);
         }
 
         let mut heap = VectorHeap::create(dir.join("vafile.heap"), dim, params.cache_pages)?;
@@ -96,48 +89,42 @@ impl VaFile {
         Ok(Self {
             params,
             dim,
-            cells,
+            grid,
             approx,
-            boundaries,
             heap,
             n: data.len(),
         })
     }
 
-    /// Squared lower bound on `d(query, o)` from o's approximation cell:
-    /// per axis, the distance from the query coordinate to the nearest edge
-    /// of the cell (zero if the query lies inside the slab).
-    fn lower_bound_sq(&self, query: &[f32], o: usize) -> f32 {
-        let cells = &self.approx[o * self.dim..(o + 1) * self.dim];
-        let mut lb = 0.0f32;
-        for (d, &c) in cells.iter().enumerate() {
-            let (clo, chi) = (self.boundaries[c as usize], self.boundaries[c as usize + 1]);
-            let q = query[d];
-            let gap = if q < clo {
-                clo - q
-            } else if q > chi {
-                q - chi
-            } else {
-                0.0
-            };
-            lb += gap * gap;
-        }
-        lb
-    }
-
     /// Exact kNN by the two-phase VA scan.
     pub fn knn(&self, query: &[f32], k: usize) -> io::Result<Vec<Neighbor>> {
+        Ok(self.scan(query, k)?.0)
+    }
+
+    /// How many exact vectors a query fetches (phase-2 volume) — the
+    /// quantity the VA-file exists to minimize.
+    pub fn refinement_count(&self, query: &[f32], k: usize) -> io::Result<usize> {
+        Ok(self.scan(query, k.max(1))?.1)
+    }
+
+    /// The two-phase scan: returns the k nearest and the number of exact
+    /// vectors fetched.
+    fn scan(&self, query: &[f32], k: usize) -> io::Result<(Vec<Neighbor>, usize)> {
         assert_eq!(query.len(), self.dim, "dimensionality mismatch");
         let k = k.min(self.n);
         if k == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0));
         }
 
         // Phase 1: scan approximations, collect (lower bound, id) sorted.
-        let mut bounds: Vec<(f32, u32)> = (0..self.n)
-            .map(|o| (self.lower_bound_sq(query, o), o as u32))
+        let cq = self.grid.query(Metric::L2, query);
+        let mut bounds: Vec<(f32, u32)> = self
+            .approx
+            .chunks_exact(self.dim)
+            .zip(0u32..)
+            .map(|(code, o)| (cq.lower_bound(code), o))
             .collect();
-        bounds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        bounds.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // Phase 2: refine in lower-bound order; stop when the next lower
         // bound exceeds the current k-th true distance (exactness).
@@ -145,41 +132,18 @@ impl VaFile {
         let mut vbuf = Vec::with_capacity(self.dim);
         let mut refined = 0usize;
         for &(lb, id) in &bounds {
-            if tk.len() == k && lb > tk.bound() {
+            if lb > tk.bound() {
                 break;
             }
-            self.heap.get_into(id as u64, &mut vbuf)?;
+            self.heap.get_into(u64::from(id), &mut vbuf)?;
             tk.push(Neighbor::new(u64::from(id), l2_sq(query, &vbuf)));
             refined += 1;
         }
-        let _ = refined;
         let mut out = tk.into_sorted();
         for nb in &mut out {
             nb.dist = nb.dist.sqrt();
         }
-        Ok(out)
-    }
-
-    /// How many exact vectors a query fetches (phase-2 volume) — the
-    /// quantity the VA-file exists to minimize.
-    pub fn refinement_count(&self, query: &[f32], k: usize) -> io::Result<usize> {
-        let k = k.min(self.n).max(1);
-        let mut bounds: Vec<(f32, u32)> = (0..self.n)
-            .map(|o| (self.lower_bound_sq(query, o), o as u32))
-            .collect();
-        bounds.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let mut tk = TopK::new(k);
-        let mut vbuf = Vec::with_capacity(self.dim);
-        let mut refined = 0usize;
-        for &(lb, id) in &bounds {
-            if tk.len() == k && lb > tk.bound() {
-                break;
-            }
-            self.heap.get_into(id as u64, &mut vbuf)?;
-            tk.push(Neighbor::new(u64::from(id), l2_sq(query, &vbuf)));
-            refined += 1;
-        }
-        Ok(refined)
+        Ok((out, refined))
     }
 
     pub fn len(&self) -> usize {
@@ -190,9 +154,10 @@ impl VaFile {
         self.n == 0
     }
 
-    /// The compressed scan target: n · ν bytes at 8 bits (less at fewer).
+    /// The compressed scan target: n · ν bytes (one byte per dimension
+    /// whatever `bits` is).
     pub fn memory_bytes(&self) -> usize {
-        self.approx.capacity() + self.boundaries.capacity() * 4
+        self.approx.capacity()
     }
 
     /// On-disk footprint: the exact-vector heap file.
@@ -209,10 +174,9 @@ impl VaFile {
     }
 
     pub fn cells(&self) -> u32 {
-        self.cells
+        self.grid.cells()
     }
 }
-
 
 impl AnnIndex for VaFile {
     fn len(&self) -> u64 {
@@ -287,12 +251,31 @@ mod tests {
         let dir = test_dir("bounds");
         let va = VaFile::build(&data, VaFileParams::default(), &dir).unwrap();
         for q in queries.iter() {
-            for o in 0..data.len() {
-                let lb = va.lower_bound_sq(q, o);
+            let cq = va.grid.query(Metric::L2, q);
+            for (o, code) in va.approx.chunks_exact(va.dim).enumerate() {
+                let lb = cq.lower_bound(code);
                 let actual = l2_sq(q, data.get(o));
-                assert!(lb <= actual + 1e-2, "lb {lb} > true {actual}");
+                assert!(lb <= actual, "lb {lb} > true {actual}");
             }
         }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn points_beyond_the_domain_edge_are_not_pruned() {
+        // A query and its true nearest neighbour `a` share a coordinate
+        // beyond the top of the grid's domain. A closed edge cell bounds
+        // `a` at ≥ 745² on that axis alone, above `b`'s true distance, so
+        // the scan used to stop before refining `a` and return `b`.
+        let mut data = Dataset::new(2);
+        data.push(&[1000.0, 0.0]); // a: distance 100
+        data.push(&[255.0, 100.0]); // b: distance 745
+        let dir = test_dir("beyond_edge");
+        let va = VaFile::build(&data, VaFileParams::default(), &dir).unwrap();
+        let q = [1000.0f32, 100.0];
+        let got = va.knn(&q, 1).unwrap();
+        assert_eq!(got, knn_exact(&data, &q, 1), "the exact method lost its neighbour");
+        assert_eq!(got[0].id, 0);
         std::fs::remove_dir_all(dir).ok();
     }
 

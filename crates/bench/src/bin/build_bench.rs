@@ -8,12 +8,16 @@
 //! Four sections:
 //!
 //! 1. **Budgeted build** — `HdIndex::build_from_source` under
-//!    `--budget-mb` (default 64). Reports wall time, spill-run counts, the
-//!    scratch-IO ledger, and the `VmHWM` delta, which must stay under
-//!    `1.5 × budget + 96 MiB` (the slack covers merge cursors, thread
-//!    stacks, and allocator overhead). At ≥ 1M points the
-//!    whole cap must also undercut a tenth of what the naive in-memory
-//!    build would materialize (corpus + n×m reference table + sort vec).
+//!    `--budget-mb` (default 64), run in a child process of its own (this
+//!    binary re-run with a hidden first argument), so the `VmHWM` peak it
+//!    reports is the build's alone: the parent's corpus generation and
+//!    reference sample never reach it. Reports wall time, spill-run
+//!    counts, the scratch-IO ledger, and the child's `VmHWM` growth over
+//!    its start, which must stay under `1.5 × budget + 96 MiB` (the slack
+//!    covers merge cursors, thread stacks, and allocator overhead). At
+//!    ≥ 1M points the whole cap must also undercut a tenth of what the
+//!    naive in-memory build would materialize (corpus + n×m reference
+//!    table + sort vec).
 //! 2. **Query stage** — QPS and mean latency over the freshly built index.
 //! 3. **Equivalence** — over `min(n, 200k)` points, an unbounded and a
 //!    budgeted build (shared references) must answer every query
@@ -38,8 +42,9 @@ use hd_storage::BuildBudget;
 use rand::distributions::Distribution;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Instant;
 
 const BASE_N: usize = 10_000_000;
@@ -49,6 +54,8 @@ const BASE_N: usize = 10_000_000;
 const EQ_N: usize = 200_000;
 /// Build-span coverage the telemetry gate requires.
 const BUILD_COVERAGE_GATE: f64 = 0.80;
+/// First argument of the child process that runs §1's budgeted build.
+const CHILD: &str = "--budgeted-build-child";
 
 /// `VmHWM` from `/proc/self/status` in bytes — the kernel's lifetime peak
 /// resident set, monotone by definition, so each section snapshots it
@@ -157,8 +164,9 @@ fn streaming_truth(
 /// Strided reference-selection sample, mirroring what
 /// `HdIndex::build_from_source` does internally. Selecting *before* the
 /// timed build keeps the measured wall aligned with the three instrumented
-/// pipeline spans (selection has no span), and folds the sample's memory
-/// into the pre-build baseline where it belongs.
+/// pipeline spans (selection has no span), and keeps the sample's memory
+/// out of the build's peak (the build runs in a child process that only
+/// reads the selected references).
 fn select_refs(
     src: &mut RawF32Source,
     params: &HdIndexParams,
@@ -199,6 +207,130 @@ fn build_span_nanos() -> (u64, u64, u64) {
     )
 }
 
+/// What the budgeted-build child reports back on its last stdout line.
+struct ChildBuild {
+    /// The child's `VmHWM` growth from its start to the end of the build.
+    peak_rss_delta: u64,
+    secs: f64,
+    spilled_runs: u64,
+    spilled_bytes: u64,
+    scratch_reads: u64,
+    scratch_writes: u64,
+    /// Nanoseconds the three disjoint build spans attributed (0 without
+    /// telemetry).
+    span_nanos: u64,
+}
+
+/// Writes the reference set as `id (u64 LE) ++ vector (f32 LE)` records.
+fn write_refs(path: &Path, refs: &hd_index::ReferenceSet) -> std::io::Result<()> {
+    let mut w = BufWriter::new(std::fs::File::create(path)?);
+    for (id, v) in refs.ids.iter().zip(&refs.vectors) {
+        w.write_all(&id.to_le_bytes())?;
+        for x in v {
+            w.write_all(&x.to_le_bytes())?;
+        }
+    }
+    w.flush()
+}
+
+fn read_refs(path: &Path, dim: usize) -> std::io::Result<hd_index::ReferenceSet> {
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
+    let (mut ids, mut vectors) = (Vec::new(), Vec::new());
+    for rec in bytes.chunks_exact(8 + 4 * dim) {
+        let (id, v) = rec.split_at(8);
+        ids.push(u64::from_le_bytes(id.try_into().expect("8 bytes")));
+        vectors.push(
+            v.chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect(),
+        );
+    }
+    Ok(hd_index::ReferenceSet::from_parts(ids, vectors, Metric::L2))
+}
+
+/// The child side of §1: `CHILD corpus refs out budget_bytes telemetry`.
+/// Builds the corpus under the budget and prints a [`ChildBuild`] line.
+fn budgeted_build_child(args: &[String]) {
+    let baseline_rss = peak_rss_bytes();
+    let [corpus, refs, out, budget, telemetry] = args else {
+        panic!("{CHILD} takes corpus, refs, out, budget_bytes, telemetry")
+    };
+    if telemetry == "1" {
+        hd_telemetry::set_enabled(true);
+    }
+    let profile = DatasetProfile::SIFT;
+    let params = HdIndexParams::for_profile(&profile);
+    let refs = read_refs(Path::new(refs), profile.dim).expect("read references");
+    let mut src = RawF32Source::open(corpus, profile.dim, Metric::L2).expect("open corpus");
+    let spans_before = build_span_nanos();
+    let t0 = Instant::now();
+    let index = HdIndex::build_from_source(
+        &mut src,
+        &params,
+        out,
+        BuildOpts {
+            references: Some(refs),
+            cache_budget: None,
+            build_budget: Some(BuildBudget::new(budget.parse().expect("budget bytes"))),
+            refine_codes: false,
+        },
+    )
+    .expect("budgeted build");
+    let secs = t0.elapsed().as_secs_f64();
+    let peak_rss = peak_rss_bytes();
+    let spans_after = build_span_nanos();
+    let stats = index.build_stats();
+    let span_nanos = (spans_after.0 - spans_before.0)
+        + (spans_after.1 - spans_before.1)
+        + (spans_after.2 - spans_before.2);
+    println!(
+        "{} {secs} {} {} {} {} {span_nanos}",
+        peak_rss.saturating_sub(baseline_rss),
+        stats.spilled_runs,
+        stats.spilled_bytes,
+        stats.scratch_io.physical_reads,
+        stats.scratch_io.physical_writes,
+    );
+}
+
+/// Runs [`budgeted_build_child`] in a child process and parses its report.
+fn run_budgeted_build(
+    corpus: &Path,
+    refs: &Path,
+    out: &Path,
+    budget: usize,
+    telemetry: bool,
+) -> ChildBuild {
+    let output = Command::new(std::env::current_exe().expect("own executable"))
+        .arg(CHILD)
+        .args([corpus, refs, out])
+        .args([budget.to_string(), u8::from(telemetry).to_string()])
+        .output()
+        .expect("spawn the budgeted build");
+    if !output.status.success() {
+        eprintln!("{}", String::from_utf8_lossy(&output.stderr));
+        panic!("budgeted build child failed: {}", output.status);
+    }
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let f: Vec<&str> = stdout
+        .lines()
+        .last()
+        .expect("child report")
+        .split_whitespace()
+        .collect();
+    let int = |i: usize| f[i].parse::<u64>().expect("child report field");
+    ChildBuild {
+        peak_rss_delta: int(0),
+        secs: f[1].parse().expect("child build seconds"),
+        spilled_runs: int(2),
+        spilled_bytes: int(3),
+        scratch_reads: int(4),
+        scratch_writes: int(5),
+        span_nanos: int(6),
+    }
+}
+
 /// The shared flags plus `--budget-mb N` (default 64) and `--json PATH`.
 fn parse_args(args: &[String]) -> Result<(BenchConfig, usize, Option<PathBuf>), String> {
     let (cfg, own) = BenchConfig::parse(args, &["--budget-mb", "--json"])?;
@@ -211,6 +343,10 @@ fn parse_args(args: &[String]) -> Result<(BenchConfig, usize, Option<PathBuf>), 
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some(CHILD) {
+        budgeted_build_child(&args[1..]);
+        return;
+    }
     let (cfg, budget_mb, json_path) = parse_args(&args)
         .unwrap_or_else(|err| config::exit_usage(&err, &config::build_bench_usage()));
     hd_bench::telemetry_report::init(&cfg);
@@ -242,28 +378,22 @@ fn main() {
 
     let mut src = RawF32Source::open(&corpus, profile.dim, Metric::L2).expect("open corpus");
     let refs = select_refs(&mut src, &params).expect("select references");
-    let baseline_rss = peak_rss_bytes();
+    let refs_path = scratch.join("refs.bin");
+    write_refs(&refs_path, &refs).expect("write references");
+    drop(src);
 
-    // --- §1 Budgeted build -------------------------------------------------
-    let spans_before = build_span_nanos();
-    let t0 = Instant::now();
-    let index = HdIndex::build_from_source(
-        &mut src,
-        &params,
-        scratch.join("budgeted"),
-        BuildOpts {
-            references: Some(refs.clone()),
-            cache_budget: None,
-            build_budget: Some(BuildBudget::new(budget)),
-        },
-    )
-    .expect("budgeted build");
-    let build_secs = t0.elapsed().as_secs_f64();
-    let peak_rss = peak_rss_bytes();
-    let spans_after = build_span_nanos();
-    let stats = index.build_stats();
-
-    let rss_delta = peak_rss.saturating_sub(baseline_rss);
+    // --- §1 Budgeted build (child process) ---------------------------------
+    let child = run_budgeted_build(
+        &corpus,
+        &refs_path,
+        &scratch.join("budgeted"),
+        budget,
+        cfg.telemetry,
+    );
+    let index = HdIndex::open(scratch.join("budgeted"), params.query_cache_pages)
+        .expect("open the budgeted build");
+    let build_secs = child.secs;
+    let rss_delta = child.peak_rss_delta;
     // Slack: a fixed 96 MiB for allocator retention, merge cursors, thread
     // stacks, and the index's in-memory tombstone/metadata state.
     let allowance = (3 * budget) / 2 + (96 << 20);
@@ -286,8 +416,8 @@ fn main() {
         &[
             format!("{build_secs:.1}s"),
             format!("{:.0}", n as f64 / build_secs),
-            stats.spilled_runs.to_string(),
-            format!("{:.1}", stats.spilled_bytes as f64 / 1e6),
+            child.spilled_runs.to_string(),
+            format!("{:.1}", child.spilled_bytes as f64 / 1e6),
             format!("{:.1}MB", rss_delta as f64 / 1e6),
             format!("{:.1}", index.disk_bytes() as f64 / 1e6),
         ],
@@ -295,7 +425,7 @@ fn main() {
     );
     println!(
         "scratch IO: {} physical reads, {} physical writes (page units)",
-        stats.scratch_io.physical_reads, stats.scratch_io.physical_writes
+        child.scratch_reads, child.scratch_writes
     );
     println!(
         "memory: peak ΔRSS {:.1} MB vs allowance {:.1} MB (1.5×budget + 96 MB); \
@@ -321,12 +451,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Build-span coverage gate (§4): snapshot *now*, before the
-    // equivalence builds add their own span samples.
-    let attributed_nanos = (spans_after.0 - spans_before.0)
-        + (spans_after.1 - spans_before.1)
-        + (spans_after.2 - spans_before.2);
-    let build_coverage = attributed_nanos as f64 / (build_secs * 1e9);
+    // Build-span coverage gate (§4): the child's spans over its build wall.
+    let build_coverage = child.span_nanos as f64 / (build_secs * 1e9);
     if cfg.telemetry {
         println!(
             "[telemetry] build-span coverage: {} of build wall attributed \
@@ -378,6 +504,7 @@ fn main() {
         references: Some(eq_refs.clone()),
         cache_budget: None,
         build_budget: budget,
+        refine_codes: false,
     };
     let unbounded = HdIndex::build_from_source(
         &mut eq_src,
@@ -437,18 +564,10 @@ fn main() {
         let _ = writeln!(j, "  \"build\": {{");
         let _ = writeln!(j, "    \"seconds\": {build_secs:.2},");
         let _ = writeln!(j, "    \"points_per_sec\": {:.0},", n as f64 / build_secs);
-        let _ = writeln!(j, "    \"spilled_runs\": {},", stats.spilled_runs);
-        let _ = writeln!(j, "    \"spilled_bytes\": {},", stats.spilled_bytes);
-        let _ = writeln!(
-            j,
-            "    \"scratch_reads\": {},",
-            stats.scratch_io.physical_reads
-        );
-        let _ = writeln!(
-            j,
-            "    \"scratch_writes\": {},",
-            stats.scratch_io.physical_writes
-        );
+        let _ = writeln!(j, "    \"spilled_runs\": {},", child.spilled_runs);
+        let _ = writeln!(j, "    \"spilled_bytes\": {},", child.spilled_bytes);
+        let _ = writeln!(j, "    \"scratch_reads\": {},", child.scratch_reads);
+        let _ = writeln!(j, "    \"scratch_writes\": {},", child.scratch_writes);
         let _ = writeln!(j, "    \"peak_rss_delta_bytes\": {rss_delta},");
         let _ = writeln!(j, "    \"rss_allowance_bytes\": {allowance},");
         let _ = writeln!(j, "    \"naive_build_bytes\": {naive_bytes},");

@@ -25,7 +25,7 @@ use hd_core::metric::Metric;
 use hd_core::metrics::score_workload;
 use hd_core::topk::Neighbor;
 use hd_engine::{Engine, EngineParams};
-use hd_index::{HdIndex, HdIndexParams};
+use hd_index::{BuildOpts, HdIndex, HdIndexParams};
 use std::io;
 use std::path::Path;
 use std::time::Instant;
@@ -285,6 +285,14 @@ pub fn registry() -> &'static [MethodSpec] {
             build: build_kdtree,
         },
         MethodSpec {
+            name: "hd-index-codes",
+            label: "HD-Idx+codes",
+            exact: false,
+            lineup: LineupRole::None,
+            supported_metrics: METRIC_SPACES,
+            build: build_hd_index_codes,
+        },
+        MethodSpec {
             name: "engine",
             label: "Engine",
             exact: false,
@@ -308,11 +316,30 @@ pub fn spec(name: &str) -> Option<&'static MethodSpec> {
 // ---------------------------------------------------------------------------
 
 fn build_hd_index<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
+    build_hd_index_with(w, dir, false)
+}
+
+/// HD-Index with in-memory refine codes: the same answers as `hd-index`,
+/// with refinement fetching only the candidates whose cell bound can still
+/// enter the top-k, for `n·d` more bytes of RAM.
+fn build_hd_index_codes<'a>(w: &'a Workload, dir: &'a Path) -> io::Result<Box<dyn AnnIndex + 'a>> {
+    build_hd_index_with(w, dir, true)
+}
+
+fn build_hd_index_with<'a>(
+    w: &'a Workload,
+    dir: &'a Path,
+    refine_codes: bool,
+) -> io::Result<Box<dyn AnnIndex + 'a>> {
     let mut params = HdIndexParams::for_profile(&w.profile);
     params.num_references = params.num_references.min(w.data.len());
     // No domain fixup needed for cosine: the builder derives the unit-ball
     // domain from the dataset metric itself.
-    let index = HdIndex::build(&w.data, &params, dir)?;
+    let opts = BuildOpts {
+        refine_codes,
+        ..BuildOpts::default()
+    };
+    let index = HdIndex::build_with(&w.data, &params, dir, opts)?;
     // Serve defaults are the paper's recommended α = 4096, γ = 1024
     // triangular pipeline (clamped to n per query by the trait adapter).
     Ok(Box::new(index))

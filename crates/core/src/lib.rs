@@ -8,6 +8,8 @@
 //! * [`distance`] — L2 / L1 / inner-product distance kernels.
 //! * [`metric`] — the [`metric::Metric`] layer dispatching every index
 //!   structure onto those kernels (L2, L1, cosine-via-normalization, dot).
+//! * [`grid`] — the uniform one-byte-per-dimension grid and its sound cell
+//!   lower bound (VA-file approximations, HD-Index refine codes).
 //! * [`topk`] — bounded max-heaps for k-nearest-neighbor accumulation.
 //! * [`metrics`] — approximation ratio (Def. 1), AP@k (Def. 2), MAP@k
 //!   (Def. 3), and recall.
@@ -28,6 +30,7 @@
 pub mod api;
 pub mod dataset;
 pub mod distance;
+pub mod grid;
 pub mod ground_truth;
 pub mod kmeans;
 pub mod linalg;

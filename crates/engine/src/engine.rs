@@ -119,11 +119,12 @@ impl Engine {
     /// (threads, cache pages, cache budget).
     pub fn open(dir: impl AsRef<Path>, params: &EngineParams) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        let set = ShardSet::open(&dir, params)?;
+        let pool = WorkerPool::new(params.resolved_threads());
+        let set = ShardSet::open(&dir, params, &pool)?;
         let n = set.len();
         Ok(Self {
             set,
-            pool: WorkerPool::new(params.resolved_threads()),
+            pool,
             metrics: EngineMetrics::new(),
             append_gate: Arc::new(Mutex::new(n)),
             compaction_threshold: params.compaction_threshold,
@@ -333,69 +334,81 @@ impl Engine {
     }
 
     /// Schedules a background compaction of the worst shard when its
-    /// tombstone density crosses the configured threshold. At most one
-    /// compaction per shard runs at a time; searches on other shards (and
-    /// on this one, while the rebuild runs) are never blocked.
+    /// tombstone density crosses the configured threshold, unless one is
+    /// already running: one at a time, so a rebuild's transient memory is
+    /// one shard's however many shards cross the threshold together (the
+    /// running job picks the others up). Searches, on this shard while the
+    /// rebuild runs and on every other, are never blocked.
     fn maybe_schedule_compaction(&self) {
         let Some(threshold) = self.compaction_threshold else {
             return;
         };
+        if self.compacting() {
+            return;
+        }
+        if let Some(si) = Self::worst_shard(&self.set.shards, threshold) {
+            self.spawn_compaction(si, threshold);
+        }
+    }
+
+    /// The shard with the highest tombstone density at or above
+    /// `threshold`.
+    fn worst_shard(shards: &[Arc<Shard>], threshold: f64) -> Option<usize> {
         let mut worst: Option<(usize, f64)> = None;
-        for (si, shard) in self.set.shards.iter().enumerate() {
-            if shard.compacting.load(Ordering::Acquire) {
-                continue;
-            }
+        for (si, shard) in shards.iter().enumerate() {
             let d = shard.index.read().tombstone_density();
             if d >= threshold && worst.is_none_or(|(_, wd)| d > wd) {
                 worst = Some((si, d));
             }
         }
-        if let Some((si, _)) = worst {
-            self.spawn_compaction(si);
-        }
+        worst.map(|(si, _)| si)
     }
 
-    /// Submits a compaction of shard `si` to the worker pool, unless one is
-    /// already in flight for it.
-    fn spawn_compaction(&self, si: usize) {
-        let shard = Arc::clone(&self.set.shards[si]);
-        if shard.compacting.swap(true, Ordering::AcqRel) {
+    /// Submits a background compaction job starting at shard `si`, unless
+    /// one is already in flight for it.
+    fn spawn_compaction(&self, si: usize, threshold: f64) {
+        if self.set.shards[si].compacting.swap(true, Ordering::AcqRel) {
             return;
         }
+        let shards = self.set.shards.clone();
         let gate = Arc::clone(&self.append_gate);
-        let threshold = self.compaction_threshold.unwrap_or(f64::INFINITY);
         self.pool.submit(
             si,
             Box::new(move || {
-                // A plan prepared while writes keep landing on this shard is
-                // discarded by the epoch check — and the trailing delete saw
-                // `compacting` set, so nobody reschedules. Retry here until
-                // the shard either compacts or drops below the threshold;
-                // each retry prepares against fresher state, and once the
-                // write burst ends the next plan installs. Failure leaves
-                // the shard serving its current generation (stale files are
-                // swept at the next open); the flag flips back either way so
-                // the next delete can retry.
+                // Deletes that land while a rebuild runs carry over as
+                // tombstones of the new generation, and deletes that found
+                // this job running scheduled nothing: keep compacting the
+                // worst shard above the threshold until none is. Failure
+                // leaves the shard serving its current generation (stale
+                // files are swept at the next open); its flag flips back
+                // either way so the next delete can retry.
+                let mut si = si;
                 loop {
-                    match Self::compact_shard(&shard, &gate) {
-                        Ok(true) | Err(_) => break,
-                        Ok(false) => {
-                            if shard.index.read().tombstone_density() < threshold {
-                                break;
-                            }
+                    let next = match Self::compact_shard(&shards[si], &gate) {
+                        Ok(_) => Self::worst_shard(&shards, threshold),
+                        Err(_) => None,
+                    };
+                    match next {
+                        Some(n) if n == si => continue,
+                        Some(n) if !shards[n].compacting.swap(true, Ordering::AcqRel) => {
+                            shards[si].compacting.store(false, Ordering::Release);
+                            si = n;
+                        }
+                        _ => {
+                            shards[si].compacting.store(false, Ordering::Release);
+                            break;
                         }
                     }
                 }
-                shard.compacting.store(false, Ordering::Release);
             }),
         );
     }
 
     /// One shard compaction: build the survivor generation under a read
     /// lock (searches proceed, and so do writes to other shards), then
-    /// install it under the append gate plus a brief write lock. If a write
-    /// landed on this shard while the rebuild ran, the plan is discarded —
-    /// the next trigger retries against the newer state.
+    /// install it under the append gate plus a brief write lock, carrying
+    /// over the writes this shard applied in between. Returns whether it
+    /// ran (not when the shard had no tombstones).
     fn compact_shard(shard: &Shard, gate: &Mutex<u64>) -> io::Result<bool> {
         let plan = {
             let index = shard.index.read();
@@ -405,10 +418,12 @@ impl Engine {
             index.prepare_compaction()?
         };
         // Gate before write lock (the engine's universal lock order). With
-        // the gate held no new WAL record can be logged, so the epoch check
-        // inside apply_compaction is race-free.
+        // the gate held no write is between its WAL record and its apply,
+        // so the install carries over every logged write and its
+        // checkpoint may empty the log.
         let _gate = gate.lock();
-        shard.index.write().apply_compaction(plan)
+        shard.index.write().apply_compaction(plan)?;
+        Ok(true)
     }
 
     /// Compacts every shard that has tombstones, synchronously, returning

@@ -10,7 +10,10 @@
 //! Every shard is built with the *same* reference set, selected once over
 //! the full corpus (`hd_index::BuildOpts::references`), so a query's
 //! reference distances are computed once and shared by every shard's
-//! filter pipeline, and all shards charge one [`CacheBudget`].
+//! filter pipeline, and all shards charge one [`CacheBudget`]. Every shard
+//! keeps refine codes (`hd_index::BuildOpts::refine_codes`): serving
+//! trades `n·d` bytes of RAM for fetching only the candidates that can
+//! still enter the top-k.
 
 use crate::config::EngineParams;
 use hd_core::dataset::Dataset;
@@ -127,6 +130,7 @@ impl ShardSet {
                         references: Some(refs),
                         cache_budget: budget,
                         build_budget,
+                        refine_codes: true,
                     },
                 ));
             });
@@ -149,11 +153,13 @@ impl ShardSet {
         Ok(set)
     }
 
-    /// Reopens a previously built shard fleet from `dir`. Only the serving
-    /// fields of `params` are used (`cache_budget_pages`,
-    /// `build_budget_bytes`, `index.query_cache_pages`); the shard count
-    /// comes from the metadata.
-    pub fn open(dir: &Path, params: &EngineParams) -> io::Result<Self> {
+    /// Reopens a previously built shard fleet from `dir`, opening the
+    /// shards in parallel on `pool` (each replays its WAL and derives its
+    /// refine codes from its heap). Only the serving fields of `params`
+    /// are used (`cache_budget_pages`, `build_budget_bytes`,
+    /// `index.query_cache_pages`); the shard count comes from the
+    /// metadata.
+    pub fn open(dir: &Path, params: &EngineParams, pool: &WorkerPool) -> io::Result<Self> {
         let s = Self::read_meta(dir)?;
         let budget = (params.cache_budget_pages > 0)
             .then(|| CacheBudget::new(params.cache_budget_pages));
@@ -161,16 +167,25 @@ impl ShardSet {
         // parallel shard builds did.
         let build_budget =
             (params.build_budget_bytes > 0).then(|| BuildBudget::new(params.build_budget_bytes));
+        let mut opened: Vec<Option<io::Result<HdIndex>>> = (0..s).map(|_| None).collect();
+        pool.run_scoped(opened.iter_mut().enumerate().map(|(si, slot)| {
+            let budget = budget.clone();
+            let build_budget = build_budget.clone();
+            let cache_pages = params.index.query_cache_pages;
+            let target = shard_dir(dir, si);
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                *slot = Some(HdIndex::open_with(target, cache_pages, budget).map(|mut index| {
+                    if let Some(build_budget) = build_budget {
+                        index.set_build_budget(build_budget);
+                    }
+                    index
+                }));
+            });
+            (si, task)
+        }));
         let mut shards = Vec::with_capacity(s);
-        for si in 0..s {
-            let mut index = HdIndex::open_with(
-                shard_dir(dir, si),
-                params.index.query_cache_pages,
-                budget.clone(),
-            )?;
-            if let Some(build_budget) = &build_budget {
-                index.set_build_budget(build_budget.clone());
-            }
+        for (si, slot) in opened.into_iter().enumerate() {
+            let index = slot.expect("pool completed every open task")?;
             // Shards of one engine were built together under one metric;
             // a disagreement means the directory holds a mix of index
             // generations, and serving it would return wrong distances for

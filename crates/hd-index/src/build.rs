@@ -29,6 +29,7 @@
 //! mistaken for index data (generation files are separately swept by
 //! `remove_stale_generations`).
 
+use crate::codes::RefineCodes;
 use crate::config::HdIndexParams;
 use crate::rdb;
 use crate::reference::ReferenceSet;
@@ -91,6 +92,8 @@ pub(crate) struct BuildCtx<'a> {
     pub sync: bool,
     /// Distinguishes scratch file names across generations.
     pub scratch_tag: u64,
+    /// Encode refine codes in pass 1 (`BuildOpts::refine_codes`).
+    pub refine_codes: bool,
 }
 
 /// What [`run`] hands back: the loaded trees and heap plus the spill
@@ -98,6 +101,8 @@ pub(crate) struct BuildCtx<'a> {
 pub(crate) struct BuildArtifacts {
     pub trees: Vec<BTree>,
     pub heap: VectorHeap,
+    /// One row per heap slot, when [`BuildCtx::refine_codes`] asked.
+    pub codes: Option<RefineCodes>,
     pub spilled_runs: u64,
     pub spilled_bytes: u64,
     /// Block transfers of the scratch files (spill runs, merge reads,
@@ -268,8 +273,9 @@ pub(crate) fn run(
     let chunk_grant = ctx.budget.reserve(per_point * MIN_CHUNK_POINTS, want);
     let chunk_points = (chunk_grant.bytes() / per_point).max(MIN_CHUNK_POINTS);
 
-    // Pass 1: one sequential sweep — vectors into the heap, ref-dist rows
-    // into the scratch file, chunk-parallel on the worker pool.
+    // Pass 1: one sequential sweep — vectors into the heap (and their refine
+    // codes into memory), ref-dist rows into the scratch file,
+    // chunk-parallel on the worker pool.
     let rd_path = tmp.join(format!("refdists.g{}.f32", ctx.scratch_tag));
     let mut heap = VectorHeap::create_budgeted(
         &ctx.heap_path,
@@ -277,6 +283,9 @@ pub(crate) fn run(
         ctx.params.query_cache_pages,
         ctx.cache_budget.clone(),
     )?;
+    let mut codes = ctx
+        .refine_codes
+        .then(|| RefineCodes::new(ctx.params.domain, dim, n));
     let mut chunk: Vec<f32> = Vec::new();
     let mut rowbytes: Vec<u8> = Vec::new();
     {
@@ -296,6 +305,9 @@ pub(crate) fn run(
             writer.write_all(&rowbytes)?;
             written += rowbytes.len() as u64;
             heap.append_all(chunk.chunks_exact(dim))?;
+            if let Some(codes) = &mut codes {
+                codes.extend(&chunk);
+            }
         }
         writer.flush()?;
         charge(&io, written, true);
@@ -403,6 +415,7 @@ pub(crate) fn run(
     Ok(BuildArtifacts {
         trees,
         heap,
+        codes,
         spilled_runs,
         spilled_bytes,
         scratch_io: io.snapshot(),

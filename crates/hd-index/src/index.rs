@@ -2,6 +2,7 @@
 //! Querying (Algorithm 2) lives in the `query` module.
 
 use crate::build;
+use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
 use crate::live::{IdMap, IdSet};
 use crate::rdb;
@@ -41,6 +42,15 @@ pub struct BuildOpts {
     /// way `cache_budget` is shared at query time; the index keeps the
     /// handle so later compactions rebuild under the same cap.
     pub build_budget: Option<BuildBudget>,
+    /// Keep one byte per dimension per object in memory and refine in two
+    /// phases: bound every candidate from its codes, then fetch only those
+    /// that can still enter the top-k (DESIGN.md §3). Answers are
+    /// identical either way; the codes cost `n·d` bytes of RAM and no
+    /// disk. Off by default, the paper's memory model (only the
+    /// references stay in RAM). The choice is persisted: reopening and
+    /// compacting follow it. The codes are the index's resident state, not
+    /// construction working memory, so `build_budget` does not cap them.
+    pub refine_codes: bool,
 }
 
 /// How the most recent streaming build of this index behaved (fresh build
@@ -117,15 +127,19 @@ fn remove_stale_generations(dir: &Path, current: u64) -> io::Result<()> {
 
 /// A fully built, fully synced next-generation file set, ready to swap in.
 /// Produced by [`HdIndex::prepare_compaction`] (concurrent with searches),
-/// installed by [`HdIndex::apply_compaction`].
+/// installed by [`HdIndex::apply_compaction`], which carries over the
+/// writes applied in between.
 pub struct CompactionPlan {
     generation: u64,
-    /// Write epoch the plan was prepared at; installable only while the
-    /// epoch is unchanged (no write applied since).
-    epoch: u64,
+    /// Heap slots of the generation the plan was prepared from; slots at
+    /// or past it were inserted since.
+    heap_len: u64,
+    /// Tombstones the plan dropped; any other tombstone is a delete since.
+    dropped: IdSet,
     trees: Vec<BTree>,
     heap: VectorHeap,
     id_map: Option<IdMap>,
+    codes: Option<RefineCodes>,
     /// Spill/scratch accounting of the streaming rebuild.
     build_stats: BuildStats,
 }
@@ -157,6 +171,9 @@ pub struct HdIndex {
     /// `Some` after a compaction drops tombstoned slots: survivors keep
     /// their ids while their heap slots shift down.
     pub(crate) id_map: Option<IdMap>,
+    /// Per heap slot, the vector's refine codes, when the index was built
+    /// with [`BuildOpts::refine_codes`].
+    pub(crate) codes: Option<RefineCodes>,
     /// Next object id to assign; never reused, so it exceeds the stored
     /// count once a compaction has dropped slots. Atomic so the engine can
     /// reserve ids while logging under a shard *read* lock.
@@ -166,9 +183,6 @@ pub struct HdIndex {
     snapshot_version: u64,
     /// Current data-file generation (see [`tree_file`]).
     generation: u64,
-    /// Bumped by every applied write; a compaction plan prepared at epoch E
-    /// is only installable while the epoch is still E.
-    write_epoch: u64,
     /// Compactions applied since open.
     compactions: u64,
     /// Shared cache quota the pools charge; kept so compaction can rebuild
@@ -341,6 +355,7 @@ impl HdIndex {
             budget: budget.clone(),
             sync: false,
             scratch_tag: 0,
+            refine_codes: opts.refine_codes,
         };
         let artifacts = build::run(&ctx, src, None)?;
         let build_stats = BuildStats {
@@ -364,10 +379,10 @@ impl HdIndex {
             serve: QueryParams::default(),
             wal,
             id_map: None,
+            codes: artifacts.codes,
             next_id: AtomicU64::new(n as u64),
             snapshot_version: 0,
             generation: 0,
-            write_epoch: 0,
             compactions: 0,
             cache_budget: opts.cache_budget,
             build_budget: budget,
@@ -532,16 +547,20 @@ impl HdIndex {
             serve: QueryParams::default(),
             wal,
             id_map: meta.id_map.map(IdMap::new).transpose()?,
+            // Derived below, once replay has appended every logged insert.
+            codes: None,
             next_id: AtomicU64::new(meta.next_id),
             snapshot_version: meta.snapshot_version,
             generation: meta.generation,
-            write_epoch: 0,
             compactions: 0,
             cache_budget,
             build_budget: BuildBudget::unbounded(),
             build_stats: BuildStats::default(),
         };
         index.replay(&records)?;
+        if meta.refine_codes {
+            index.codes = Some(RefineCodes::derive(&index.heap, index.params.domain)?);
+        }
         index.reset_io_stats();
         Ok(index)
     }
@@ -614,6 +633,7 @@ impl HdIndex {
             next_id: self.next_id.load(Ordering::Relaxed),
             generation: self.generation,
             id_map: self.id_map.as_ref().map(|map| map.ids().to_vec()),
+            refine_codes: self.codes.is_some(),
         }
         .write(&self.dir)
     }
@@ -785,12 +805,23 @@ impl HdIndex {
         // The WAL stores the caller's raw vector; prepare normalizes it and
         // computes the leaf payload (its reference distances).
         let prepared = self.refs.prepare(vector)?;
-        let vector = prepared.vector();
+        self.append_prepared(id, prepared.vector(), prepared.ref_dists())?;
+        self.tombstones.remove(id);
+        Ok(())
+    }
+
+    /// Appends object `id` — `vector` already in index form, `ref_dists`
+    /// its leaf payload — to the heap, the refine codes, the id map and
+    /// every tree.
+    fn append_prepared(&mut self, id: u64, vector: &[f32], ref_dists: &[f32]) -> io::Result<()> {
         self.heap.append(vector)?;
+        if let Some(codes) = &mut self.codes {
+            codes.push(vector);
+        }
         if let Some(map) = &mut self.id_map {
             map.push(id)?; // id == next_id - 1 > every mapped id: stays sorted
         }
-        let value = rdb::encode_value(prepared.ref_dists());
+        let value = rdb::encode_value(ref_dists);
         let (lo, hi) = self.params.domain;
         let mut sub = Vec::new();
         for g in 0..self.trees.len() {
@@ -801,8 +832,6 @@ impl HdIndex {
             // the same key again and must not grow a duplicate entry.
             self.trees[g].upsert(&key, &value)?;
         }
-        self.tombstones.remove(id);
-        self.write_epoch += 1;
         Ok(())
     }
 
@@ -830,7 +859,6 @@ impl HdIndex {
     /// The structure half of [`Self::delete`], also the replay path.
     pub fn apply_delete(&mut self, id: u64) -> io::Result<()> {
         self.tombstones.insert(id);
-        self.write_epoch += 1;
         Ok(())
     }
 
@@ -885,7 +913,8 @@ impl HdIndex {
             return Ok(false);
         }
         let plan = self.prepare_compaction()?;
-        self.apply_compaction(plan)
+        self.apply_compaction(plan)?;
+        Ok(true)
     }
 
     /// Builds the next file generation over the surviving (non-tombstoned)
@@ -931,6 +960,7 @@ impl HdIndex {
             budget: self.build_budget.clone(),
             sync: true,
             scratch_tag: next_gen,
+            refine_codes: self.codes.is_some(),
         };
         let artifacts = build::run(&ctx, &mut src, Some(&survivor_ids))?;
 
@@ -948,7 +978,8 @@ impl HdIndex {
 
         Ok(CompactionPlan {
             generation: next_gen,
-            epoch: self.write_epoch,
+            heap_len: self.heap.len(),
+            dropped: self.tombstones.clone(),
             build_stats: BuildStats {
                 spilled_runs: artifacts.spilled_runs,
                 spilled_bytes: artifacts.spilled_bytes,
@@ -957,29 +988,54 @@ impl HdIndex {
             trees: artifacts.trees,
             heap: artifacts.heap,
             id_map,
+            codes: artifacts.codes,
         })
     }
 
-    /// Installs a [`CompactionPlan`]: swaps the file generation in, clears
-    /// tombstones, and commits via checkpoint + meta rename. Returns
-    /// `Ok(false)` — plan discarded, files deleted — if any write was
-    /// applied since the plan was prepared (its rebuild would lose it).
-    pub fn apply_compaction(&mut self, plan: CompactionPlan) -> io::Result<bool> {
-        if plan.epoch != self.write_epoch {
-            drop(plan);
-            remove_stale_generations(&self.dir, self.generation)?;
-            return Ok(false);
-        }
+    /// Installs a [`CompactionPlan`]: swaps the file generation in, carries
+    /// over the writes applied since the plan was prepared (inserts are
+    /// appended to the new generation, deletes stay tombstones), and
+    /// commits via checkpoint + meta rename. Callers that split the halves
+    /// must apply no write during the install itself (the engine holds its
+    /// append gate), so every logged write is applied by then and the
+    /// checkpoint covers it.
+    pub fn apply_compaction(&mut self, plan: CompactionPlan) -> io::Result<()> {
         let _s = hd_telemetry::span!("compaction_apply_nanos");
         let bytes_before = self.disk_bytes();
+        // Writes since the plan: inserts occupy the heap slots past the
+        // plan's, deletes are the tombstones the plan did not drop.
+        let mut inserted = Vec::new();
+        for slot in plan.heap_len..self.heap.len() {
+            inserted.push((self.id_at(slot), self.heap.get(slot)?));
+        }
+        let deleted: Vec<u64> = self
+            .tombstones
+            .iter()
+            .filter(|&id| !plan.dropped.contains(id))
+            .collect();
         self.trees = plan.trees;
         self.heap = plan.heap;
         self.id_map = plan.id_map;
+        self.codes = plan.codes;
         self.build_stats = plan.build_stats;
         self.tombstones.clear();
         self.generation = plan.generation;
         self.compactions += 1;
-        self.write_epoch += 1;
+        if !inserted.is_empty() {
+            let mut ref_dists = Vec::new();
+            for (id, vector) in &inserted {
+                self.refs.distances_to(vector, &mut ref_dists);
+                self.append_prepared(*id, vector, &ref_dists)?;
+            }
+            // The plan's files were synced when it was built; these appends
+            // must be durable too before the checkpoint empties the WAL.
+            for pool in self.pools() {
+                pool.sync()?;
+            }
+        }
+        for id in deleted {
+            self.tombstones.insert(id);
+        }
 
         // Same commit protocol as save(): the meta rename atomically
         // switches generations; crash before it leaves the old generation
@@ -1010,7 +1066,7 @@ impl HdIndex {
                 live = self.live_len(),
             );
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Whether an object is deleted.
@@ -1045,11 +1101,19 @@ impl HdIndex {
         self.trees.iter().map(|t| t.disk_bytes()).sum()
     }
 
-    /// Query-resident memory: reference set + buffer-pool caches. With the
-    /// paper's cache-off configuration this is just the references — the
-    /// "≤ 40 MB querying footprint" of Fig. 8e/j/o.
+    /// Query-resident memory: reference set + buffer-pool caches + refine
+    /// codes. With the paper's configuration (cache off, codes off) this is
+    /// just the references — the "≤ 40 MB querying footprint" of Fig.
+    /// 8e/j/o; [`BuildOpts::refine_codes`] adds `n·d` bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.refs.memory_bytes() + self.pools().map(BufferPool::memory_bytes).sum::<usize>()
+        self.refs.memory_bytes()
+            + self.pools().map(BufferPool::memory_bytes).sum::<usize>()
+            + self.codes.as_ref().map_or(0, RefineCodes::memory_bytes)
+    }
+
+    /// Whether this index keeps refine codes ([`BuildOpts::refine_codes`]).
+    pub fn has_refine_codes(&self) -> bool {
+        self.codes.is_some()
     }
 
     /// Spill/scratch accounting of the most recent streaming build or
@@ -1154,6 +1218,15 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Builds `data` in `dir` with refine codes on or off.
+    fn build_coded(data: &Dataset, params: &HdIndexParams, dir: &Path, refine_codes: bool) -> HdIndex {
+        let opts = BuildOpts {
+            refine_codes,
+            ..BuildOpts::default()
+        };
+        HdIndex::build_with(data, params, dir, opts).unwrap()
     }
 
     fn small_params() -> HdIndexParams {
@@ -1284,14 +1357,16 @@ mod tests {
         let n = 800;
         let (data, queries) = generate(&DatasetProfile::SIFT, n, 8, 14);
         let dir = test_dir("bit_identical");
-        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
         let qp = QueryParams::triangular(n, n, 10);
-        for q in queries.iter() {
-            assert_eq!(
-                index.knn(q, &qp).unwrap(),
-                hd_core::ground_truth::knn_exact(&data, q, 10),
-                "blocked refinement diverged from the exact scan"
-            );
+        for refine_codes in [false, true] {
+            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            for q in queries.iter() {
+                assert_eq!(
+                    index.knn(q, &qp).unwrap(),
+                    hd_core::ground_truth::knn_exact(&data, q, 10),
+                    "refinement diverged from the exact scan (refine codes {refine_codes})"
+                );
+            }
         }
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1400,6 +1475,93 @@ mod tests {
     }
 
     #[test]
+    fn refine_codes_derived_at_open_answer_like_the_built_index() {
+        let (data, queries) = generate(&DatasetProfile::SIFT, 1500, 6, 15);
+        let (extra, _) = generate(&DatasetProfile::SIFT, 40, 1, 16);
+        let dir = test_dir("codes_reopen");
+        let qp = QueryParams::triangular(256, 64, 10);
+        let answer_bits = |index: &HdIndex| -> Vec<(Vec<(u64, u32)>, usize)> {
+            queries
+                .iter()
+                .map(|q| {
+                    let (answer, trace) = index.knn_traced(q, &qp).unwrap();
+                    let bits = answer.iter().map(|n| (n.id, n.dist.to_bits())).collect();
+                    (bits, trace.refine_evals)
+                })
+                .collect()
+        };
+        let expected = {
+            let mut index = build_coded(&data, &small_params(), &dir, true);
+            assert!(
+                index.memory_bytes() >= index.references().memory_bytes() + 1500 * 128,
+                "the codes count in memory_bytes"
+            );
+            // WAL-only writes: replayed at open before the codes are
+            // derived.
+            for v in extra.iter() {
+                index.insert(v).unwrap();
+            }
+            for id in [3u64, 700, 1510] {
+                index.delete(id).unwrap();
+            }
+            answer_bits(&index)
+        };
+        let reopened = HdIndex::open(&dir, 0).unwrap();
+        assert!(reopened.has_refine_codes(), "the meta persists the choice");
+        // Same answers to the bit, and the same evaluations: the derived
+        // codes bound every candidate exactly as the built ones did.
+        assert_eq!(answer_bits(&reopened), expected);
+        let stats = AnnIndex::stats(&reopened);
+        assert_eq!(stats.memory_bytes, reopened.memory_bytes());
+        assert!(stats.memory_bytes >= reopened.references().memory_bytes() + 1540 * 128);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn compaction_carries_over_writes_made_while_it_was_prepared() {
+        let n = 1200;
+        let (data, queries) = generate(&DatasetProfile::SIFT, n, 5, 17);
+        let (extra, _) = generate(&DatasetProfile::SIFT, 6, 1, 18);
+        // Saturated budgets: answers are exact over the live set.
+        let qp = QueryParams::triangular(n + 6, n + 6, 10);
+        for refine_codes in [false, true] {
+            let dir = test_dir(&format!("carry_over_{refine_codes}"));
+            let mut index = build_coded(&data, &small_params(), &dir, refine_codes);
+            for id in (0..n as u64).step_by(5) {
+                index.delete(id).unwrap();
+            }
+            let plan = index.prepare_compaction().unwrap();
+            // Writes between prepare and install: inserts, one of them
+            // deleted again, and a delete of an object the plan kept.
+            let ids: Vec<u64> = extra.iter().map(|v| index.insert(v).unwrap()).collect();
+            index.delete(ids[0]).unwrap();
+            index.delete(1).unwrap();
+            let probes: Vec<&[f32]> = queries.iter().chain(extra.iter()).collect();
+            let answers = |index: &HdIndex| -> Vec<Vec<Neighbor>> {
+                probes.iter().map(|q| index.knn(q, &qp).unwrap()).collect()
+            };
+            let want = answers(&index);
+
+            index.apply_compaction(plan).unwrap();
+            assert_eq!(index.len(), (n - n / 5 + 6) as u64, "survivors + inserts");
+            assert!(index.is_deleted(1) && index.is_deleted(ids[0]));
+            assert!(ids[1..].iter().all(|&id| index.is_live(id)));
+            assert_eq!(index.has_refine_codes(), refine_codes);
+            assert_eq!(answers(&index), want, "refine codes {refine_codes}");
+            assert_eq!(want[5 + 1][0].id, ids[1], "a carried insert is found");
+
+            // The carried writes are durable: the WAL was emptied at the
+            // install, and a reopen serves them from the new generation.
+            drop(index);
+            let reopened = HdIndex::open(&dir, 0).unwrap();
+            assert_eq!(reopened.write_stats().wal_replayed, 0);
+            assert!(reopened.is_deleted(1) && reopened.is_deleted(ids[0]));
+            assert_eq!(answers(&reopened), want, "reopen, refine codes {refine_codes}");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
     fn open_missing_dir_errors() {
         let err = HdIndex::open("/nonexistent/hd_index_dir", 0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
@@ -1414,15 +1576,17 @@ mod tests {
         let (raw, queries) = generate(&DatasetProfile::SIFT, n, 6, 21);
         let data = raw.with_metric(Metric::L1);
         let dir = test_dir("l1_exact");
-        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-        assert_eq!(index.metric(), Metric::L1);
         let qp = QueryParams::triangular(n, n, 10);
-        for q in queries.iter() {
-            assert_eq!(
-                index.knn(q, &qp).unwrap(),
-                hd_core::ground_truth::knn_exact(&data, q, 10),
-                "L1 refinement diverged from the exact L1 scan"
-            );
+        for refine_codes in [false, true] {
+            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            assert_eq!(index.metric(), Metric::L1);
+            for q in queries.iter() {
+                assert_eq!(
+                    index.knn(q, &qp).unwrap(),
+                    hd_core::ground_truth::knn_exact(&data, q, 10),
+                    "L1 refinement diverged from the exact L1 scan (refine codes {refine_codes})"
+                );
+            }
         }
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1433,20 +1597,24 @@ mod tests {
         let (raw, queries) = generate(&DatasetProfile::GLOVE, n, 6, 22);
         let data = raw.with_metric(Metric::Cosine);
         let dir = test_dir("cos_exact");
-        // No domain override: the builder derives the unit-ball Hilbert
-        // domain from the cosine metric itself.
-        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-        // Both Ptolemaic (sound on the unit sphere) and triangular modes.
-        for qp in [
-            QueryParams::triangular(n, n, 10),
-            QueryParams::ptolemaic(n, n, n, 10),
-        ] {
-            for q in queries.iter() {
-                assert_eq!(
-                    index.knn(q, &qp).unwrap(),
-                    hd_core::ground_truth::knn_exact(&data, q, 10),
-                    "cosine refinement diverged from the exact cosine scan"
-                );
+        for refine_codes in [false, true] {
+            // No domain override: the builder derives the unit-ball Hilbert
+            // domain (and the refine codes' grid) from the cosine metric
+            // itself.
+            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            // Both Ptolemaic (sound on the unit sphere) and triangular modes.
+            for qp in [
+                QueryParams::triangular(n, n, 10),
+                QueryParams::ptolemaic(n, n, n, 10),
+            ] {
+                for q in queries.iter() {
+                    assert_eq!(
+                        index.knn(q, &qp).unwrap(),
+                        hd_core::ground_truth::knn_exact(&data, q, 10),
+                        "cosine refinement diverged from the exact cosine scan \
+                         (refine codes {refine_codes})"
+                    );
+                }
             }
         }
         std::fs::remove_dir_all(dir).ok();

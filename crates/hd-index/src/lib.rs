@@ -11,7 +11,9 @@
 //!    with triangular (and optionally Ptolemaic) lower-bound filters computed
 //!    purely from the leaf-resident reference distances — no extra IO — and
 //!    refine the union of survivors with κ exact distance computations
-//!    (§4, Algorithm 2).
+//!    (§4, Algorithm 2); with [`BuildOpts::refine_codes`], with exact
+//!    distances for only the survivors whose in-memory 8-bit cell bound
+//!    can still enter the top-k.
 //!
 //! ```no_run
 //! use hd_core::dataset::{generate, DatasetProfile};
@@ -26,6 +28,7 @@
 //! ```
 
 mod build;
+mod codes;
 pub mod config;
 pub mod filters;
 pub mod index;

@@ -57,6 +57,11 @@ pub struct IndexMeta {
     /// identity (slot == id). Becomes `Some` after a compaction drops
     /// tombstoned slots, so surviving objects keep their ids.
     pub id_map: Option<Vec<u64>>,
+    /// Whether the index keeps in-memory refine codes
+    /// (`BuildOpts::refine_codes`). The codes themselves are never stored:
+    /// an open derives them from the heap. Absent (every older meta) means
+    /// off.
+    pub refine_codes: bool,
 }
 
 fn f32_hex(v: f32) -> String {
@@ -92,6 +97,9 @@ impl IndexMeta {
             writeln!(f, "wal_pos {}", self.wal_pos)?;
             writeln!(f, "next_id {}", self.next_id)?;
             writeln!(f, "generation {}", self.generation)?;
+            if self.refine_codes {
+                writeln!(f, "refine_codes 1")?;
+            }
             if let Some(map) = &self.id_map {
                 let ids: Vec<String> = map.iter().map(|i| i.to_string()).collect();
                 writeln!(f, "idmap {}", ids.join(" "))?;
@@ -145,6 +153,7 @@ impl IndexMeta {
             next_id: 0,
             generation: 0,
             id_map: None,
+            refine_codes: false,
         };
         let mut saw_next_id = false;
         for line in lines {
@@ -194,6 +203,9 @@ impl IndexMeta {
                 }
                 Some("generation") => {
                     meta.generation = parse(it.next().unwrap_or(""), "generation")?;
+                }
+                Some("refine_codes") => {
+                    meta.refine_codes = parse::<u8>(it.next().unwrap_or(""), "refine_codes")? != 0;
                 }
                 Some("idmap") => {
                     let ids: io::Result<Vec<u64>> = it.map(|s| parse(s, "idmap entry")).collect();
@@ -245,6 +257,7 @@ mod tests {
             next_id: 120,
             generation: 1,
             id_map: None,
+            refine_codes: false,
         }
     }
 
@@ -360,6 +373,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut meta = sample();
         meta.id_map = Some(vec![0, 2, 5, 117]);
+        meta.write(&dir).unwrap();
+        assert_eq!(IndexMeta::read(&dir).unwrap(), meta);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn refine_codes_flag_round_trips_and_defaults_off() {
+        let dir = std::env::temp_dir().join(format!("hd_meta_codes_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut meta = sample();
+        meta.write(&dir).unwrap();
+        let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+        assert!(!written.contains("refine_codes"), "off writes no line");
+        assert!(!IndexMeta::read(&dir).unwrap().refine_codes);
+        meta.refine_codes = true;
         meta.write(&dir).unwrap();
         assert_eq!(IndexMeta::read(&dir).unwrap(), meta);
         std::fs::remove_dir_all(dir).ok();

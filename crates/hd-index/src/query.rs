@@ -8,12 +8,15 @@
 //!    ([`crate::ReferenceSet::prepare`]) or supplied as a [`PreparedQuery`];
 //! 3. per RDB-tree, take α candidates by Hilbert adjacency and cut them to
 //!    γ with the triangular (and optionally Ptolemaic) lower bound;
-//! 4. refine the union with exact, early-abandoning distance evaluations.
+//! 4. refine the union with exact, early-abandoning distance evaluations —
+//!    every candidate, or, with refine codes, only those whose cell bound
+//!    can still beat the running k-th key.
 //!
 //! Every run fills a [`QueryTrace`] (stage times, IO delta, κ, evaluations,
 //! abandons) and, while telemetry is enabled, records the `hd_query_*`
 //! histograms.
 
+use crate::codes::RefineCodes;
 use crate::config::{FilterKind, QueryParams};
 use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb_le};
 use crate::rdb;
@@ -21,7 +24,9 @@ use crate::reference::PreparedQuery;
 use crate::HdIndex;
 use hd_core::metric::Metric;
 use hd_core::topk::{Neighbor, TopK};
-use hd_storage::VectorHeap;
+use hd_storage::{touch_lines, VectorHeap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,7 +43,8 @@ pub type QueryTrace = hd_core::api::SearchTrace;
 struct RefineStats {
     /// Final candidate-set size κ = |C| (after dedup).
     kappa: usize,
-    /// Distance evaluations attempted (κ: every candidate is live).
+    /// Distance evaluations attempted: κ without refine codes (every
+    /// candidate is live), the candidates the bound could not skip with.
     evals: usize,
     /// Evaluations abandoned early by the bounded kernel.
     abandoned: usize,
@@ -140,6 +146,64 @@ fn score_candidates_blocked(
             }
         }
         i = j;
+    }
+    Ok((evals, abandoned))
+}
+
+/// Candidates whose code rows [`score_candidates_by_bound`] touches before
+/// bounding them: the rows sit at random places in an `n·d`-byte array, and
+/// touching a window's lines first lets their misses overlap.
+const BOUND_WINDOW: usize = 16;
+
+/// The two-phase refine loop, used when the index keeps refine codes.
+///
+/// Phase 1 bounds every candidate slot from its in-memory codes
+/// ([`hd_core::grid::CellQuery::lower_bound`], in key units, never above
+/// the kernel's key), a window of rows at a time, and heapifies the
+/// `(bound, slot)` pairs in O(κ).
+/// Phase 2 pops them in bound order and scores each with `metric`'s bounded
+/// kernel against `tk`'s running radius, one heap read per candidate, and
+/// stops at the first bound strictly above the k-th key: that candidate and
+/// every one after it have keys above the final k-th, so `tk` ends as it
+/// would after scoring all of them. Returns `(evals, abandoned)` like
+/// [`score_candidates_blocked`].
+fn score_candidates_by_bound(
+    heap: &VectorHeap,
+    codes: &RefineCodes,
+    metric: Metric,
+    query: &[f32],
+    slots: &[u64],
+    tk: &mut TopK,
+) -> io::Result<(usize, usize)> {
+    let cells = codes.grid().query(metric, query);
+    // Bounds are +0.0, positive or NaN, so their bit patterns order as
+    // the values do (NaN last, where it never stops the loop).
+    let mut bounded: Vec<Reverse<(u32, u64)>> = Vec::with_capacity(slots.len());
+    for window in slots.chunks(BOUND_WINDOW) {
+        for &slot in window {
+            touch_lines(codes.row(slot));
+        }
+        bounded.extend(
+            window
+                .iter()
+                .map(|&slot| Reverse((cells.lower_bound(codes.row(slot)).to_bits(), slot))),
+        );
+    }
+    let mut order = BinaryHeap::from(bounded);
+    let mut row = Vec::with_capacity(heap.dim());
+    let (mut evals, mut abandoned) = (0usize, 0usize);
+    while let Some(Reverse((lb, slot))) = order.pop() {
+        let bound = tk.bound();
+        if f32::from_bits(lb) > bound {
+            break;
+        }
+        heap.get_into(slot, &mut row)?;
+        let (d, early) = metric.key_bounded_traced(query, &row, bound);
+        evals += 1;
+        abandoned += usize::from(early);
+        if d <= bound {
+            tk.push(Neighbor::new(slot, d));
+        }
     }
     Ok((evals, abandoned))
 }
@@ -355,23 +419,29 @@ impl HdIndex {
         Ok(scanned)
     }
 
-    /// Final refinement, as a blocked, early-abandoning pipeline (Algorithm
-    /// 2 step (iv), the dominant IO+CPU cost of a query): dedup the
-    /// candidate union, walk it in heap-page order
-    /// ([`score_candidates_blocked`]: 16 pages per fetch, each page read
-    /// once, the window decoded before any of it is scored), and
-    /// score every vector with the bounded kernel against the running
-    /// top-k radius — κ random point reads become sequential page-granular
-    /// reads whose misses overlap, and candidates that cannot enter the
-    /// top-k are abandoned mid-evaluation.
+    /// Final refinement (Algorithm 2 step (iv), the dominant IO+CPU cost of
+    /// a query): dedup the candidate union, then either
+    ///
+    /// * without refine codes, walk it in heap-page order
+    ///   ([`score_candidates_blocked`]: 16 pages per fetch, each page read
+    ///   once, the window decoded before any of it is scored) and score
+    ///   every vector with the bounded kernel against the running top-k
+    ///   radius — κ random point reads become sequential page-granular
+    ///   reads whose misses overlap, and candidates that cannot enter the
+    ///   top-k are abandoned mid-evaluation; or
+    /// * with refine codes, bound every candidate from its codes and fetch
+    ///   and score only those whose bound does not exceed the running k-th
+    ///   key, in bound order ([`score_candidates_by_bound`]).
     ///
     /// `candidate_slots` are heap slots of live objects (the walk already
     /// dropped tombstones and orphans). The answer carries object ids:
     /// slot → id is monotone, so TopK's tie-breaking on slots is its
-    /// tie-breaking on ids. Results are bit-identical to a per-candidate
-    /// path: the bounded kernel only abandons evaluations whose exact
-    /// distance a full computation would also have rejected (see the
-    /// `hd_core::distance` contract).
+    /// tie-breaking on ids. Both loops give results bit-identical to a
+    /// per-candidate path over every candidate: the bounded kernel only abandons
+    /// evaluations whose exact distance a full computation would also have
+    /// rejected (see the `hd_core::distance` contract), `TopK` keeps the k
+    /// smallest by (key, slot) whatever the push order, and a skipped
+    /// candidate's key exceeds the final k-th key.
     fn refine(
         &self,
         query: &[f32],
@@ -382,15 +452,24 @@ impl HdIndex {
         candidate_slots.dedup();
         let kappa = candidate_slots.len();
         let mut tk = TopK::new(k);
-        let mut arena: Vec<f32> = Vec::new();
-        let (evals, abandoned) = score_candidates_blocked(
-            &self.heap,
-            self.metric,
-            query,
-            &candidate_slots,
-            &mut tk,
-            &mut arena,
-        )?;
+        let (evals, abandoned) = match &self.codes {
+            Some(codes) => score_candidates_by_bound(
+                &self.heap,
+                codes,
+                self.metric,
+                query,
+                &candidate_slots,
+                &mut tk,
+            )?,
+            None => score_candidates_blocked(
+                &self.heap,
+                self.metric,
+                query,
+                &candidate_slots,
+                &mut tk,
+                &mut Vec::new(),
+            )?,
+        };
         let mut answer = tk.into_sorted();
         for nb in &mut answer {
             nb.id = self.id_at(nb.id);
@@ -412,8 +491,9 @@ mod tests {
     use super::*;
     use crate::config::RefSelection;
     use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb};
-    use crate::HdIndexParams;
+    use crate::{BuildOpts, HdIndexParams};
     use hd_core::dataset::{generate, DatasetProfile};
+    use hd_core::grid::UniformGrid;
     use std::collections::HashSet;
 
     /// What the reference predicts for one query.
@@ -431,7 +511,12 @@ mod tests {
     /// Algorithm 2 spelled out with nothing but the public cursor API,
     /// `triangular_lb` / `ptolemaic_lb` / `keep_smallest`, a per-candidate
     /// heap read, and membership by binary search over the persisted
-    /// slot → id map plus the test's own record of deletes.
+    /// slot → id map plus the test's own record of deletes. For an index
+    /// with refine codes, refinement re-encodes each candidate's heap
+    /// vector on a 256-cell grid over the index domain, sorts the
+    /// candidates by (cell bound, slot) and evaluates them in that order
+    /// until the first bound above the running k-th key: one heap page per
+    /// evaluation.
     fn reference(
         index: &HdIndex,
         deleted: &HashSet<u64>,
@@ -508,9 +593,30 @@ mod tests {
         slots.dedup();
         let mut pages: Vec<u64> = slots.iter().map(|&s| index.heap.page_of(s)).collect();
         pages.dedup();
+        // The evaluation order: slot order, or bound order with codes.
+        let order: Vec<(f32, u64)> = match &index.codes {
+            None => slots.iter().map(|&s| (0.0, s)).collect(),
+            Some(_) => {
+                let grid = UniformGrid::new(index.params.domain, 256);
+                let cells = grid.query(index.metric, prepared.vector());
+                let mut order: Vec<(f32, u64)> = slots
+                    .iter()
+                    .map(|&s| {
+                        let mut code = Vec::new();
+                        grid.encode_into(&index.heap.get(s).unwrap(), &mut code);
+                        (cells.lower_bound(&code), s)
+                    })
+                    .collect();
+                order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                order
+            }
+        };
         let mut tk = TopK::new(qp.k);
         let (mut evals, mut abandoned) = (0, 0);
-        for &slot in &slots {
+        for (lb, slot) in order {
+            if lb > tk.bound() {
+                break;
+            }
             let v = index.heap.get(slot).unwrap();
             let bound = tk.bound();
             let (d, early) = index
@@ -522,6 +628,10 @@ mod tests {
                 tk.push(Neighbor::new(slot, d));
             }
         }
+        let heap_reads = match &index.codes {
+            None => pages.len() as u64,
+            Some(_) => evals as u64,
+        };
         let mut answer = tk.into_sorted();
         for nb in &mut answer {
             nb.id = match &index.id_map {
@@ -537,17 +647,20 @@ mod tests {
             kappa: slots.len(),
             evals,
             abandoned,
-            logical_reads: walk_reads + pages.len() as u64,
+            logical_reads: walk_reads + heap_reads,
         }
     }
 
     /// Runs every query under both filters and checks the walk's survivors,
     /// the answer and the trace's cost-model counts against the reference.
+    /// Returns the answers' (id, distance bits), query by query, and the
+    /// evaluations summed over the queries.
     fn assert_matches_reference(
         index: &HdIndex,
         deleted: &HashSet<u64>,
         queries: &hd_core::Dataset,
-    ) {
+    ) -> (Vec<Vec<(u64, u32)>>, usize) {
+        let (mut answers, mut evals) = (Vec::new(), 0);
         for qp in [
             QueryParams::triangular(200, 48, 10),
             QueryParams::ptolemaic(200, 96, 48, 10),
@@ -577,8 +690,28 @@ mod tests {
                 assert_eq!(trace.logical_reads, want.logical_reads);
                 // No page cache: every logical read is a physical one.
                 assert_eq!(trace.physical_reads, want.logical_reads);
+                answers.push(bits(&answer));
+                evals += trace.refine_evals;
             }
         }
+        (answers, evals)
+    }
+
+    /// Checks both indexes against the reference, and their answers against
+    /// each other: refine codes change the work, never the answer.
+    fn assert_both_match_reference(
+        plain: &HdIndex,
+        coded: &HdIndex,
+        deleted: &HashSet<u64>,
+        queries: &hd_core::Dataset,
+    ) {
+        let (want, all) = assert_matches_reference(plain, deleted, queries);
+        let (got, bounded) = assert_matches_reference(coded, deleted, queries);
+        assert_eq!(got, want, "refine codes changed an answer");
+        assert!(
+            bounded * 2 < all,
+            "the cell bound skipped too little: {bounded} of {all} evaluations"
+        );
     }
 
     #[test]
@@ -599,38 +732,56 @@ mod tests {
             query_cache_pages: 0,
             seed: 11,
         };
-        let mut index = HdIndex::build(&data, &params, &dir).unwrap();
+        // The same index twice: without refine codes (every candidate
+        // scored in slot order) and with them (bound order, early stop).
+        let build = |refine_codes: bool, name: &str| {
+            let opts = BuildOpts {
+                refine_codes,
+                ..BuildOpts::default()
+            };
+            HdIndex::build_with(&data, &params, dir.join(name), opts).unwrap()
+        };
+        let (mut plain, mut coded) = (build(false, "plain"), build(true, "coded"));
         let mut deleted = HashSet::new();
-        assert!(index.id_map.is_none());
-        assert_matches_reference(&index, &deleted, &queries);
+        assert!(plain.id_map.is_none() && plain.codes.is_none());
+        assert!(coded.codes.is_some());
+        assert_both_match_reference(&plain, &coded, &deleted, &queries);
 
         // Tombstones: every 7th id.
         for id in (0..1600u64).step_by(7) {
-            index.delete(id).unwrap();
+            for index in [&mut plain, &mut coded] {
+                index.delete(id).unwrap();
+            }
             deleted.insert(id);
         }
-        assert_matches_reference(&index, &deleted, &queries);
+        assert_both_match_reference(&plain, &coded, &deleted, &queries);
 
-        // Compaction drops them: slots shift, the id map appears.
-        assert!(index.compact().unwrap());
-        assert!(
-            index.id_map.is_some(),
-            "compaction must leave a non-identity id map"
-        );
+        // Compaction drops them: slots shift, the id map appears, and the
+        // codes are rebuilt for the new slots.
+        for index in [&mut plain, &mut coded] {
+            assert!(index.compact().unwrap());
+            assert!(
+                index.id_map.is_some(),
+                "compaction must leave a non-identity id map"
+            );
+        }
+        assert!(coded.codes.is_some(), "compaction keeps the codes");
         deleted.clear();
-        assert_matches_reference(&index, &deleted, &queries);
+        assert_both_match_reference(&plain, &coded, &deleted, &queries);
 
-        // Inserts after the compaction extend the map; fresh deletes mix
-        // old and new ids.
-        for v in extra.iter() {
-            index.insert(v).unwrap();
+        // Inserts after the compaction extend the map (and the codes);
+        // fresh deletes mix old and new ids.
+        for index in [&mut plain, &mut coded] {
+            for v in extra.iter() {
+                index.insert(v).unwrap();
+            }
+            for id in [1u64, 2, 3, 500, 1601, 1650] {
+                index.delete(id).unwrap();
+            }
         }
-        for id in [1u64, 2, 3, 500, 1601, 1650] {
-            index.delete(id).unwrap();
-            deleted.insert(id);
-        }
-        assert_matches_reference(&index, &deleted, &queries);
-        drop(index);
+        deleted.extend([1u64, 2, 3, 500, 1601, 1650]);
+        assert_both_match_reference(&plain, &coded, &deleted, &queries);
+        drop((plain, coded));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

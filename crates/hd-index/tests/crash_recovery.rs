@@ -6,10 +6,12 @@
 //! between is possible. These tests simulate the crash by copying the
 //! index directory and truncating the copied `wal.log` at every byte
 //! boundary, then reopening and comparing against the reference state
-//! reached by applying that record prefix.
+//! reached by applying that record prefix. Each test runs with refine
+//! codes off and on: with codes on, an open derives them from the heap
+//! after replay, so replayed inserts must be found through them too.
 
-use hd_core::dataset::generate_uniform;
-use hd_index::{HdIndex, HdIndexParams, QueryParams, RefSelection};
+use hd_core::dataset::{generate_uniform, Dataset};
+use hd_index::{BuildOpts, HdIndex, HdIndexParams, QueryParams, RefSelection};
 use hd_storage::{WalRecord, WAL_FILE};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -27,6 +29,15 @@ fn params() -> HdIndexParams {
         query_cache_pages: 0,
         seed: 11,
     }
+}
+
+/// Builds `data` in `dir` with refine codes on or off.
+fn build(data: &Dataset, dir: &Path, refine_codes: bool) -> HdIndex {
+    let opts = BuildOpts {
+        refine_codes,
+        ..BuildOpts::default()
+    };
+    HdIndex::build_with(data, &params(), dir, opts).unwrap()
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -57,13 +68,19 @@ fn vec_for(i: u64) -> Vec<f32> {
 /// applied, and never an error.
 #[test]
 fn truncation_at_every_byte_recovers_longest_prefix() {
-    let dir = scratch("every_byte");
+    for refine_codes in [false, true] {
+        truncation_at_every_byte(refine_codes);
+    }
+}
+
+fn truncation_at_every_byte(refine_codes: bool) {
+    let dir = scratch(&format!("every_byte_{refine_codes}"));
     let base_n = 40u64;
     let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 5);
 
     // Build (which snapshots and resets the WAL), then run an unflushed
     // write burst so the WAL is the only durable copy of these writes.
-    let mut index = HdIndex::build(&data, &params(), dir.join("base")).unwrap();
+    let mut index = build(&data, &dir.join("base"), refine_codes);
     let inserts = 3u64;
     for i in 0..inserts {
         index.insert(&vec_for(base_n + i)).unwrap();
@@ -98,6 +115,7 @@ fn truncation_at_every_byte_recovers_longest_prefix() {
         let reopened = HdIndex::open(&crashed, 0).unwrap_or_else(|e| {
             panic!("reopen failed at cut {cut}: {e}");
         });
+        assert_eq!(reopened.has_refine_codes(), refine_codes);
 
         // How many whole records fit in `cut` bytes?
         let mut applied = 0usize;
@@ -148,10 +166,16 @@ fn truncation_at_every_byte_recovers_longest_prefix() {
 /// write waits in a buffer for a later one.
 #[test]
 fn kill_after_committed_writes_loses_nothing() {
-    let dir = scratch("kill_reopen");
+    for refine_codes in [false, true] {
+        kill_after_committed_writes(refine_codes);
+    }
+}
+
+fn kill_after_committed_writes(refine_codes: bool) {
+    let dir = scratch(&format!("kill_reopen_{refine_codes}"));
     let base_n = 60u64;
     let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 6);
-    let mut index = HdIndex::build(&data, &params(), dir.join("live")).unwrap();
+    let mut index = build(&data, &dir.join("live"), refine_codes);
     let commits_before = index.write_stats().wal_commits;
     for i in 0..8 {
         index.insert(&vec_for(base_n + i)).unwrap();
@@ -173,6 +197,7 @@ fn kill_after_committed_writes_loses_nothing() {
     drop(index);
 
     let reopened = HdIndex::open(&crashed, 0).unwrap();
+    assert_eq!(reopened.has_refine_codes(), refine_codes);
     assert_eq!(reopened.next_id(), base_n + 8);
     assert_eq!(reopened.live_len(), live_before);
     let qp = QueryParams::triangular(80, 80, 1);
@@ -194,10 +219,16 @@ fn kill_after_committed_writes_loses_nothing() {
 /// are never replayed twice, and post-snapshot writes still recover.
 #[test]
 fn snapshot_then_crash_replays_only_the_tail() {
-    let dir = scratch("snapshot_tail");
+    for refine_codes in [false, true] {
+        snapshot_then_crash(refine_codes);
+    }
+}
+
+fn snapshot_then_crash(refine_codes: bool) {
+    let dir = scratch(&format!("snapshot_tail_{refine_codes}"));
     let base_n = 50u64;
     let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 7);
-    let mut index = HdIndex::build(&data, &params(), dir.join("live")).unwrap();
+    let mut index = build(&data, &dir.join("live"), refine_codes);
     for i in 0..4 {
         index.insert(&vec_for(base_n + i)).unwrap();
     }
@@ -215,6 +246,12 @@ fn snapshot_then_crash_replays_only_the_tail() {
     assert!(reopened.is_deleted(2));
     // Only the two post-snapshot records needed replay.
     assert_eq!(reopened.write_stats().wal_replayed, 2);
+    // Both the snapshotted and the replayed inserts are found at distance 0.
+    let qp = QueryParams::triangular(64, 64, 1);
+    for i in [0u64, 4] {
+        let hit = &reopened.knn(&vec_for(base_n + i), &qp).unwrap()[0];
+        assert_eq!((hit.id, hit.dist), (base_n + i, 0.0), "insert {i} lost");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -242,11 +279,12 @@ proptest! {
         n_inserts in 1usize..12,
         delete_picks in proptest::collection::vec(0u64..1000, 0..6),
         seed in 0u64..1000,
+        refine_codes in any::<bool>(),
     ) {
-        let dir = scratch(&format!("idem_{seed}_{n_inserts}"));
+        let dir = scratch(&format!("idem_{seed}_{n_inserts}_{refine_codes}"));
         let base_n = 30u64;
         let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, seed);
-        let mut index = HdIndex::build(&data, &params(), dir.join("live")).unwrap();
+        let mut index = build(&data, &dir.join("live"), refine_codes);
         for i in 0..n_inserts as u64 {
             index.insert(&vec_for(base_n + i)).unwrap();
         }

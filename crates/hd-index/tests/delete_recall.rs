@@ -7,7 +7,8 @@
 //! leaf walk, an index that deleted 30% of its corpus must behave exactly
 //! like a fresh index built over the survivors: same live candidates per
 //! tree (identical Hilbert ordering, identical reference distances when the
-//! reference set is shared), hence recall within noise.
+//! reference set is shared), hence recall within noise. Every check runs
+//! with refine codes off and on, and the two answer alike.
 
 use hd_core::dataset::{generate, Dataset, DatasetProfile};
 use hd_core::ground_truth::ground_truth_knn;
@@ -21,6 +22,14 @@ fn scratch(name: &str) -> PathBuf {
         .join(format!("{name}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Build options that turn refine codes on.
+fn codes_on() -> BuildOpts {
+    BuildOpts {
+        refine_codes: true,
+        ..BuildOpts::default()
+    }
 }
 
 #[test]
@@ -45,11 +54,14 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
     };
     let dir = scratch("recall30");
 
-    // Index over the full corpus, then tombstone the victims.
+    // Index over the full corpus, then tombstone the victims; a twin with
+    // refine codes must answer identically.
     let mut full = HdIndex::build(&data, &params, dir.join("full")).unwrap();
+    let mut coded = HdIndex::build_with(&data, &params, dir.join("coded"), codes_on()).unwrap();
     for (id, dead) in deleted.iter().enumerate() {
         if *dead {
             full.delete(id as u64).unwrap();
+            coded.delete(id as u64).unwrap();
         }
     }
 
@@ -72,6 +84,7 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
             references: Some(full.references().clone()),
             cache_budget: None,
             build_budget: None,
+            refine_codes: false,
         },
     )
     .unwrap();
@@ -83,7 +96,9 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
     let (mut hits_full, mut hits_fresh) = (0usize, 0usize);
     for (qi, q) in queries.iter().enumerate() {
         let true_ids: HashSet<u64> = truth[qi].iter().map(|nb| nb.id).collect();
-        for nb in full.knn(q, &qp).unwrap() {
+        let answer = full.knn(q, &qp).unwrap();
+        assert_eq!(coded.knn(q, &qp).unwrap(), answer, "refine codes changed query {qi}");
+        for nb in answer {
             assert!(
                 !deleted[nb.id as usize],
                 "tombstoned object {} returned",
@@ -118,8 +133,9 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
 /// `compact()` must leave search behavior *identical* (same ids under the
 /// original numbering, same distances) to the tombstoned index it
 /// replaced, match a from-scratch rebuild over the survivors, and shed the
-/// dead rows' disk footprint — all checked under L2, L1 and cosine, and
-/// again after a reopen so the persisted generation + id map get the same
+/// dead rows' disk footprint — all checked under L2, L1 and cosine, with
+/// refine codes off and on, and again after a reopen so the persisted
+/// generation + id map (and the codes derived at open) get the same
 /// scrutiny as the in-memory swap.
 #[test]
 fn compaction_matches_survivor_rebuild_across_metrics() {
@@ -139,7 +155,12 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         seed: 9,
     };
 
-    for metric in [Metric::L2, Metric::L1, Metric::Cosine] {
+    // The codes-off leg's answers, which the codes-on leg must repeat.
+    let mut codes_off_answers = Vec::new();
+    for (metric, refine_codes) in [Metric::L2, Metric::L1, Metric::Cosine]
+        .into_iter()
+        .flat_map(|m| [(m, false), (m, true)])
+    {
         let raw = hd_core::dataset::generate_uniform(dim, 0.0, 255.0, n + 6, 41);
         let mut data = Dataset::new(dim).with_metric(metric);
         for i in 0..n {
@@ -153,8 +174,12 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
             .map(|i| (i as u64).wrapping_mul(2_654_435_761) % 10 < 3)
             .collect();
 
-        let dir = scratch(&format!("compact_eq_{}", metric.name()));
-        let mut index = HdIndex::build(&data, &params, dir.join("live")).unwrap();
+        let dir = scratch(&format!("compact_eq_{}_{refine_codes}", metric.name()));
+        let opts = BuildOpts {
+            refine_codes,
+            ..BuildOpts::default()
+        };
+        let mut index = HdIndex::build_with(&data, &params, dir.join("live"), opts).unwrap();
         for (id, dead) in deleted.iter().enumerate() {
             if *dead {
                 index.delete(id as u64).unwrap();
@@ -166,14 +191,20 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         let qp = QueryParams::triangular(n, n, k);
         let before: Vec<Vec<_>> =
             queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect();
+        if refine_codes {
+            assert_eq!(before, codes_off_answers, "{metric:?}: refine codes changed an answer");
+        } else {
+            codes_off_answers = before.clone();
+        }
 
         assert!(index.compact().unwrap(), "30% tombstones must compact");
         assert_eq!(index.tombstone_density(), 0.0);
+        assert_eq!(index.has_refine_codes(), refine_codes);
         for (qi, q) in queries.iter().enumerate() {
             let after = index.knn(q, &qp).unwrap();
             assert_eq!(
                 after, before[qi],
-                "{metric:?}: compaction changed query {qi}'s answer"
+                "{metric:?} (refine codes {refine_codes}): compaction changed query {qi}'s answer"
             );
         }
 
@@ -196,6 +227,7 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
                 references: Some(index.references().clone()),
                 cache_budget: None,
                 build_budget: None,
+                refine_codes,
             },
         )
         .unwrap();
@@ -205,7 +237,7 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
             for (a, b) in before[qi].iter().zip(&rebuilt) {
                 assert_eq!(
                     a.id, orig_of_surv[b.id as usize],
-                    "{metric:?}: query {qi} diverged from survivor rebuild"
+                    "{metric:?} (refine codes {refine_codes}): query {qi} diverged from survivor rebuild"
                 );
                 if metric == Metric::Cosine {
                     // The rebuild re-normalizes raw rows while compaction
@@ -220,7 +252,7 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         let (compacted_b, fresh_b) = (index.disk_bytes() as f64, fresh.disk_bytes() as f64);
         assert!(
             compacted_b <= fresh_b * 1.10,
-            "{metric:?}: compacted index {compacted_b}B vs survivor rebuild {fresh_b}B"
+            "{metric:?} (refine codes {refine_codes}): compacted index {compacted_b}B vs survivor rebuild {fresh_b}B"
         );
 
         // The swap is durable: a reopen serves the same answers through the
@@ -228,11 +260,12 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         drop(index);
         let reopened = HdIndex::open(dir.join("live"), 0).unwrap();
         assert_eq!(reopened.metric(), metric);
+        assert_eq!(reopened.has_refine_codes(), refine_codes);
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(
                 reopened.knn(q, &qp).unwrap(),
                 before[qi],
-                "{metric:?}: reopen after compaction changed query {qi}"
+                "{metric:?} (refine codes {refine_codes}): reopen after compaction changed query {qi}"
             );
         }
         std::fs::remove_dir_all(dir).ok();

@@ -160,6 +160,20 @@ impl BufferPool {
         Ok(page)
     }
 
+    /// Reads the consecutive pages starting at `first` into `buf` (a whole
+    /// number of pages) straight from disk, without caching them: a
+    /// sequential pass over a whole file must not evict the pages queries
+    /// use. Writes are write-through, so disk holds every cached page's
+    /// current bytes. Counts one logical and one physical read per page.
+    pub fn read_pages_uncached(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        self.pager.read_pages(first, buf)?;
+        for _ in 0..buf.len() / self.pager.page_size() {
+            self.stats.record_logical_read();
+            self.stats.record_physical_read();
+        }
+        Ok(())
+    }
+
     /// Write-through: persists the page and refreshes the cached copy.
     ///
     /// # Panics

@@ -19,6 +19,10 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
+/// Pages [`VectorHeap::scan`] reads per call: 256 KiB, few enough calls
+/// that a whole-heap pass is not syscall-bound.
+const SCAN_PAGES: usize = 64;
+
 /// A read-mostly heap file of fixed-dimension `f32` vectors.
 pub struct VectorHeap {
     pool: Arc<BufferPool>,
@@ -301,6 +305,45 @@ impl VectorHeap {
     }
 }
 
+impl VectorHeap {
+    /// Visits every stored vector in slot order, a run of pages' vectors at
+    /// a time as a flat row-major block, reading each page once and without
+    /// caching it ([`BufferPool::read_pages_uncached`]; a whole-heap pass
+    /// must not evict the pages queries use).
+    pub fn scan(&self, mut visit: impl FnMut(&[f32])) -> io::Result<()> {
+        let page_size = self.pool.page_size();
+        let mut rows: Vec<f32> = Vec::new();
+        if self.per_page == 0 {
+            let mut bytes = vec![0u8; self.pages_per_vec * page_size];
+            for id in 0..self.len {
+                self.pool
+                    .read_pages_uncached(id * self.pages_per_vec as u64, &mut bytes)?;
+                rows.clear();
+                decode_into(&bytes, self.dim, &mut rows);
+                visit(&rows);
+            }
+            return Ok(());
+        }
+        let per_page = self.per_page as u64;
+        let pages = self.len.div_ceil(per_page);
+        let mut bytes = vec![0u8; SCAN_PAGES.min(pages as usize) * page_size];
+        for first in (0..pages).step_by(SCAN_PAGES) {
+            let run = (pages - first).min(SCAN_PAGES as u64) as usize;
+            let bytes = &mut bytes[..run * page_size];
+            self.pool.read_pages_uncached(first, bytes)?;
+            rows.clear();
+            for (i, page) in bytes.chunks_exact(page_size).enumerate() {
+                let count = (self.len - (first + i as u64) * per_page).min(per_page) as usize;
+                for slot in 0..count {
+                    decode_into(&page[slot * self.dim * 4..], self.dim, &mut rows);
+                }
+            }
+            visit(&rows);
+        }
+        Ok(())
+    }
+}
+
 /// Writes `v` little-endian at the start of `dst`.
 fn encode_into(dst: &mut [u8], v: &[f32]) {
     for (b, x) in dst.chunks_exact_mut(4).zip(v) {
@@ -364,6 +407,31 @@ mod tests {
         assert_eq!(heap.get(0).unwrap(), v);
         assert_eq!(heap.get(1).unwrap(), w);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn scan_visits_every_vector_in_order_without_caching() {
+        // 600 vectors span two read runs, the second ending in a partial page.
+        for (dim, n) in [(128usize, 600u64), (1369, 3)] {
+            let path = temp(&format!("scan_{dim}"));
+            let mut heap = VectorHeap::create(&path, dim, 64).unwrap();
+            let rows: Vec<Vec<f32>> = (0..n)
+                .map(|i| (0..dim).map(|d| (i * 1000 + d as u64) as f32).collect())
+                .collect();
+            for v in &rows {
+                heap.append(v).unwrap();
+            }
+            heap.pool().clear_cache();
+            heap.pool().reset_stats();
+            let mut seen: Vec<f32> = Vec::new();
+            heap.scan(|block| seen.extend_from_slice(block)).unwrap();
+            assert_eq!(seen, rows.concat(), "dim {dim}");
+            assert_eq!(heap.pool().memory_bytes(), 0, "scan must not cache pages");
+            assert_eq!(heap.pool().stats().logical_reads, heap.pool().num_pages());
+            let pages = heap.pool().num_pages();
+            assert_eq!(heap.pool().stats().physical_reads, pages, "one read per page");
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -124,14 +124,25 @@ impl Pager {
     /// Panics if `buf.len() != page_size`.
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         assert_eq!(buf.len(), self.page_size, "buffer must be one page");
-        if id >= self.num_pages() {
+        self.read_pages(id, buf)
+    }
+
+    /// Reads the consecutive pages starting at `first` into `buf` (a whole
+    /// number of pages) in one call.
+    ///
+    /// # Panics
+    /// Panics if `buf.len()` is not a multiple of `page_size`.
+    pub fn read_pages(&self, first: PageId, buf: &mut [u8]) -> io::Result<()> {
+        assert_eq!(buf.len() % self.page_size, 0, "buffer must be whole pages");
+        let end = first + (buf.len() / self.page_size) as u64;
+        if end > self.num_pages() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("page {id} out of bounds ({} allocated)", self.num_pages()),
+                format!("page {} out of bounds ({} allocated)", end - 1, self.num_pages()),
             ));
         }
         let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id * self.page_size as u64))?;
+        f.seek(SeekFrom::Start(first * self.page_size as u64))?;
         f.read_exact(buf)
     }
 
