@@ -371,7 +371,11 @@ pub trait AnnIndex {
     /// methods with real batch execution (the engine) override it. Overrides
     /// must preserve the contract that the results equal per-query
     /// [`Self::search`] calls (the conformance suite checks this).
-    fn search_batch(&self, queries: &[&[f32]], req: &SearchRequest) -> io::Result<Vec<SearchOutput>> {
+    fn search_batch(
+        &self,
+        queries: &[&[f32]],
+        req: &SearchRequest,
+    ) -> io::Result<Vec<SearchOutput>> {
         queries.iter().map(|q| self.search(q, req)).collect()
     }
 
@@ -435,7 +439,10 @@ mod tests {
         }
 
         fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-            assert!(req.k >= 1 && req.k <= self.points.len(), "contract violated");
+            assert!(
+                req.k >= 1 && req.k <= self.points.len(),
+                "contract violated"
+            );
             let mut tk = crate::topk::TopK::new(req.k);
             for (i, p) in self.points.iter().enumerate() {
                 tk.push(Neighbor::new(i as ObjectId, crate::l2(query, p)));
@@ -515,7 +522,8 @@ mod tests {
         let idx = toy(); // serves the default Metric::L2
         assert_eq!(AnnIndex::metric(&idx), Metric::L2);
         // Matching expectation (or none) passes through.
-        idx.search(&[0.0], &SearchRequest::new(1).with_metric(Metric::L2)).unwrap();
+        idx.search(&[0.0], &SearchRequest::new(1).with_metric(Metric::L2))
+            .unwrap();
         idx.search(&[0.0], &SearchRequest::new(1)).unwrap();
         // A mismatched expectation is an InvalidInput error, even for k=0.
         for k in [0usize, 1] {

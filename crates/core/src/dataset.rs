@@ -416,7 +416,12 @@ impl DatasetProfile {
 /// non-trivial nearest-neighbor structure (dense local neighborhoods plus
 /// sparse outliers) that real descriptor corpora exhibit and that
 /// space-filling-curve and LSH methods are sensitive to.
-pub fn generate(profile: &DatasetProfile, n: usize, n_queries: usize, seed: u64) -> (Dataset, Dataset) {
+pub fn generate(
+    profile: &DatasetProfile,
+    n: usize,
+    n_queries: usize,
+    seed: u64,
+) -> (Dataset, Dataset) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let n_clusters = (n / 500).clamp(4, 64);
     let span = profile.hi - profile.lo;
@@ -634,7 +639,11 @@ mod tests {
         assert!((ds.get(0)[0] - 0.6).abs() < 1e-6 && (ds.get(0)[1] - 0.8).abs() < 1e-6);
         assert_eq!(ds.get(1), &[0.0, 0.0], "zero vector stays zero");
         ds.push(&[0.0, 5.0]);
-        assert_eq!(ds.get(2), &[0.0, 1.0], "push must keep the unit-norm invariant");
+        assert_eq!(
+            ds.get(2),
+            &[0.0, 1.0],
+            "push must keep the unit-norm invariant"
+        );
     }
 
     #[test]

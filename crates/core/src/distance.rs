@@ -283,11 +283,7 @@ mod tests {
     fn l2_sq_matches_naive() {
         let a: Vec<f32> = (0..37).map(|i| i as f32 * 0.5).collect();
         let b: Vec<f32> = (0..37).map(|i| (36 - i) as f32 * 0.25).collect();
-        let naive: f32 = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum();
+        let naive: f32 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
         assert!((l2_sq(&a, &b) - naive).abs() < 1e-3);
     }
 
@@ -439,7 +435,10 @@ mod tests {
         for dim in [1usize, 7, 8, 64, 131] {
             let (a, b) = vectors(dim, dim as u64 + 1);
             let naive: f32 = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum();
-            assert!((l1(&a, &b) - naive).abs() < 1e-2 * (1.0 + naive), "dim {dim}");
+            assert!(
+                (l1(&a, &b) - naive).abs() < 1e-2 * (1.0 + naive),
+                "dim {dim}"
+            );
         }
     }
 

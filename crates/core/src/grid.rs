@@ -116,7 +116,10 @@ impl UniformGrid {
             Metric::Dot => panic!("the dot product has no cell lower bound"),
         };
         let top = self.cells as f32;
-        let (mut below, mut above) = (Vec::with_capacity(query.len()), Vec::with_capacity(query.len()));
+        let (mut below, mut above) = (
+            Vec::with_capacity(query.len()),
+            Vec::with_capacity(query.len()),
+        );
         for &q in query {
             // Clamping opens the edge cells' outer sides (module docs).
             let t = ((q - self.lo) * self.inv_step).clamp(0.0, top);
@@ -242,7 +245,11 @@ mod tests {
     fn encode_matches_a_saturating_cast() {
         // The plain formula, which the ROUND trick must reproduce: `as`
         // saturates (negative and NaN give 0), then the last cell caps it.
-        for (domain, cells) in [((0.0f32, 255.0f32), 256u32), ((-1.0, 1.0), 256), ((-3.7, 12.1), 5)] {
+        for (domain, cells) in [
+            ((0.0f32, 255.0f32), 256u32),
+            ((-1.0, 1.0), 256),
+            ((-3.7, 12.1), 5),
+        ] {
             let g = UniformGrid::new(domain, cells);
             let reference = |v: f32| (((v - g.lo) * g.inv_step) as u32).min(cells - 1) as u8;
             let near_edges = (-2 * cells as i32..4 * cells as i32).flat_map(|i| {

@@ -37,7 +37,12 @@ fn finalize(tk: TopK, metric: Metric) -> Vec<Neighbor> {
 /// worker threads (queries are partitioned across workers).
 ///
 /// Returns one nearest-first list per query.
-pub fn ground_truth_knn(data: &Dataset, queries: &Dataset, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
+pub fn ground_truth_knn(
+    data: &Dataset,
+    queries: &Dataset,
+    k: usize,
+    threads: usize,
+) -> Vec<Vec<Neighbor>> {
     assert_eq!(data.dim(), queries.dim(), "dimensionality mismatch");
     let nq = queries.len();
     if nq == 0 {

@@ -57,7 +57,9 @@ pub fn kmeans(data: &Dataset, k: usize, max_iters: usize, seed: u64) -> KMeans {
             rng.gen_range(0..n)
         } else {
             let weights: Vec<f64> = d2.iter().map(|&d| d as f64 + 1e-12).collect();
-            WeightedIndex::new(&weights).expect("positive weights").sample(&mut rng)
+            WeightedIndex::new(&weights)
+                .expect("positive weights")
+                .sample(&mut rng)
         };
         let c = data.get(next).to_vec();
         for (i, slot) in d2.iter_mut().enumerate() {

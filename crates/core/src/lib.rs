@@ -43,7 +43,10 @@ pub mod util;
 
 pub use api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, SearchTrace};
 pub use dataset::{Dataset, DatasetProfile, DatasetSource, RawF32Source, VectorSource};
-pub use distance::{l1, l1_batch, l1_bounded, l1_bounded_traced, l2, l2_sq, l2_sq_batch, l2_sq_bounded, l2_sq_bounded_traced};
+pub use distance::{
+    l1, l1_batch, l1_bounded, l1_bounded_traced, l2, l2_sq, l2_sq_batch, l2_sq_bounded,
+    l2_sq_bounded_traced,
+};
 pub use ground_truth::ground_truth_knn;
 pub use metric::Metric;
 pub use metrics::{approximation_ratio, average_precision, mean_average_precision, recall_at_k};

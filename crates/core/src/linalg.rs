@@ -233,7 +233,11 @@ pub fn svd_square(a: &Matrix) -> (Matrix, Vec<f64>, Matrix) {
                 u[(i, j)] -= dot * u[(i, prev)];
             }
         }
-        let norm: f64 = (0..n).map(|i| u[(i, j)] * u[(i, j)]).sum::<f64>().sqrt().max(1e-30);
+        let norm: f64 = (0..n)
+            .map(|i| u[(i, j)] * u[(i, j)])
+            .sum::<f64>()
+            .sqrt()
+            .max(1e-30);
         for i in 0..n {
             u[(i, j)] /= norm;
         }
@@ -289,7 +293,9 @@ mod tests {
         assert!((vals[0] - 3.0).abs() < 1e-10);
         assert!((vals[1] - 1.0).abs() < 1e-10);
         // Check A v = λ v for the top eigenvector.
-        let av0: Vec<f64> = (0..2).map(|i| a[(i, 0)] * v[(0, 0)] + a[(i, 1)] * v[(1, 0)]).collect();
+        let av0: Vec<f64> = (0..2)
+            .map(|i| a[(i, 0)] * v[(0, 0)] + a[(i, 1)] * v[(1, 0)])
+            .collect();
         for i in 0..2 {
             assert!((av0[i] - 3.0 * v[(i, 0)]).abs() < 1e-8);
         }
@@ -304,7 +310,11 @@ mod tests {
             sig[(i, i)] = s[i];
         }
         let recon = u.matmul(&sig).matmul(&v.transpose());
-        assert!(a.frobenius_distance(&recon) < 1e-8, "err {}", a.frobenius_distance(&recon));
+        assert!(
+            a.frobenius_distance(&recon) < 1e-8,
+            "err {}",
+            a.frobenius_distance(&recon)
+        );
         assert!(u.orthogonality_error() < 1e-8);
         assert!(v.orthogonality_error() < 1e-8);
     }
@@ -314,7 +324,11 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]); // rank 1
         let (_, s, _) = svd_square(&a);
         assert!(s[0] >= s[1] && s[1] >= -1e-12);
-        assert!(s[1].abs() < 1e-8, "rank-1 matrix must have σ₂≈0, got {}", s[1]);
+        assert!(
+            s[1].abs() < 1e-8,
+            "rank-1 matrix must have σ₂≈0, got {}",
+            s[1]
+        );
     }
 
     #[test]

@@ -269,10 +269,7 @@ mod tests {
     fn l2_key_is_the_legacy_kernel_bitwise() {
         let (a, b) = vectors(131, 4);
         assert_eq!(Metric::L2.key(&a, &b), l2_sq(&a, &b));
-        assert_eq!(
-            Metric::L2.key_bounded(&a, &b, f32::INFINITY),
-            l2_sq(&a, &b)
-        );
+        assert_eq!(Metric::L2.key_bounded(&a, &b, f32::INFINITY), l2_sq(&a, &b));
         assert_eq!(Metric::L2.finalize(4.0), 2.0);
         assert_eq!(Metric::L2.dist(&a, &b), l2(&a, &b));
     }
@@ -369,8 +366,7 @@ mod tests {
                 for b in &pts {
                     for c in &pts {
                         assert!(
-                            m.linear_dist(a, c)
-                                <= m.linear_dist(a, b) + m.linear_dist(b, c) + 1e-3,
+                            m.linear_dist(a, c) <= m.linear_dist(a, b) + m.linear_dist(b, c) + 1e-3,
                             "{m} triangle inequality violated"
                         );
                     }

@@ -63,7 +63,11 @@ impl Partitioning {
     pub fn from_groups(dim: usize, groups: Vec<Vec<usize>>) -> Self {
         let mut all: Vec<usize> = groups.iter().flatten().copied().collect();
         all.sort_unstable();
-        assert_eq!(all, (0..dim).collect::<Vec<_>>(), "groups must cover 0..dim exactly once");
+        assert_eq!(
+            all,
+            (0..dim).collect::<Vec<_>>(),
+            "groups must cover 0..dim exactly once"
+        );
         Self { dim, groups }
     }
 
@@ -136,8 +140,14 @@ mod tests {
 
     #[test]
     fn random_is_seeded() {
-        assert_eq!(Partitioning::random(16, 4, 1), Partitioning::random(16, 4, 1));
-        assert_ne!(Partitioning::random(16, 4, 1), Partitioning::random(16, 4, 2));
+        assert_eq!(
+            Partitioning::random(16, 4, 1),
+            Partitioning::random(16, 4, 1)
+        );
+        assert_ne!(
+            Partitioning::random(16, 4, 1),
+            Partitioning::random(16, 4, 2)
+        );
     }
 
     #[test]

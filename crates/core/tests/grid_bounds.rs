@@ -83,7 +83,11 @@ fn check(metric: Metric, grid: &UniformGrid, q: &[f32], points: &[Vec<f32>]) {
         grid.encode_into(v, &mut code);
         let lb = cq.lower_bound(&code);
         let key = metric.key(q, v);
-        assert!(lb <= key, "{metric} bound {lb} > key {key} (dim {})", q.len());
+        assert!(
+            lb <= key,
+            "{metric} bound {lb} > key {key} (dim {})",
+            q.len()
+        );
         assert!(lb >= 0.0, "negative bound {lb}");
     }
 }

@@ -217,8 +217,11 @@ fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mu
                         None => j as u64,
                         Some(map) => map[j],
                     };
-                    job.partitioning
-                        .project_into(&chunk[p * dim..(p + 1) * dim], job.group, &mut sub);
+                    job.partitioning.project_into(
+                        &chunk[p * dim..(p + 1) * dim],
+                        job.group,
+                        &mut sub,
+                    );
                     let hk = job.curve.encode_floats(&sub, job.lo, job.hi);
                     rec[..hk_len].copy_from_slice(hk.as_bytes());
                     rec[hk_len..job.key_len].copy_from_slice(&id.to_be_bytes());
@@ -471,7 +474,8 @@ impl VectorSource for HeapSurvivorSource<'_> {
             while j < end && self.heap.page_of(self.slots[j]) == page {
                 j += 1;
             }
-            self.heap.get_block_into(&self.slots[i..j], &mut self.arena)?;
+            self.heap
+                .get_block_into(&self.slots[i..j], &mut self.arena)?;
             buf.extend_from_slice(&self.arena[..(j - i) * dim]);
             i = j;
         }

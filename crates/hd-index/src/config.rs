@@ -224,9 +224,9 @@ mod tests {
         assert_eq!(rdb_leaf_order_eq4(16, 32, 10, 4096), 36); // Yorck
         assert_eq!(rdb_leaf_order_eq4(64, 32, 10, 4096), 13); // SUN
         assert_eq!(rdb_leaf_order_eq4(24, 32, 10, 4096), 28); // Audio
-        // Enron and Glove rows of Table 3 (18 and 40) do not follow Eq. (4)
-        // with the row's own parameters; we record the formula's value and
-        // flag the discrepancy in EXPERIMENTS.md.
+                                                              // Enron and Glove rows of Table 3 (18 and 40) do not follow Eq. (4)
+                                                              // with the row's own parameters; we record the formula's value and
+                                                              // flag the discrepancy in EXPERIMENTS.md.
         assert_eq!(rdb_leaf_order_eq4(37, 16, 10, 4096), 33); // Enron (paper: 18)
         assert_eq!(rdb_leaf_order_eq4(10, 32, 10, 4096), 46); // Glove (paper: 40)
     }

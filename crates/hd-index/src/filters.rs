@@ -131,7 +131,9 @@ mod tests {
         // end with L1 reference distances against true L1 distances.
         use hd_core::distance::l1;
         use hd_core::metric::Metric;
-        let data = generate(&DatasetProfile::GLOVE, 200, 1, 9).0.with_metric(Metric::L1);
+        let data = generate(&DatasetProfile::GLOVE, 200, 1, 9)
+            .0
+            .with_metric(Metric::L1);
         let refs = crate::reference::select(&data, 8, crate::RefSelection::Random, 4);
         assert_eq!(refs.metric(), Metric::L1);
         let mut qd = Vec::new();
@@ -156,7 +158,9 @@ mod tests {
         // against the normalized-space L2 distance (the space the index
         // filters in).
         use hd_core::metric::Metric;
-        let data = generate(&DatasetProfile::GLOVE, 200, 1, 10).0.with_metric(Metric::Cosine);
+        let data = generate(&DatasetProfile::GLOVE, 200, 1, 10)
+            .0
+            .with_metric(Metric::Cosine);
         let refs = crate::reference::select(&data, 8, crate::RefSelection::Random, 4);
         let mut qd = Vec::new();
         let mut od = Vec::new();

@@ -95,10 +95,16 @@ fn file_generation(name: &str) -> Option<u64> {
     if name == "vectors.heap" {
         return Some(0);
     }
-    if let Some(rest) = name.strip_prefix("vectors.g").and_then(|r| r.strip_suffix(".heap")) {
+    if let Some(rest) = name
+        .strip_prefix("vectors.g")
+        .and_then(|r| r.strip_suffix(".heap"))
+    {
         return rest.parse().ok();
     }
-    if let Some(rest) = name.strip_prefix("tree_").and_then(|r| r.strip_suffix(".rdb")) {
+    if let Some(rest) = name
+        .strip_prefix("tree_")
+        .and_then(|r| r.strip_suffix(".rdb"))
+    {
         return match rest.split_once(".g") {
             None => rest.parse::<u64>().ok().map(|_| 0),
             Some((g, k)) => {
@@ -215,7 +221,11 @@ impl HdIndex {
     ///
     /// # Errors
     /// `InvalidInput` on an empty dataset, τ > ν, or a non-metric distance.
-    pub fn build(data: &Dataset, params: &HdIndexParams, dir: impl AsRef<Path>) -> io::Result<Self> {
+    pub fn build(
+        data: &Dataset,
+        params: &HdIndexParams,
+        dir: impl AsRef<Path>,
+    ) -> io::Result<Self> {
         Self::build_with(data, params, dir, BuildOpts::default())
     }
 
@@ -342,7 +352,10 @@ impl HdIndex {
         }
 
         // 4. Stream heap + τ trees through the out-of-core pipeline.
-        let budget = opts.build_budget.clone().unwrap_or_else(BuildBudget::unbounded);
+        let budget = opts
+            .build_budget
+            .clone()
+            .unwrap_or_else(BuildBudget::unbounded);
         let ctx = build::BuildCtx {
             params,
             refs: &refs,
@@ -704,7 +717,6 @@ impl HdIndex {
         self.live_slot(id).is_some()
     }
 
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -778,7 +790,10 @@ impl HdIndex {
             ));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.wal.append(&WalRecord::Insert { id, vector: vector.to_vec() })?;
+        self.wal.append(&WalRecord::Insert {
+            id,
+            vector: vector.to_vec(),
+        })?;
         self.wal.commit()?;
         Ok(id)
     }
@@ -967,7 +982,10 @@ impl HdIndex {
         // When nothing before next_id was ever dropped the map is identity;
         // normalize it back to None so the fast path stays fast.
         let identity = self.next_id.load(Ordering::Relaxed) == n as u64
-            && survivor_ids.iter().enumerate().all(|(s, &id)| s as u64 == id);
+            && survivor_ids
+                .iter()
+                .enumerate()
+                .all(|(s, &id)| s as u64 == id);
         // The inverse is built here, off the write lock, so installing the
         // plan stays a swap.
         let id_map = if identity {
@@ -1131,7 +1149,6 @@ impl HdIndex {
     pub fn tree_height(&self, g: usize) -> u32 {
         self.trees[g].height()
     }
-
 }
 
 impl AnnIndex for HdIndex {
@@ -1212,16 +1229,20 @@ mod tests {
     use proptest::prelude::*;
 
     fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("hd_index_tests").join(format!(
-            "{name}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir()
+            .join("hd_index_tests")
+            .join(format!("{name}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     /// Builds `data` in `dir` with refine codes on or off.
-    fn build_coded(data: &Dataset, params: &HdIndexParams, dir: &Path, refine_codes: bool) -> HdIndex {
+    fn build_coded(
+        data: &Dataset,
+        params: &HdIndexParams,
+        dir: &Path,
+        refine_codes: bool,
+    ) -> HdIndex {
         let opts = BuildOpts {
             refine_codes,
             ..BuildOpts::default()
@@ -1283,10 +1304,8 @@ mod tests {
         let k = 10;
         let truth = ground_truth_knn(&data, &queries, k, 4);
         let qp = QueryParams::triangular(512, 128, k);
-        let approx: Vec<Vec<Neighbor>> = queries
-            .iter()
-            .map(|q| index.knn(q, &qp).unwrap())
-            .collect();
+        let approx: Vec<Vec<Neighbor>> =
+            queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect();
         let s = score_workload(&truth, &approx);
         assert!(s.map > 0.5, "MAP@10 too low: {}", s.map);
         assert!(s.ratio < 1.2, "ratio too high: {}", s.ratio);
@@ -1330,7 +1349,10 @@ mod tests {
         let tau = 4;
         assert!(trace.scanned <= qp.alpha * tau);
         assert!(trace.scanned >= qp.alpha, "all trees should contribute");
-        assert!(trace.kappa >= qp.gamma.min(3000) / 4, "kappa implausibly small");
+        assert!(
+            trace.kappa >= qp.gamma.min(3000) / 4,
+            "kappa implausibly small"
+        );
         assert!(trace.kappa <= qp.gamma * tau);
         // With caches off, every logical read is physical.
         assert_eq!(trace.physical_reads, trace.logical_reads);
@@ -1359,7 +1381,12 @@ mod tests {
         let dir = test_dir("bit_identical");
         let qp = QueryParams::triangular(n, n, 10);
         for refine_codes in [false, true] {
-            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            let index = build_coded(
+                &data,
+                &small_params(),
+                &dir.join(format!("{refine_codes}")),
+                refine_codes,
+            );
             for q in queries.iter() {
                 assert_eq!(
                     index.knn(q, &qp).unwrap(),
@@ -1463,7 +1490,10 @@ mod tests {
         // Reopen in a fresh struct and compare every answer.
         let reopened = HdIndex::open(&dir, 0).unwrap();
         assert_eq!(reopened.len(), 1200);
-        assert!(reopened.is_deleted(deleted), "tombstone must survive reopen");
+        assert!(
+            reopened.is_deleted(deleted),
+            "tombstone must survive reopen"
+        );
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(
                 reopened.knn(q, &qp).unwrap(),
@@ -1556,7 +1586,11 @@ mod tests {
             let reopened = HdIndex::open(&dir, 0).unwrap();
             assert_eq!(reopened.write_stats().wal_replayed, 0);
             assert!(reopened.is_deleted(1) && reopened.is_deleted(ids[0]));
-            assert_eq!(answers(&reopened), want, "reopen, refine codes {refine_codes}");
+            assert_eq!(
+                answers(&reopened),
+                want,
+                "reopen, refine codes {refine_codes}"
+            );
             std::fs::remove_dir_all(dir).ok();
         }
     }
@@ -1578,7 +1612,12 @@ mod tests {
         let dir = test_dir("l1_exact");
         let qp = QueryParams::triangular(n, n, 10);
         for refine_codes in [false, true] {
-            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            let index = build_coded(
+                &data,
+                &small_params(),
+                &dir.join(format!("{refine_codes}")),
+                refine_codes,
+            );
             assert_eq!(index.metric(), Metric::L1);
             for q in queries.iter() {
                 assert_eq!(
@@ -1601,7 +1640,12 @@ mod tests {
             // No domain override: the builder derives the unit-ball Hilbert
             // domain (and the refine codes' grid) from the cosine metric
             // itself.
-            let index = build_coded(&data, &small_params(), &dir.join(format!("{refine_codes}")), refine_codes);
+            let index = build_coded(
+                &data,
+                &small_params(),
+                &dir.join(format!("{refine_codes}")),
+                refine_codes,
+            );
             // Both Ptolemaic (sound on the unit sphere) and triangular modes.
             for qp in [
                 QueryParams::triangular(n, n, 10),
@@ -1709,7 +1753,13 @@ mod tests {
         assert_eq!(trace.effective_refine, 300, "γ must clamp to n");
         // Unclamped requests report the requested budgets.
         let out = index
-            .search(queries.get(0), &SearchRequest::new(5).with_candidates(64).with_refine(16).with_trace())
+            .search(
+                queries.get(0),
+                &SearchRequest::new(5)
+                    .with_candidates(64)
+                    .with_refine(16)
+                    .with_trace(),
+            )
             .unwrap();
         let trace = out.trace.unwrap();
         assert_eq!(trace.effective_candidates, 64);
@@ -1732,8 +1782,14 @@ mod tests {
             .with_refine(usize::MAX)
             .with_trace();
         let trace = index.search(queries.get(0), &req).unwrap().trace.unwrap();
-        assert_eq!(trace.effective_candidates, 100, "α must clamp to the live count");
-        assert_eq!(trace.effective_refine, 100, "γ must clamp to the live count");
+        assert_eq!(
+            trace.effective_candidates, 100,
+            "α must clamp to the live count"
+        );
+        assert_eq!(
+            trace.effective_refine, 100,
+            "γ must clamp to the live count"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1748,7 +1804,10 @@ mod tests {
         // η=16, ω=8, m=10 → paper Ω=63; our layout differs by 2 header bytes
         // and the id-in-key encoding, so allow ±1.
         let omega = index.leaf_order(0);
-        assert!((62..=64).contains(&omega), "leaf order {omega} far from Eq. (4)");
+        assert!(
+            (62..=64).contains(&omega),
+            "leaf order {omega} far from Eq. (4)"
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -92,7 +92,12 @@ impl IndexMeta {
             writeln!(f, "tau {}", self.tau)?;
             writeln!(f, "omega {}", self.omega)?;
             writeln!(f, "m {}", self.m)?;
-            writeln!(f, "domain {} {}", f32_hex(self.domain.0), f32_hex(self.domain.1))?;
+            writeln!(
+                f,
+                "domain {} {}",
+                f32_hex(self.domain.0),
+                f32_hex(self.domain.1)
+            )?;
             writeln!(f, "snapshot_version {}", self.snapshot_version)?;
             writeln!(f, "wal_pos {}", self.wal_pos)?;
             writeln!(f, "next_id {}", self.next_id)?;
@@ -127,9 +132,9 @@ impl IndexMeta {
     pub fn read(dir: &Path) -> io::Result<IndexMeta> {
         let f = io::BufReader::new(std::fs::File::open(dir.join(META_FILE))?);
         let mut lines = f.lines();
-        let first = lines.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "empty metadata file")
-        })??;
+        let first = lines
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty metadata file"))??;
         if first != MAGIC_V1 && first != MAGIC_V2 && first != MAGIC_V3 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -399,8 +404,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         sample().write(&dir).unwrap();
         let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
-        std::fs::write(dir.join(META_FILE), written.replace("metric l2", "metric chebyshev"))
-            .unwrap();
+        std::fs::write(
+            dir.join(META_FILE),
+            written.replace("metric l2", "metric chebyshev"),
+        )
+        .unwrap();
         let err = IndexMeta::read(&dir).unwrap_err();
         assert!(err.to_string().contains("unknown metric"), "{err}");
         std::fs::remove_dir_all(dir).ok();

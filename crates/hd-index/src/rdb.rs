@@ -78,7 +78,10 @@ mod tests {
         assert!(probe <= ka);
         // Ordering primarily by Hilbert key.
         let kb = encode_key(&hk_b, 0);
-        assert_eq!(hk_a.cmp(&hk_b), ka[..curve.key_len()].cmp(&kb[..curve.key_len()]));
+        assert_eq!(
+            hk_a.cmp(&hk_b),
+            ka[..curve.key_len()].cmp(&kb[..curve.key_len()])
+        );
     }
 
     #[test]

@@ -52,7 +52,11 @@ impl ReferenceSet {
     /// normalized for cosine) — reference vectors always are.
     pub fn distances_to(&self, point: &[f32], out: &mut Vec<f32>) {
         out.clear();
-        out.extend(self.vectors.iter().map(|r| self.metric.linear_dist(point, r)));
+        out.extend(
+            self.vectors
+                .iter()
+                .map(|r| self.metric.linear_dist(point, r)),
+        );
     }
 
     /// Turns a caller's query into a [`PreparedQuery`] against this set:
@@ -176,7 +180,10 @@ pub fn estimate_dmax(data: &Dataset, seed: u64, max_hops: usize) -> f32 {
 /// metric space (reference-distance bounds are unsound under dot).
 pub fn select(data: &Dataset, m: usize, method: RefSelection, seed: u64) -> ReferenceSet {
     assert!(m > 0, "need at least one reference object");
-    assert!(m <= data.len(), "cannot select more references than objects");
+    assert!(
+        m <= data.len(),
+        "cannot select more references than objects"
+    );
     assert!(
         data.metric().is_metric_space(),
         "reference selection requires a true metric; {} is not one",
@@ -390,7 +397,10 @@ mod tests {
         assert_eq!(r.metric(), Metric::Cosine);
         for v in &r.vectors {
             let n = hd_core::distance::norm_sq(v).sqrt();
-            assert!((n - 1.0).abs() < 1e-5, "reference not unit-normalized: ‖v‖ = {n}");
+            assert!(
+                (n - 1.0).abs() < 1e-5,
+                "reference not unit-normalized: ‖v‖ = {n}"
+            );
         }
         // linear_dist for cosine is true L2, so every pairwise distance is
         // within the unit-sphere diameter.
@@ -508,7 +518,10 @@ mod tests {
             }
         }
         assert!(est <= true_max + 1e-5);
-        assert!(est >= 0.5 * true_max, "hopping estimate too weak: {est} vs {true_max}");
+        assert!(
+            est >= 0.5 * true_max,
+            "hopping estimate too weak: {est} vs {true_max}"
+        );
     }
 
     #[test]

@@ -60,7 +60,9 @@ fn copy_dir(src: &Path, dst: &Path) {
 
 /// A recognizable vector for global id `i`: distance-0 probes find it.
 fn vec_for(i: u64) -> Vec<f32> {
-    (0..DIM).map(|d| ((d as u64 * 31 + i * 7) % 256) as f32).collect()
+    (0..DIM)
+        .map(|d| ((d as u64 * 31 + i * 7) % 256) as f32)
+        .collect()
 }
 
 /// Every byte-boundary truncation of the WAL recovers exactly the longest
@@ -91,9 +93,18 @@ fn truncation_at_every_byte(refine_codes: bool) {
 
     // Record boundaries of the log we are about to shear.
     let ops: Vec<WalRecord> = vec![
-        WalRecord::Insert { id: base_n, vector: vec_for(base_n) },
-        WalRecord::Insert { id: base_n + 1, vector: vec_for(base_n + 1) },
-        WalRecord::Insert { id: base_n + 2, vector: vec_for(base_n + 2) },
+        WalRecord::Insert {
+            id: base_n,
+            vector: vec_for(base_n),
+        },
+        WalRecord::Insert {
+            id: base_n + 1,
+            vector: vec_for(base_n + 1),
+        },
+        WalRecord::Insert {
+            id: base_n + 2,
+            vector: vec_for(base_n + 2),
+        },
         WalRecord::Delete { id: 1 },
         WalRecord::Delete { id: base_n },
     ];
@@ -207,7 +218,11 @@ fn kill_after_committed_writes(refine_codes: bool) {
             continue;
         }
         let hit = &reopened.knn(&vec_for(base_n + i), &qp).unwrap()[0];
-        assert_eq!((hit.id, hit.dist), (base_n + i, 0.0), "write {i} lost in crash");
+        assert_eq!(
+            (hit.id, hit.dist),
+            (base_n + i, 0.0),
+            "write {i} lost in crash"
+        );
     }
     for id in [3u64, 17] {
         assert!(reopened.is_deleted(id), "delete of {id} lost in crash");
@@ -233,7 +248,9 @@ fn snapshot_then_crash(refine_codes: bool) {
         index.insert(&vec_for(base_n + i)).unwrap();
     }
     index.save().unwrap();
-    let wal_len = std::fs::metadata(dir.join("live").join(WAL_FILE)).unwrap().len();
+    let wal_len = std::fs::metadata(dir.join("live").join(WAL_FILE))
+        .unwrap()
+        .len();
     assert_eq!(wal_len, 0, "save must reset the log");
     index.insert(&vec_for(base_n + 4)).unwrap();
     index.delete(2).unwrap();

@@ -97,7 +97,11 @@ fn recall_after_30pct_deletes_matches_rebuilt_index() {
     for (qi, q) in queries.iter().enumerate() {
         let true_ids: HashSet<u64> = truth[qi].iter().map(|nb| nb.id).collect();
         let answer = full.knn(q, &qp).unwrap();
-        assert_eq!(coded.knn(q, &qp).unwrap(), answer, "refine codes changed query {qi}");
+        assert_eq!(
+            coded.knn(q, &qp).unwrap(),
+            answer,
+            "refine codes changed query {qi}"
+        );
         for nb in answer {
             assert!(
                 !deleted[nb.id as usize],
@@ -189,10 +193,12 @@ fn compaction_matches_survivor_rebuild_across_metrics() {
         // Saturated budgets: every live object is refined, so answers are
         // exact over the live set and any compaction bug must surface.
         let qp = QueryParams::triangular(n, n, k);
-        let before: Vec<Vec<_>> =
-            queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect();
+        let before: Vec<Vec<_>> = queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect();
         if refine_codes {
-            assert_eq!(before, codes_off_answers, "{metric:?}: refine codes changed an answer");
+            assert_eq!(
+                before, codes_off_answers,
+                "{metric:?}: refine codes changed an answer"
+            );
         } else {
             codes_off_answers = before.clone();
         }
