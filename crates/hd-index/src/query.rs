@@ -77,7 +77,7 @@ fn query_telemetry() -> &'static QueryTelemetry {
             ),
             refine: reg.histogram(
                 "hd_query_refine_nanos",
-                "stage 3: blocked early-abandoning exact refinement",
+                "stage 3: exact refinement (blocked, or two-phase over refine codes)",
             ),
         }
     })
