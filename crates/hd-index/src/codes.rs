@@ -6,9 +6,10 @@
 //! quantise. Refinement bounds every candidate from its codes and fetches
 //! only those whose bound does not exceed the running k-th key.
 //!
-//! Row `s` holds the codes of heap slot `s`. A build or compaction fills
-//! them in the pass that appends the heap, an insert appends one row, and
-//! an open derives them from the heap in one sequential pass.
+//! Row `s` holds the codes of heap slot `s`. A build fills them in the pass
+//! that appends the heap, an insert appends one row, a compaction keeps the
+//! survivors' rows in place, and an open derives them from the heap in one
+//! sequential pass.
 
 use hd_core::grid::UniformGrid;
 use hd_storage::VectorHeap;
@@ -60,6 +61,20 @@ impl RefineCodes {
                 .reserve_exact((self.bytes.len() / 16).max(64 * self.dim));
         }
         self.extend(v);
+    }
+
+    /// Keeps the rows whose `keep` flag is set, in order, and drops every
+    /// row from `keep.len()` on: a compaction's survivors, moved down in
+    /// place rather than copied into a second `n·d` buffer.
+    pub(crate) fn retain_rows(&mut self, keep: &[bool]) {
+        let dim = self.dim;
+        let mut kept = 0;
+        for (row, _) in keep.iter().enumerate().filter(|&(_, &k)| k) {
+            self.bytes
+                .copy_within(row * dim..(row + 1) * dim, kept * dim);
+            kept += 1;
+        }
+        self.bytes.truncate(kept * dim);
     }
 
     /// The codes of heap slot `slot`.

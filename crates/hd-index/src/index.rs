@@ -131,6 +131,37 @@ fn remove_stale_generations(dir: &Path, current: u64) -> io::Result<()> {
     Ok(())
 }
 
+/// Opens generation `generation`'s τ trees and its heap of `n` vectors of
+/// `dim` dimensions, every pool caching up to `cache_pages` pages.
+fn open_generation(
+    dir: &Path,
+    generation: u64,
+    tau: usize,
+    (dim, n): (usize, u64),
+    cache_pages: usize,
+    cache_budget: &Option<CacheBudget>,
+) -> io::Result<(Vec<BTree>, VectorHeap)> {
+    let mut trees = Vec::with_capacity(tau);
+    for g in 0..tau {
+        let pager =
+            hd_storage::Pager::open(tree_file(dir, g, generation), hd_storage::DEFAULT_PAGE_SIZE)?;
+        let pool = Arc::new(BufferPool::with_budget(
+            pager,
+            cache_pages,
+            cache_budget.clone(),
+        ));
+        trees.push(BTree::open(pool)?);
+    }
+    let heap = VectorHeap::open_budgeted(
+        heap_file(dir, generation),
+        dim,
+        cache_pages,
+        n,
+        cache_budget.clone(),
+    )?;
+    Ok((trees, heap))
+}
+
 /// A fully built, fully synced next-generation file set, ready to swap in.
 /// Produced by [`HdIndex::prepare_compaction`] (concurrent with searches),
 /// installed by [`HdIndex::apply_compaction`], which carries over the
@@ -145,7 +176,6 @@ pub struct CompactionPlan {
     trees: Vec<BTree>,
     heap: VectorHeap,
     id_map: Option<IdMap>,
-    codes: Option<RefineCodes>,
     /// Spill/scratch accounting of the streaming rebuild.
     build_stats: BuildStats,
 }
@@ -509,27 +539,16 @@ impl HdIndex {
         let refs =
             ReferenceSet::from_parts(meta.ref_ids.clone(), meta.ref_vectors.clone(), meta.metric);
 
-        let mut curves = Vec::with_capacity(meta.tau);
-        let mut trees = Vec::with_capacity(meta.tau);
-        for g in 0..meta.tau {
-            curves.push(HilbertCurve::new(partitioning.group(g).len(), meta.omega));
-            let pager = hd_storage::Pager::open(
-                tree_file(&dir, g, meta.generation),
-                hd_storage::DEFAULT_PAGE_SIZE,
-            )?;
-            let pool = Arc::new(BufferPool::with_budget(
-                pager,
-                query_cache_pages,
-                cache_budget.clone(),
-            ));
-            trees.push(BTree::open(pool)?);
-        }
-        let heap = VectorHeap::open_budgeted(
-            heap_file(&dir, meta.generation),
-            meta.dim,
+        let curves = (0..meta.tau)
+            .map(|g| HilbertCurve::new(partitioning.group(g).len(), meta.omega))
+            .collect();
+        let (trees, heap) = open_generation(
+            &dir,
+            meta.generation,
+            meta.tau,
+            (meta.dim, meta.n),
             query_cache_pages,
-            meta.n,
-            cache_budget.clone(),
+            &cache_budget,
         )?;
 
         let params = HdIndexParams {
@@ -961,8 +980,16 @@ impl HdIndex {
         // original ingest), so the streamed ref-distances are exactly what
         // the original build computed.
         let mut src = build::HeapSurvivorSource::new(&self.heap, &survivor_slots, self.metric);
+        // The rebuild writes through uncached pools: caching every page it
+        // writes would hold a second copy of the shard's cache while the
+        // current generation still serves. The plan reopens the synced files
+        // with serving pools, which queries warm.
+        let uncached = HdIndexParams {
+            query_cache_pages: 0,
+            ..self.params.clone()
+        };
         let ctx = build::BuildCtx {
-            params: &self.params,
+            params: &uncached,
             refs: &self.refs,
             partitioning: &self.partitioning,
             curves: &self.curves,
@@ -975,9 +1002,18 @@ impl HdIndex {
             budget: self.build_budget.clone(),
             sync: true,
             scratch_tag: next_gen,
-            refine_codes: self.codes.is_some(),
+            // The install keeps the survivors' rows of the current codes.
+            refine_codes: false,
         };
         let artifacts = build::run(&ctx, &mut src, Some(&survivor_ids))?;
+        let (trees, heap) = open_generation(
+            &self.dir,
+            next_gen,
+            self.trees.len(),
+            (self.dim, artifacts.heap.len()),
+            self.params.query_cache_pages,
+            &self.cache_budget,
+        )?;
 
         // When nothing before next_id was ever dropped the map is identity;
         // normalize it back to None so the fast path stays fast.
@@ -1003,10 +1039,9 @@ impl HdIndex {
                 spilled_bytes: artifacts.spilled_bytes,
                 scratch_io: artifacts.scratch_io,
             },
-            trees: artifacts.trees,
-            heap: artifacts.heap,
+            trees,
+            heap,
             id_map,
-            codes: artifacts.codes,
         })
     }
 
@@ -1031,10 +1066,22 @@ impl HdIndex {
             .iter()
             .filter(|&id| !plan.dropped.contains(id))
             .collect();
+        // The survivors' codes keep their order; the inserts since are
+        // appended again below, like their vectors.
+        if let Some(codes) = &mut self.codes {
+            let keep: Vec<bool> = (0..plan.heap_len)
+                .map(|slot| {
+                    !plan.dropped.contains(match &self.id_map {
+                        None => slot,
+                        Some(map) => map.id(slot),
+                    })
+                })
+                .collect();
+            codes.retain_rows(&keep);
+        }
         self.trees = plan.trees;
         self.heap = plan.heap;
         self.id_map = plan.id_map;
-        self.codes = plan.codes;
         self.build_stats = plan.build_stats;
         self.tombstones.clear();
         self.generation = plan.generation;
