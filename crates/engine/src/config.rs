@@ -55,7 +55,9 @@ impl EngineParams {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4)
         }
     }
 }

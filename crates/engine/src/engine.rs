@@ -153,7 +153,11 @@ impl Engine {
     /// bounded heap per query.
     ///
     /// [`ReferenceSet::prepare`]: hd_index::ReferenceSet::prepare
-    pub fn search_batch<'q, I>(&self, queries: I, qp: &QueryParams) -> io::Result<Vec<Vec<Neighbor>>>
+    pub fn search_batch<'q, I>(
+        &self,
+        queries: I,
+        qp: &QueryParams,
+    ) -> io::Result<Vec<Vec<Neighbor>>>
     where
         I: IntoIterator<Item = &'q [f32]>,
     {
@@ -599,7 +603,6 @@ impl Engine {
     pub fn set_serve_params(&mut self, qp: QueryParams) {
         self.serve = qp;
     }
-
 }
 
 impl AnnIndex for Engine {
@@ -629,16 +632,25 @@ impl AnnIndex for Engine {
     /// [`AnnIndex::search`] calls (the conformance suite checks this),
     /// including the metric-expectation guard the provided `search`
     /// applies (sequential calls would all fail, so the batch must too).
-    fn search_batch(&self, queries: &[&[f32]], req: &SearchRequest) -> io::Result<Vec<SearchOutput>> {
+    fn search_batch(
+        &self,
+        queries: &[&[f32]],
+        req: &SearchRequest,
+    ) -> io::Result<Vec<SearchOutput>> {
         check_metric(req, self.metric())?;
         let k = req.k.min(self.len() as usize);
         if k == 0 {
             return Ok(queries.iter().map(|_| SearchOutput::default()).collect());
         }
-        let qp = self.serve.resolve(&SearchRequest { k, ..*req }, self.len() as usize);
+        let qp = self
+            .serve
+            .resolve(&SearchRequest { k, ..*req }, self.len() as usize);
         let deadline = req.time_budget.map(|b| Instant::now() + b);
         let answers = self.run_batch(queries, &qp, deadline)?;
-        Ok(answers.into_iter().map(SearchOutput::from_neighbors).collect())
+        Ok(answers
+            .into_iter()
+            .map(SearchOutput::from_neighbors)
+            .collect())
     }
 
     fn stats(&self) -> IndexStats {

@@ -94,8 +94,8 @@ impl ShardSet {
             params.index.ref_selection,
             params.index.seed,
         );
-        let budget = (params.cache_budget_pages > 0)
-            .then(|| CacheBudget::new(params.cache_budget_pages));
+        let budget =
+            (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages));
         // One build-memory quota split dynamically across the S parallel
         // shard builds — clones share the counter, so the fleet-wide
         // working set stays under the one cap however the shards interleave.
@@ -115,27 +115,33 @@ impl ShardSet {
             .collect();
 
         let mut built: Vec<Option<io::Result<HdIndex>>> = (0..s).map(|_| None).collect();
-        pool.run_scoped(built.iter_mut().zip(slices).enumerate().map(|(si, (slot, slice))| {
-            let refs = refs.clone();
-            let budget = budget.clone();
-            let build_budget = build_budget.clone();
-            let index_params = &params.index;
-            let target = shard_dir(dir, si);
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                *slot = Some(HdIndex::build_with(
-                    &slice,
-                    index_params,
-                    target,
-                    BuildOpts {
-                        references: Some(refs),
-                        cache_budget: budget,
-                        build_budget,
-                        refine_codes: true,
-                    },
-                ));
-            });
-            (si, task)
-        }));
+        pool.run_scoped(
+            built
+                .iter_mut()
+                .zip(slices)
+                .enumerate()
+                .map(|(si, (slot, slice))| {
+                    let refs = refs.clone();
+                    let budget = budget.clone();
+                    let build_budget = build_budget.clone();
+                    let index_params = &params.index;
+                    let target = shard_dir(dir, si);
+                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                        *slot = Some(HdIndex::build_with(
+                            &slice,
+                            index_params,
+                            target,
+                            BuildOpts {
+                                references: Some(refs),
+                                cache_budget: budget,
+                                build_budget,
+                                refine_codes: true,
+                            },
+                        ));
+                    });
+                    (si, task)
+                }),
+        );
 
         let mut shards = Vec::with_capacity(s);
         for slot in built {
@@ -161,8 +167,8 @@ impl ShardSet {
     /// metadata.
     pub fn open(dir: &Path, params: &EngineParams, pool: &WorkerPool) -> io::Result<Self> {
         let s = Self::read_meta(dir)?;
-        let budget = (params.cache_budget_pages > 0)
-            .then(|| CacheBudget::new(params.cache_budget_pages));
+        let budget =
+            (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages));
         // Compaction rebuilds share one build quota, as the original
         // parallel shard builds did.
         let build_budget =
@@ -174,12 +180,14 @@ impl ShardSet {
             let cache_pages = params.index.query_cache_pages;
             let target = shard_dir(dir, si);
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                *slot = Some(HdIndex::open_with(target, cache_pages, budget).map(|mut index| {
-                    if let Some(build_budget) = build_budget {
-                        index.set_build_budget(build_budget);
-                    }
-                    index
-                }));
+                *slot = Some(
+                    HdIndex::open_with(target, cache_pages, budget).map(|mut index| {
+                        if let Some(build_budget) = build_budget {
+                            index.set_build_budget(build_budget);
+                        }
+                        index
+                    }),
+                );
             });
             (si, task)
         }));

@@ -172,7 +172,9 @@ fn batch_of_zero_and_one_are_well_formed() {
         .search_batch(std::iter::empty::<&[f32]>(), &qp)
         .unwrap()
         .is_empty());
-    let one = engine.search_batch(std::iter::once(queries.get(0)), &qp).unwrap();
+    let one = engine
+        .search_batch(std::iter::once(queries.get(0)), &qp)
+        .unwrap();
     assert_eq!(one.len(), 1);
     assert_eq!(one[0].len(), 5);
     std::fs::remove_dir_all(dir).ok();

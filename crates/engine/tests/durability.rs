@@ -117,7 +117,10 @@ fn background_compaction_races_searches_then_reopens() {
     drop(engine);
     let reopened = Engine::open(&dir, &params).unwrap();
     assert_eq!(reopened.len(), n as u64);
-    assert_eq!(AnnIndex::stats(&reopened).live_len, (n - deleted.len()) as u64);
+    assert_eq!(
+        AnnIndex::stats(&reopened).live_len,
+        (n - deleted.len()) as u64
+    );
     let err = reopened.delete(deleted[0]).unwrap_err();
     assert!(
         err.to_string().contains("compacted away"),
@@ -148,9 +151,8 @@ fn concurrent_writes_searches_and_compactions_stay_coherent() {
     };
     let engine = Engine::build(&data, &params, &dir).unwrap();
     let qp = QueryParams::triangular(96, 48, 5);
-    let needle = |i: usize| -> Vec<f32> {
-        (0..128).map(|d| ((d * 11 + i * 3) % 256) as f32).collect()
-    };
+    let needle =
+        |i: usize| -> Vec<f32> { (0..128).map(|d| ((d * 11 + i * 3) % 256) as f32).collect() };
 
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -189,7 +191,11 @@ fn concurrent_writes_searches_and_compactions_stay_coherent() {
     for i in 0..INSERTS {
         let global = (n + i) as u64;
         let hit = engine.search(&needle(i), &wide).unwrap()[0];
-        assert_eq!((hit.id, hit.dist), (global, 0.0), "insert {i} lost in the race");
+        assert_eq!(
+            (hit.id, hit.dist),
+            (global, 0.0),
+            "insert {i} lost in the race"
+        );
     }
     let stats = AnnIndex::stats(&engine);
     assert!(stats.live_len <= stats.stored_len);
@@ -218,10 +224,17 @@ fn compact_now_is_transparent_to_search() {
     }
     // Saturated budgets: exact answers over the live set on both sides.
     let qp = QueryParams::triangular(n, n, 10);
-    let before: Vec<_> = queries.iter().map(|q| engine.search(q, &qp).unwrap()).collect();
+    let before: Vec<_> = queries
+        .iter()
+        .map(|q| engine.search(q, &qp).unwrap())
+        .collect();
     let disk_before = engine.disk_bytes();
 
-    assert_eq!(engine.compact_now().unwrap(), 2, "both shards had tombstones");
+    assert_eq!(
+        engine.compact_now().unwrap(),
+        2,
+        "both shards had tombstones"
+    );
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(
             engine.search(q, &qp).unwrap(),

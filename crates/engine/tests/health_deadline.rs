@@ -85,7 +85,11 @@ fn health_tracks_wal_tail_and_save() {
     let (engine, _) = build(&dir, 200);
 
     let fresh = engine.health();
-    assert!(fresh.healthy, "fresh engine must be healthy: {}", fresh.status);
+    assert!(
+        fresh.healthy,
+        "fresh engine must be healthy: {}",
+        fresh.status
+    );
     assert_eq!(fresh.status, "ok");
     assert_eq!(fresh.shards, 2);
     assert_eq!(fresh.compacting_shards, 0);

@@ -174,7 +174,7 @@ fn sharded_answers_survive_reopen() {
         cache_budget_pages: 0,
         build_budget_bytes: 0,
         index: index_params(),
-            compaction_threshold: None,
+        compaction_threshold: None,
     };
     let qp = QueryParams::triangular(256, 64, 10);
     let expected = {

@@ -323,9 +323,17 @@ mod tests {
         pool.write(2, &[2u8; 32]).unwrap(); // evicts 1
         pool.reset_stats();
         pool.read(0).unwrap();
-        assert_eq!(pool.stats().physical_reads, 0, "page 0 must still be cached");
+        assert_eq!(
+            pool.stats().physical_reads,
+            0,
+            "page 0 must still be cached"
+        );
         pool.read(1).unwrap();
-        assert_eq!(pool.stats().physical_reads, 1, "page 1 must have been evicted");
+        assert_eq!(
+            pool.stats().physical_reads,
+            1,
+            "page 1 must have been evicted"
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -379,7 +387,11 @@ mod tests {
             b.read(id).unwrap();
         }
         // Local capacity would allow 8 + 8; the shared budget holds at 4.
-        assert!(budget.used() <= 4, "budget over-committed: {}", budget.used());
+        assert!(
+            budget.used() <= 4,
+            "budget over-committed: {}",
+            budget.used()
+        );
         assert_eq!(
             a.memory_bytes() + b.memory_bytes(),
             budget.used() * 32,
@@ -390,7 +402,10 @@ mod tests {
         for _ in 0..3 {
             a.read(7).unwrap();
         }
-        assert!(a.stats().physical_reads <= 1, "most-recent page should stay cached");
+        assert!(
+            a.stats().physical_reads <= 1,
+            "most-recent page should stay cached"
+        );
         std::fs::remove_file(pa).ok();
         std::fs::remove_file(pb).ok();
     }

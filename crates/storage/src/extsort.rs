@@ -140,7 +140,9 @@ impl ExternalSorter {
             return Ok(());
         }
         let order = self.sorted_order();
-        let path = self.dir.join(format!("{}.{}.run", self.tag, self.runs.len()));
+        let path = self
+            .dir
+            .join(format!("{}.{}.run", self.tag, self.runs.len()));
         let mut file = io::BufWriter::with_capacity(64 * 1024, File::create(&path)?);
         let rl = self.rec_len;
         for &i in &order {
@@ -363,7 +365,10 @@ impl LoserTree {
     /// lower run index (earlier input — stability, though build keys are
     /// unique so ties cannot arise there).
     fn beats(cursors: &[RunCursor], a: usize, b: usize, rec_len: usize) -> bool {
-        match (Self::peek(cursors, a, rec_len), Self::peek(cursors, b, rec_len)) {
+        match (
+            Self::peek(cursors, a, rec_len),
+            Self::peek(cursors, b, rec_len),
+        ) {
             (None, _) => false,
             (_, None) => true,
             (Some(ra), Some(rb)) => match ra.cmp(rb) {
@@ -510,7 +515,9 @@ mod tests {
         (0..n)
             .map(|i| {
                 let mut rec = vec![0u8; rec_len];
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 rec[..8].copy_from_slice(&state.to_be_bytes());
                 rec[8..16].copy_from_slice(&(i as u64).to_be_bytes());
                 for (j, b) in rec[16..].iter_mut().enumerate() {
@@ -572,7 +579,10 @@ mod tests {
         // Budget small enough for many runs: 1000 recs × 36 charged bytes.
         for budget in [600usize, 1200, 2500, 9000] {
             let (sorted, runs, io) = sort_under_budget(&dir.join("b"), &recs, budget);
-            assert!(runs >= 2, "budget {budget} must force spills, got {runs} runs");
+            assert!(
+                runs >= 2,
+                "budget {budget} must force spills, got {runs} runs"
+            );
             assert_eq!(sorted, reference, "budget {budget}");
             assert!(io.physical_writes > 0 && io.physical_reads > 0);
         }

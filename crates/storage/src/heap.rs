@@ -429,7 +429,11 @@ mod tests {
             assert_eq!(heap.pool().memory_bytes(), 0, "scan must not cache pages");
             assert_eq!(heap.pool().stats().logical_reads, heap.pool().num_pages());
             let pages = heap.pool().num_pages();
-            assert_eq!(heap.pool().stats().physical_reads, pages, "one read per page");
+            assert_eq!(
+                heap.pool().stats().physical_reads,
+                pages,
+                "one read per page"
+            );
             std::fs::remove_file(path).ok();
         }
     }

@@ -50,7 +50,10 @@ impl Pager {
     /// length (which must be a multiple of `page_size`).
     pub fn open(path: impl AsRef<Path>, page_size: usize) -> io::Result<Self> {
         assert!(page_size > 0, "page size must be positive");
-        let file = OpenOptions::new().read(true).write(true).open(path.as_ref())?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path.as_ref())?;
         let len = file.metadata()?.len();
         if len % page_size as u64 != 0 {
             return Err(io::Error::new(
@@ -138,7 +141,11 @@ impl Pager {
         if end > self.num_pages() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("page {} out of bounds ({} allocated)", end - 1, self.num_pages()),
+                format!(
+                    "page {} out of bounds ({} allocated)",
+                    end - 1,
+                    self.num_pages()
+                ),
             ));
         }
         let mut f = self.file.lock();

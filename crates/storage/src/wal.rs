@@ -129,7 +129,11 @@ pub fn crc32(data: &[u8]) -> u32 {
         for (i, e) in t.iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
             }
             *e = c;
         }
@@ -347,8 +351,12 @@ fn scan_valid_prefix(bytes: &[u8]) -> u64 {
         if len == 0 {
             break;
         }
-        let Some(body) = bytes.get(pos + 4..pos + 4 + len) else { break };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else { break };
+        let Some(body) = bytes.get(pos + 4..pos + 4 + len) else {
+            break;
+        };
+        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
+            break;
+        };
         if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
             break;
         }
@@ -383,7 +391,8 @@ impl Iterator for WalReplay<'_> {
             return None;
         }
         let body = bytes.get(pos + 4..pos + 4 + len)?;
-        let crc_stored = u32::from_le_bytes(bytes.get(pos + 4 + len..pos + 8 + len)?.try_into().ok()?);
+        let crc_stored =
+            u32::from_le_bytes(bytes.get(pos + 4 + len..pos + 8 + len)?.try_into().ok()?);
         if crc32(body) != crc_stored {
             return None;
         }
@@ -427,10 +436,18 @@ mod tests {
         let path = temp_path("roundtrip");
         let wal = Wal::create(&path).unwrap();
         let records = vec![
-            WalRecord::Insert { id: 0, vector: vec![1.0, -2.5, 3.25] },
+            WalRecord::Insert {
+                id: 0,
+                vector: vec![1.0, -2.5, 3.25],
+            },
             WalRecord::Delete { id: 0 },
-            WalRecord::Checkpoint { snapshot_version: 7 },
-            WalRecord::Insert { id: 1, vector: vec![] },
+            WalRecord::Checkpoint {
+                snapshot_version: 7,
+            },
+            WalRecord::Insert {
+                id: 1,
+                vector: vec![],
+            },
         ];
         for r in &records {
             wal.append(r).unwrap();
@@ -469,7 +486,10 @@ mod tests {
         {
             let wal = Wal::create(&path).unwrap();
             first_len = wal
-                .append(&WalRecord::Insert { id: 3, vector: vec![0.5; 8] })
+                .append(&WalRecord::Insert {
+                    id: 3,
+                    vector: vec![0.5; 8],
+                })
                 .unwrap();
             wal.append(&WalRecord::Delete { id: 3 }).unwrap();
             full_len = wal.commit().unwrap();
