@@ -372,8 +372,9 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    // The profile's pools hold no pages (`query_cache_pages = 0`), so the
-    // build's only cache is the OS page cache, which RSS does not count.
+    // A build writes through uncached pools and the profile's serving pools
+    // hold no pages either (`query_cache_pages = 0`), so the build's only
+    // cache is the OS page cache, which RSS does not count.
     let params = HdIndexParams::for_profile(&profile);
 
     let mut src = RawF32Source::open(&corpus, profile.dim, Metric::L2).expect("open corpus");

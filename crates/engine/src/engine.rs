@@ -98,19 +98,13 @@ impl Engine {
     /// Builds a fresh engine over `data` in `dir`: selects one reference
     /// set over the full corpus, splits the data round-robin, and builds
     /// all shards in parallel on the engine's own pool.
+    ///
+    /// # Errors
+    /// `InvalidInput` when `params.shards` is 0 or exceeds the corpus size,
+    /// besides every error a shard build can return.
     pub fn build(data: &Dataset, params: &EngineParams, dir: impl AsRef<Path>) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let pool = WorkerPool::new(params.resolved_threads());
-        let set = ShardSet::build(data, params, &dir, &pool)?;
-        let n = set.len();
-        Ok(Self {
-            set,
-            pool,
-            metrics: EngineMetrics::new(),
-            append_gate: Arc::new(Mutex::new(n)),
-            compaction_threshold: params.compaction_threshold,
-            dir,
-            serve: QueryParams::default(),
+        Self::start(dir.as_ref(), params, |dir, pool| {
+            ShardSet::build(data, params, dir, pool)
         })
     }
 
@@ -118,9 +112,20 @@ impl Engine {
     /// from the on-disk metadata; `params` supplies the serving knobs
     /// (threads, cache pages, cache budget).
     pub fn open(dir: impl AsRef<Path>, params: &EngineParams) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
+        Self::start(dir.as_ref(), params, |dir, pool| {
+            ShardSet::open(dir, params, pool)
+        })
+    }
+
+    /// The one constructor: creates the worker pool, brings the shard
+    /// fleet up on it with `shards`, and serves it.
+    fn start(
+        dir: &Path,
+        params: &EngineParams,
+        shards: impl FnOnce(&Path, &WorkerPool) -> io::Result<ShardSet>,
+    ) -> io::Result<Self> {
         let pool = WorkerPool::new(params.resolved_threads());
-        let set = ShardSet::open(&dir, params, &pool)?;
+        let set = shards(dir, &pool)?;
         let n = set.len();
         Ok(Self {
             set,
@@ -128,7 +133,7 @@ impl Engine {
             metrics: EngineMetrics::new(),
             append_gate: Arc::new(Mutex::new(n)),
             compaction_threshold: params.compaction_threshold,
-            dir,
+            dir: dir.to_path_buf(),
             serve: QueryParams::default(),
         })
     }
@@ -765,6 +770,28 @@ mod tests {
             "compaction ignored the build budget: {runs:?}"
         );
         drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shard count the corpus cannot fill is a typed error, not a panic.
+    #[test]
+    fn build_rejects_shard_counts_the_corpus_cannot_fill() {
+        let dir = std::env::temp_dir().join(format!("hd_engine_bad_shards_{}", std::process::id()));
+        let (data, _) = generate(&DatasetProfile::SIFT, 3, 1, 8);
+        for shards in [0, 4] {
+            let params = EngineParams {
+                shards,
+                threads: 1,
+                ..EngineParams::new(HdIndexParams {
+                    tau: 4,
+                    num_references: 1,
+                    ..HdIndexParams::for_profile(&DatasetProfile::SIFT)
+                })
+            };
+            let err = Engine::build(&data, &params, &dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{shards} shards");
+            assert!(err.to_string().contains("3 objects over"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -80,12 +80,16 @@ impl ShardSet {
         pool: &WorkerPool,
     ) -> io::Result<Self> {
         let s = params.shards;
-        assert!(s >= 1, "need at least one shard");
-        assert!(
-            data.len() >= s,
-            "cannot spread {} objects over {s} shards",
-            data.len()
-        );
+        if s == 0 || data.len() < s {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cannot spread {} objects over {s} shards: every shard needs at least \
+                     one object",
+                    data.len()
+                ),
+            ));
+        }
         std::fs::create_dir_all(dir)?;
 
         let refs = hd_index::reference::select(
@@ -94,13 +98,7 @@ impl ShardSet {
             params.index.ref_selection,
             params.index.seed,
         );
-        let budget =
-            (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages));
-        // One build-memory quota split dynamically across the S parallel
-        // shard builds — clones share the counter, so the fleet-wide
-        // working set stays under the one cap however the shards interleave.
-        let build_budget =
-            (params.build_budget_bytes > 0).then(|| BuildBudget::new(params.build_budget_bytes));
+        let (budget, build_budget) = budgets(params);
 
         // Each build task *owns* its slice, so a slice is freed the moment
         // its shard finishes building. Peak memory is still corpus + slices
@@ -167,12 +165,7 @@ impl ShardSet {
     /// metadata.
     pub fn open(dir: &Path, params: &EngineParams, pool: &WorkerPool) -> io::Result<Self> {
         let s = Self::read_meta(dir)?;
-        let budget =
-            (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages));
-        // Compaction rebuilds share one build quota, as the original
-        // parallel shard builds did.
-        let build_budget =
-            (params.build_budget_bytes > 0).then(|| BuildBudget::new(params.build_budget_bytes));
+        let (budget, build_budget) = budgets(params);
         let mut opened: Vec<Option<io::Result<HdIndex>>> = (0..s).map(|_| None).collect();
         pool.run_scoped(opened.iter_mut().enumerate().map(|(si, slot)| {
             let budget = budget.clone();
@@ -231,6 +224,9 @@ impl ShardSet {
             writeln!(f, "{MAGIC}")?;
             writeln!(f, "shards {}", self.shards.len())?;
             f.flush()?;
+            // The rename publishes the fleet: its content must be on stable
+            // storage first.
+            f.get_ref().sync_all()?;
         }
         std::fs::rename(tmp, dir.join(META_FILE))
     }
@@ -276,6 +272,18 @@ impl ShardSet {
     pub fn io_stats(&self) -> IoSnapshot {
         self.shards.iter().map(|s| s.index.read().io_stats()).sum()
     }
+}
+
+/// The fleet's shared quotas, `None` where `params` sets 0: one page-cache
+/// budget every shard's pools charge, and one build-memory budget split
+/// dynamically across the parallel shard builds and later compactions —
+/// clones share the counter, so the fleet-wide working set stays under one
+/// cap however the shards interleave.
+fn budgets(params: &EngineParams) -> (Option<CacheBudget>, Option<BuildBudget>) {
+    (
+        (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages)),
+        (params.build_budget_bytes > 0).then(|| BuildBudget::new(params.build_budget_bytes)),
+    )
 }
 
 /// Path of shard `si`'s index directory under the engine directory — the

@@ -3,7 +3,10 @@
 //! Both fresh builds ([`HdIndex::build_with`](crate::HdIndex::build_with))
 //! and compaction ([`HdIndex::prepare_compaction`](crate::HdIndex::prepare_compaction))
 //! funnel through [`run`]: a two-pass pipeline over a [`VectorSource`] whose
-//! working memory is capped by a [`BuildBudget`].
+//! working memory is capped by a [`BuildBudget`]. It writes one file
+//! generation through uncached pools, syncs it, and returns only its
+//! [`BuildStats`]; the caller commits the generation and brings it up with
+//! serving pools, the same way for generation 0 and for generation k.
 //!
 //! ```text
 //! pass 1 (once)      source ─chunks─► ref-dist rows ─► refdists.f32  (scratch, sequential)
@@ -29,18 +32,17 @@
 //! mistaken for index data (generation files are separately swept by
 //! `remove_stale_generations`).
 
-use crate::codes::RefineCodes;
-use crate::config::HdIndexParams;
 use crate::rdb;
 use crate::reference::ReferenceSet;
+use crate::BuildStats;
 use hd_btree::{BTree, EntrySource};
 use hd_core::dataset::VectorSource;
 use hd_core::metric::Metric;
 use hd_core::partition::Partitioning;
 use hd_hilbert::HilbertCurve;
 use hd_storage::{
-    BufferPool, BuildBudget, CacheBudget, ExternalSorter, IoSnapshot, IoStats, MergeReader, Pager,
-    VectorHeap, DEFAULT_PAGE_SIZE,
+    BufferPool, BuildBudget, ExternalSorter, IoStats, MergeReader, Pager, VectorHeap,
+    DEFAULT_PAGE_SIZE,
 };
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -72,8 +74,8 @@ pub(crate) fn sweep_tmp(dir: &Path) {
 /// (fresh build or compaction) decides file paths and generation tags; the
 /// core only streams.
 pub(crate) struct BuildCtx<'a> {
-    /// Index parameters with the domain already adjusted for the metric.
-    pub params: &'a HdIndexParams,
+    /// Per-axis Hilbert-grid domain, already adjusted for the metric.
+    pub domain: (f32, f32),
     pub refs: &'a ReferenceSet,
     pub partitioning: &'a Partitioning,
     pub curves: &'a [HilbertCurve],
@@ -83,31 +85,11 @@ pub(crate) struct BuildCtx<'a> {
     pub heap_path: PathBuf,
     /// Final path of each RDB-tree file for this generation.
     pub tree_paths: Vec<PathBuf>,
-    pub cache_budget: Option<CacheBudget>,
     /// The working-memory cap. [`BuildBudget::unbounded`] reproduces the
     /// in-memory build.
     pub budget: BuildBudget,
-    /// Sync every pool before returning — compaction's handover contract
-    /// (the plan must be durable before `apply` commits the meta rename).
-    pub sync: bool,
     /// Distinguishes scratch file names across generations.
     pub scratch_tag: u64,
-    /// Encode refine codes in pass 1 (`BuildOpts::refine_codes`).
-    pub refine_codes: bool,
-}
-
-/// What [`run`] hands back: the loaded trees and heap plus the spill
-/// accounting the caller reports.
-pub(crate) struct BuildArtifacts {
-    pub trees: Vec<BTree>,
-    pub heap: VectorHeap,
-    /// One row per heap slot, when [`BuildCtx::refine_codes`] asked.
-    pub codes: Option<RefineCodes>,
-    pub spilled_runs: u64,
-    pub spilled_bytes: u64,
-    /// Block transfers of the scratch files (spill runs, merge reads,
-    /// ref-distance file), in [`DEFAULT_PAGE_SIZE`] units.
-    pub scratch_io: IoSnapshot,
 }
 
 /// Charges `bytes` of sequential scratch IO to the ledger in page units,
@@ -253,11 +235,16 @@ impl EntrySource for RecordSource {
 /// records through an external sort into a bulk load. `ids` maps the `j`-th
 /// source vector to its object id (`None` = identity; compaction passes the
 /// survivor ids).
+///
+/// Every file is written through an uncached pool — caching what a build
+/// writes would only hold a copy of the index it is about to hand over —
+/// and synced before `run` returns, so the caller's meta rename can commit
+/// the generation at once.
 pub(crate) fn run(
     ctx: &BuildCtx<'_>,
     src: &mut dyn VectorSource,
     ids: Option<&[u64]>,
-) -> io::Result<BuildArtifacts> {
+) -> io::Result<BuildStats> {
     let dim = src.dim();
     let m = ctx.refs.m();
     let n = src.len();
@@ -276,19 +263,10 @@ pub(crate) fn run(
     let chunk_grant = ctx.budget.reserve(per_point * MIN_CHUNK_POINTS, want);
     let chunk_points = (chunk_grant.bytes() / per_point).max(MIN_CHUNK_POINTS);
 
-    // Pass 1: one sequential sweep — vectors into the heap (and their refine
-    // codes into memory), ref-dist rows into the scratch file,
-    // chunk-parallel on the worker pool.
+    // Pass 1: one sequential sweep — vectors into the heap, ref-dist rows
+    // into the scratch file, chunk-parallel on the worker pool.
     let rd_path = tmp.join(format!("refdists.g{}.f32", ctx.scratch_tag));
-    let mut heap = VectorHeap::create_budgeted(
-        &ctx.heap_path,
-        dim,
-        ctx.params.query_cache_pages,
-        ctx.cache_budget.clone(),
-    )?;
-    let mut codes = ctx
-        .refine_codes
-        .then(|| RefineCodes::new(ctx.params.domain, dim, n));
+    let mut heap = VectorHeap::create(&ctx.heap_path, dim, 0)?;
     let mut chunk: Vec<f32> = Vec::new();
     let mut rowbytes: Vec<u8> = Vec::new();
     {
@@ -308,9 +286,6 @@ pub(crate) fn run(
             writer.write_all(&rowbytes)?;
             written += rowbytes.len() as u64;
             heap.append_all(chunk.chunks_exact(dim))?;
-            if let Some(codes) = &mut codes {
-                codes.extend(&chunk);
-            }
         }
         writer.flush()?;
         charge(&io, written, true);
@@ -319,8 +294,7 @@ pub(crate) fn run(
     // Pass 2: per tree, replay source + scratch rows chunk by chunk,
     // encode records in parallel, external-sort them under the budget, and
     // stream the merge straight into the bottom-up bulk load.
-    let (lo, hi) = ctx.params.domain;
-    let mut trees = Vec::with_capacity(ctx.curves.len());
+    let (lo, hi) = ctx.domain;
     let mut spilled_runs = 0u64;
     let mut spilled_bytes = 0u64;
     let mut recbuf: Vec<u8> = Vec::new();
@@ -379,12 +353,7 @@ pub(crate) fn run(
         spilled_runs += reader.spilled_runs() as u64;
         spilled_bytes += reader.spilled_bytes();
 
-        let pager = Pager::create(&ctx.tree_paths[g])?;
-        let pool = Arc::new(BufferPool::with_budget(
-            pager,
-            ctx.params.query_cache_pages,
-            ctx.cache_budget.clone(),
-        ));
+        let pool = Arc::new(BufferPool::new(Pager::create(&ctx.tree_paths[g])?, 0));
         let mut tree = BTree::create(pool, key_len, val_len)?;
         let mut records = RecordSource { reader, key_len };
         {
@@ -402,23 +371,15 @@ pub(crate) fn run(
                 )
                 .record(records.reader.merge_nanos());
         }
-        if ctx.sync {
-            tree.pool().sync()?;
-        }
-        trees.push(tree);
+        tree.pool().sync()?;
     }
-    if ctx.sync {
-        heap.pool().sync()?;
-    }
+    heap.pool().sync()?;
     std::fs::remove_file(&rd_path)?;
     // Empty now unless a concurrent build shares the directory (it never
     // does) — and a populated directory is swept at next open anyway.
     let _ = std::fs::remove_dir(&tmp);
 
-    Ok(BuildArtifacts {
-        trees,
-        heap,
-        codes,
+    Ok(BuildStats {
         spilled_runs,
         spilled_bytes,
         scratch_io: io.snapshot(),

@@ -6,10 +6,10 @@
 //! quantise. Refinement bounds every candidate from its codes and fetches
 //! only those whose bound does not exceed the running k-th key.
 //!
-//! Row `s` holds the codes of heap slot `s`. A build fills them in the pass
-//! that appends the heap, an insert appends one row, a compaction keeps the
-//! survivors' rows in place, and an open derives them from the heap in one
-//! sequential pass.
+//! Row `s` holds the codes of heap slot `s`. An index coming up — after a
+//! build as after a reopen — derives them from its heap in one sequential
+//! pass, an insert appends one row, and a compaction keeps the survivors'
+//! rows in place.
 
 use hd_core::grid::UniformGrid;
 use hd_storage::VectorHeap;
@@ -26,19 +26,15 @@ pub(crate) struct RefineCodes {
 }
 
 impl RefineCodes {
-    /// No rows yet, room for `rows` without reallocating.
-    pub(crate) fn new(domain: (f32, f32), dim: usize, rows: usize) -> Self {
-        Self {
+    /// Encodes every vector of `heap`, reading its pages in order without
+    /// caching them, into exactly `n·d` bytes.
+    pub(crate) fn derive(heap: &VectorHeap, domain: (f32, f32)) -> io::Result<Self> {
+        let dim = heap.dim();
+        let mut codes = Self {
             grid: UniformGrid::new(domain, CELLS),
             dim,
-            bytes: Vec::with_capacity(rows * dim),
-        }
-    }
-
-    /// Encodes every vector of `heap`, reading its pages in order without
-    /// caching them.
-    pub(crate) fn derive(heap: &VectorHeap, domain: (f32, f32)) -> io::Result<Self> {
-        let mut codes = Self::new(domain, heap.dim(), heap.len() as usize);
+            bytes: Vec::with_capacity(heap.len() as usize * dim),
+        };
         heap.scan(|rows| codes.extend(rows))?;
         Ok(codes)
     }

@@ -56,9 +56,10 @@ pub struct HdIndexParams {
     /// Use a seeded random dimension partitioning instead of contiguous
     /// (the §5.2.1 ablation).
     pub random_partitioning: Option<u64>,
-    /// Buffer-pool capacity in pages for each RDB-tree and the heap file,
-    /// during construction and querying alike (0 = paper measurement mode:
-    /// every read is physical).
+    /// Buffer-pool capacity in pages for each RDB-tree and the heap file
+    /// of the serving index (0 = paper measurement mode: every read is
+    /// physical). Construction writes through uncached pools whatever this
+    /// says.
     pub query_cache_pages: usize,
     /// RNG seed for reference selection.
     pub seed: u64,

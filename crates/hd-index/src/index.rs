@@ -5,6 +5,7 @@ use crate::build;
 use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
 use crate::live::{IdMap, IdSet};
+use crate::meta::IndexMeta;
 use crate::rdb;
 use crate::reference::{self, ReferenceSet};
 use hd_btree::BTree;
@@ -32,7 +33,8 @@ pub struct BuildOpts {
     pub references: Option<ReferenceSet>,
     /// Shared page-cache quota charged by all τ+1 pools of this index (and
     /// by any other index holding a clone); per-pool capacity still comes
-    /// from `query_cache_pages`.
+    /// from `query_cache_pages`. The build writes its files uncached, so
+    /// the quota is charged only once the built index serves.
     pub cache_budget: Option<CacheBudget>,
     /// Working-memory cap for construction (DESIGN.md §11): chunk buffers
     /// and external-sort buffers are charged here, and the sorter spills
@@ -48,8 +50,10 @@ pub struct BuildOpts {
     /// identical either way; the codes cost `n·d` bytes of RAM and no
     /// disk. Off by default, the paper's memory model (only the
     /// references stay in RAM). The choice is persisted: reopening and
-    /// compacting follow it. The codes are the index's resident state, not
-    /// construction working memory, so `build_budget` does not cap them.
+    /// compacting follow it. The codes are derived from the heap when the
+    /// index comes up, after a build as after a reopen; they are the
+    /// index's resident state, not construction working memory, so
+    /// `build_budget` does not cap them.
     pub refine_codes: bool,
 }
 
@@ -160,6 +164,55 @@ fn open_generation(
         cache_budget.clone(),
     )?;
     Ok((trees, heap))
+}
+
+/// The meta of an index with this layout and no objects: generation 0,
+/// snapshot 0, no tombstones. Callers fill in the state.
+fn layout_meta(
+    params: &HdIndexParams,
+    partitioning: &Partitioning,
+    refs: &ReferenceSet,
+    metric: Metric,
+    dim: usize,
+) -> IndexMeta {
+    IndexMeta {
+        dim,
+        n: 0,
+        tau: params.tau,
+        omega: params.hilbert_order,
+        m: refs.m(),
+        domain: params.domain,
+        groups: (0..partitioning.tau())
+            .map(|g| partitioning.group(g).to_vec())
+            .collect(),
+        ref_ids: refs.ids.clone(),
+        ref_vectors: refs.vectors.clone(),
+        tombstones: Vec::new(),
+        metric,
+        snapshot_version: 0,
+        wal_pos: 0,
+        next_id: 0,
+        generation: 0,
+        id_map: None,
+        refine_codes: false,
+    }
+}
+
+/// The snapshot commit, shared by a build's generation 0, [`HdIndex::save`]
+/// and [`HdIndex::apply_compaction`]: bumps `meta`'s snapshot version, logs
+/// and fsyncs a checkpoint carrying it, renames the meta into place (the
+/// commit point) and empties the log. The data files the meta names must
+/// already be synced. Before the rename recovery replays the full log onto
+/// the previous snapshot; after it the checkpoint tells replay everything
+/// earlier is already captured.
+fn commit_snapshot(wal: &Wal, dir: &Path, meta: &mut IndexMeta) -> io::Result<()> {
+    meta.snapshot_version += 1;
+    wal.append(&WalRecord::Checkpoint {
+        snapshot_version: meta.snapshot_version,
+    })?;
+    meta.wal_pos = wal.commit()?;
+    meta.write(dir)?;
+    wal.reset()
 }
 
 /// A fully built, fully synced next-generation file set, ready to swap in.
@@ -288,6 +341,11 @@ impl HdIndex {
     /// capped by [`BuildOpts::build_budget`]. When no reference set is
     /// supplied one is selected over a deterministic strided sample of the
     /// source (the full corpus may not fit in memory).
+    ///
+    /// The build writes generation 0 the way a compaction writes generation
+    /// k, commits it as snapshot 1 with an empty log, and brings it up
+    /// through [`Self::open_with`]: a just-built index is its reopened
+    /// directory, cold pools included.
     pub fn build_from_source(
         src: &mut dyn VectorSource,
         params: &HdIndexParams,
@@ -381,60 +439,39 @@ impl HdIndex {
             curves.push(HilbertCurve::new(eta, params.hilbert_order));
         }
 
-        // 4. Stream heap + τ trees through the out-of-core pipeline.
-        let budget = opts
-            .build_budget
-            .clone()
-            .unwrap_or_else(BuildBudget::unbounded);
+        // 4. Stream heap + τ trees through the out-of-core pipeline into
+        //    generation 0, synced.
+        let budget = opts.build_budget.unwrap_or_else(BuildBudget::unbounded);
         let ctx = build::BuildCtx {
-            params,
+            domain: params.domain,
             refs: &refs,
             partitioning: &partitioning,
             curves: &curves,
             dir: &dir,
             heap_path: heap_file(&dir, 0),
             tree_paths: (0..params.tau).map(|g| tree_file(&dir, g, 0)).collect(),
-            cache_budget: opts.cache_budget.clone(),
             budget: budget.clone(),
-            sync: false,
             scratch_tag: 0,
-            refine_codes: opts.refine_codes,
         };
-        let artifacts = build::run(&ctx, src, None)?;
-        let build_stats = BuildStats {
-            spilled_runs: artifacts.spilled_runs,
-            spilled_bytes: artifacts.spilled_bytes,
-            scratch_io: artifacts.scratch_io,
-        };
+        let build_stats = build::run(&ctx, src, None)?;
 
+        // 5. Commit generation 0 as snapshot 1 with an empty log. The log of
+        //    an index built here before is emptied first, so its tail can
+        //    never replay onto the new corpus.
         let wal = Wal::create(dir.join(WAL_FILE))?;
-        let mut index = Self {
-            params: params.clone(),
-            partitioning,
-            curves,
-            trees: artifacts.trees,
-            heap: artifacts.heap,
-            refs,
-            tombstones: IdSet::default(),
-            dim,
-            metric,
-            dir,
-            serve: QueryParams::default(),
-            wal,
-            id_map: None,
-            codes: artifacts.codes,
-            next_id: AtomicU64::new(n as u64),
-            snapshot_version: 0,
-            generation: 0,
-            compactions: 0,
-            cache_budget: opts.cache_budget,
-            build_budget: budget,
-            build_stats,
+        let mut meta = IndexMeta {
+            n: n as u64,
+            next_id: n as u64,
+            refine_codes: opts.refine_codes,
+            ..layout_meta(params, &partitioning, &refs, metric, dim)
         };
-        // The build ends as snapshot 1: data files synced, meta committed,
-        // WAL empty.
-        index.save()?;
-        index.reset_io_stats();
+        commit_snapshot(&wal, &dir, &mut meta)?;
+        drop(wal);
+
+        // 6. Come up the way every reopen does.
+        let mut index = Self::open_with(&dir, params.query_cache_pages, opts.cache_budget)?;
+        index.build_budget = budget;
+        index.build_stats = build_stats;
         Ok(index)
     }
 
@@ -563,8 +600,7 @@ impl HdIndex {
         };
         // Opening the WAL truncates any torn tail back to the last intact
         // record boundary; everything before it is committed history.
-        let wal = Wal::open(dir.join(WAL_FILE))?;
-        let records = wal.records()?;
+        let (wal, records) = Wal::open(dir.join(WAL_FILE))?;
         let mut index = Self {
             params,
             partitioning,
@@ -645,29 +681,33 @@ impl HdIndex {
         Ok(())
     }
 
-    fn persist_meta(&self) -> io::Result<()> {
-        crate::meta::IndexMeta {
-            dim: self.dim,
+    /// The meta of the current state, as the next snapshot records it.
+    fn meta(&self) -> IndexMeta {
+        IndexMeta {
             n: self.heap.len(),
-            tau: self.params.tau,
-            omega: self.params.hilbert_order,
-            m: self.refs.m(),
-            domain: self.params.domain,
-            groups: (0..self.partitioning.tau())
-                .map(|g| self.partitioning.group(g).to_vec())
-                .collect(),
-            ref_ids: self.refs.ids.clone(),
-            ref_vectors: self.refs.vectors.clone(),
             tombstones: self.tombstones.iter().collect(),
-            metric: self.metric,
             snapshot_version: self.snapshot_version,
-            wal_pos: self.wal.position(),
             next_id: self.next_id.load(Ordering::Relaxed),
             generation: self.generation,
             id_map: self.id_map.as_ref().map(|map| map.ids().to_vec()),
             refine_codes: self.codes.is_some(),
+            ..layout_meta(
+                &self.params,
+                &self.partitioning,
+                &self.refs,
+                self.metric,
+                self.dim,
+            )
         }
-        .write(&self.dir)
+    }
+
+    /// Commits the current state as the next snapshot ([`commit_snapshot`]).
+    /// The data files must already be synced.
+    fn commit(&mut self) -> io::Result<()> {
+        let mut meta = self.meta();
+        commit_snapshot(&self.wal, &self.dir, &mut meta)?;
+        self.snapshot_version = meta.snapshot_version;
+        Ok(())
     }
 
     pub fn len(&self) -> u64 {
@@ -749,6 +789,10 @@ impl HdIndex {
         self.metric
     }
 
+    /// The parameters read back from the meta. The knobs that only steer
+    /// selection at build time (`ref_selection`, `random_partitioning`,
+    /// `seed`) are not persisted and read as their defaults; their results
+    /// (the reference set, the partitioning) are.
     pub fn params(&self) -> &HdIndexParams {
         &self.params
     }
@@ -925,16 +969,7 @@ impl HdIndex {
         for pool in self.pools() {
             pool.sync()?;
         }
-        self.snapshot_version += 1;
-        self.wal.append(&WalRecord::Checkpoint {
-            snapshot_version: self.snapshot_version,
-        })?;
-        self.wal.commit()?;
-        // Before this rename recovery replays the full log onto the old
-        // snapshot; after it the checkpoint tells replay everything earlier
-        // is already captured.
-        self.persist_meta()?;
-        self.wal.reset()
+        self.commit()
     }
 
     /// Rebuilds the index over the survivors whenever tombstones exist,
@@ -980,16 +1015,11 @@ impl HdIndex {
         // original ingest), so the streamed ref-distances are exactly what
         // the original build computed.
         let mut src = build::HeapSurvivorSource::new(&self.heap, &survivor_slots, self.metric);
-        // The rebuild writes through uncached pools: caching every page it
-        // writes would hold a second copy of the shard's cache while the
-        // current generation still serves. The plan reopens the synced files
-        // with serving pools, which queries warm.
-        let uncached = HdIndexParams {
-            query_cache_pages: 0,
-            ..self.params.clone()
-        };
+        // The rebuild writes uncached (a second copy of the shard's cache
+        // while the current generation still serves); the plan reopens the
+        // synced files with serving pools, which queries warm.
         let ctx = build::BuildCtx {
-            params: &uncached,
+            domain: self.params.domain,
             refs: &self.refs,
             partitioning: &self.partitioning,
             curves: &self.curves,
@@ -998,19 +1028,15 @@ impl HdIndex {
             tree_paths: (0..self.trees.len())
                 .map(|g| tree_file(&self.dir, g, next_gen))
                 .collect(),
-            cache_budget: self.cache_budget.clone(),
             budget: self.build_budget.clone(),
-            sync: true,
             scratch_tag: next_gen,
-            // The install keeps the survivors' rows of the current codes.
-            refine_codes: false,
         };
-        let artifacts = build::run(&ctx, &mut src, Some(&survivor_ids))?;
+        let build_stats = build::run(&ctx, &mut src, Some(&survivor_ids))?;
         let (trees, heap) = open_generation(
             &self.dir,
             next_gen,
             self.trees.len(),
-            (self.dim, artifacts.heap.len()),
+            (self.dim, n as u64),
             self.params.query_cache_pages,
             &self.cache_budget,
         )?;
@@ -1034,11 +1060,7 @@ impl HdIndex {
             generation: next_gen,
             heap_len: self.heap.len(),
             dropped: self.tombstones.clone(),
-            build_stats: BuildStats {
-                spilled_runs: artifacts.spilled_runs,
-                spilled_bytes: artifacts.spilled_bytes,
-                scratch_io: artifacts.scratch_io,
-            },
+            build_stats,
             trees,
             heap,
             id_map,
@@ -1102,17 +1124,10 @@ impl HdIndex {
             self.tombstones.insert(id);
         }
 
-        // Same commit protocol as save(): the meta rename atomically
-        // switches generations; crash before it leaves the old generation
-        // plus the full WAL, crash after leaves stale files that the next
-        // open sweeps.
-        self.snapshot_version += 1;
-        self.wal.append(&WalRecord::Checkpoint {
-            snapshot_version: self.snapshot_version,
-        })?;
-        self.wal.commit()?;
-        self.persist_meta()?;
-        self.wal.reset()?;
+        // Same commit as save(): the meta rename atomically switches
+        // generations; crash before it leaves the old generation plus the
+        // full WAL, crash after leaves stale files that the next open sweeps.
+        self.commit()?;
         remove_stale_generations(&self.dir, self.generation)?;
         if hd_telemetry::enabled() {
             let reclaimed = bytes_before.saturating_sub(self.disk_bytes());
@@ -1520,34 +1535,108 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// Every answer of `index` to `queries`, ids and distance bits.
+    fn answer_bits(index: &HdIndex, queries: &Dataset, qp: &QueryParams) -> Vec<Vec<(u64, u32)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let answer = index.knn(q, qp).unwrap();
+                answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn reopen_from_disk_preserves_answers_and_tombstones() {
         let (data, queries) = generate(&DatasetProfile::SIFT, 1200, 3, 12);
-        let dir = test_dir("reopen");
         let qp = QueryParams::triangular(256, 64, 10);
-        let (expected, deleted): (Vec<Vec<Neighbor>>, u64) = {
-            let mut index = HdIndex::build(&data, &small_params(), &dir).unwrap();
-            let victim = index.knn(data.get(0), &qp).unwrap()[0].id;
-            index.delete(victim).unwrap();
-            (
-                queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect(),
-                victim,
-            )
+        // Pools that cache: a build that kept what it wrote would answer
+        // from warm pools and report other memory and IO than its reopen.
+        let params = HdIndexParams {
+            query_cache_pages: 64,
+            ..small_params()
         };
-        // Reopen in a fresh struct and compare every answer.
-        let reopened = HdIndex::open(&dir, 0).unwrap();
-        assert_eq!(reopened.len(), 1200);
-        assert!(
-            reopened.is_deleted(deleted),
-            "tombstone must survive reopen"
-        );
-        for (qi, q) in queries.iter().enumerate() {
+        for refine_codes in [false, true] {
+            let dir = test_dir(&format!("reopen_{refine_codes}"));
+            // The just-built index and its directory reopened come up
+            // identical: same answers to the bit, same memory, same write
+            // counters, same IO for the same queries.
+            let built = build_coded(&data, &params, &dir, refine_codes);
+            let built_answers = answer_bits(&built, &queries, &qp);
+            let built_stats = AnnIndex::stats(&built);
+            drop(built);
+            let mut reopened = HdIndex::open(&dir, params.query_cache_pages).unwrap();
+            assert_eq!(reopened.has_refine_codes(), refine_codes);
+            assert_eq!(answer_bits(&reopened, &queries, &qp), built_answers);
             assert_eq!(
-                reopened.knn(q, &qp).unwrap(),
-                expected[qi],
-                "query {qi} diverged after reopen"
+                AnnIndex::stats(&reopened),
+                built_stats,
+                "refine codes {refine_codes}"
             );
+
+            let victim = reopened.knn(data.get(0), &qp).unwrap()[0].id;
+            reopened.delete(victim).unwrap();
+            let expected = answer_bits(&reopened, &queries, &qp);
+            drop(reopened);
+            // Reopen in a fresh struct and compare every answer.
+            let reopened = HdIndex::open(&dir, params.query_cache_pages).unwrap();
+            assert_eq!(reopened.len(), 1200);
+            assert!(reopened.is_deleted(victim), "tombstone must survive reopen");
+            assert_eq!(
+                answer_bits(&reopened, &queries, &qp),
+                expected,
+                "answers diverged after reopen (refine codes {refine_codes})"
+            );
+            std::fs::remove_dir_all(dir).ok();
         }
+    }
+
+    #[test]
+    fn build_over_an_older_index_serves_only_the_new_corpus() {
+        let (old, _) = generate(&DatasetProfile::SIFT, 900, 1, 29);
+        let (extra, _) = generate(&DatasetProfile::SIFT, 20, 1, 30);
+        let (new, queries) = generate(&DatasetProfile::SIFT, 700, 6, 31);
+        let dir = test_dir("rebuild_over");
+        {
+            // An older index at generation 1 with a WAL tail it never
+            // saved: inserts and deletes a reopen would replay.
+            let mut older = HdIndex::build(&old, &small_params(), &dir).unwrap();
+            for id in (0..900u64).step_by(3) {
+                older.delete(id).unwrap();
+            }
+            assert!(older.compact().unwrap());
+            for v in extra.iter() {
+                older.insert(v).unwrap();
+            }
+            older.delete(1).unwrap();
+            assert!(older.wal_tail_bytes() > 0);
+        }
+        // Saturated budgets: answers are exact over whatever is stored.
+        let qp = QueryParams::triangular(700, 700, 10);
+        let check = |index: &HdIndex| {
+            assert_eq!(index.len(), 700);
+            assert_eq!(index.next_id(), 700);
+            assert_eq!(index.live_len(), 700);
+            assert_eq!(index.write_stats().wal_replayed, 0);
+            assert_eq!(index.wal_tail_bytes(), 0);
+            for q in queries.iter() {
+                assert_eq!(
+                    index.knn(q, &qp).unwrap(),
+                    hd_core::ground_truth::knn_exact(&new, q, 10)
+                );
+            }
+            let mut stale: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| file_generation(name).is_some_and(|g| g != 0))
+                .collect();
+            stale.sort();
+            assert!(stale.is_empty(), "stale generation files: {stale:?}");
+        };
+        let built = HdIndex::build(&new, &small_params(), &dir).unwrap();
+        check(&built);
+        drop(built);
+        check(&HdIndex::open(&dir, 0).unwrap());
         std::fs::remove_dir_all(dir).ok();
     }
 

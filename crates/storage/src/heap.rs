@@ -50,20 +50,10 @@ impl VectorHeap {
     /// # Panics
     /// Panics if `dim == 0`.
     pub fn create(path: impl AsRef<Path>, dim: usize, cache_pages: usize) -> io::Result<Self> {
-        Self::create_budgeted(path, dim, cache_pages, None)
-    }
-
-    /// [`Self::create`] with the pool charging a shared [`CacheBudget`].
-    pub fn create_budgeted(
-        path: impl AsRef<Path>,
-        dim: usize,
-        cache_pages: usize,
-        budget: Option<CacheBudget>,
-    ) -> io::Result<Self> {
         assert!(dim > 0, "dimensionality must be positive");
         let pager = Pager::create(path)?;
         Ok(Self::with_pool(
-            Arc::new(BufferPool::with_budget(pager, cache_pages, budget)),
+            Arc::new(BufferPool::new(pager, cache_pages)),
             dim,
         ))
     }

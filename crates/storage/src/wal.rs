@@ -21,11 +21,11 @@
 //!
 //! ## Torn-tail tolerance
 //!
-//! The replay iterator stops cleanly at the first record whose length word,
-//! body, or checksum is short or invalid — that is the torn tail a crash
-//! mid-append leaves behind. Everything before it is returned; nothing after
-//! it is trusted. `Wal::open` truncates the file back to the end of the
-//! valid prefix so later appends never interleave with garbage.
+//! [`Wal::open`] reads the log once and stops cleanly at the first record
+//! whose length word, body, or checksum is short or invalid — that is the
+//! torn tail a crash mid-append leaves behind. Everything before it is
+//! returned; nothing after it is trusted. The file is truncated back to the
+//! end of the valid prefix so later appends never interleave with garbage.
 //!
 //! ## Commits
 //!
@@ -199,10 +199,10 @@ impl Wal {
         Ok(Self::from_file(file, path.as_ref().to_path_buf(), 0))
     }
 
-    /// Opens an existing log (creating an empty one if absent), scans the
-    /// valid prefix, and truncates any torn tail so subsequent appends start
-    /// from a clean boundary.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+    /// Opens an existing log (creating an empty one if absent) and returns
+    /// it with the records of its valid prefix, read in one scan. Any torn
+    /// tail is truncated so subsequent appends start from a clean boundary.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<(Self, Vec<WalRecord>)> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
@@ -210,17 +210,15 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let valid = {
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
-            scan_valid_prefix(&bytes)
-        };
-        if file.metadata()?.len() > valid {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let (records, valid) = decode_prefix(&bytes);
+        if bytes.len() as u64 > valid {
             file.set_len(valid)?;
             file.sync_all()?;
         }
         file.seek(SeekFrom::Start(valid))?;
-        Ok(Self::from_file(file, path, valid))
+        Ok((Self::from_file(file, path, valid), records))
     }
 
     fn from_file(file: File, path: PathBuf, pos: u64) -> Self {
@@ -250,10 +248,8 @@ impl Wal {
         frame.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
         frame.push(record.tag());
         frame.extend_from_slice(&payload);
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.push(record.tag());
-        body.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        let crc = crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_le_bytes());
 
         let span = hd_telemetry::span!("wal_append_nanos");
         let mut inner = self.inner.lock();
@@ -305,19 +301,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads every valid record currently in the log (committed prefix plus
-    /// any flushed-but-unsynced records that happen to be intact). Replay
-    /// for recovery should instead use [`Wal::open`] + [`replay`], but tests
-    /// use this to inspect live logs.
-    pub fn records(&self) -> io::Result<Vec<WalRecord>> {
-        {
-            let mut inner = self.inner.lock();
-            inner.writer.flush()?;
-        }
-        let bytes = std::fs::read(&self.path)?;
-        Ok(replay(&bytes).collect())
-    }
-
     /// Records recovered / appended / fsynced since open.
     pub fn counters(&self) -> WalCounters {
         WalCounters {
@@ -343,8 +326,11 @@ impl Wal {
     }
 }
 
-/// Byte length of the valid record prefix of `bytes` — the torn-tail scan.
-fn scan_valid_prefix(bytes: &[u8]) -> u64 {
+/// Decodes the valid record prefix of a raw log image: its records and its
+/// byte length. Stops at the first torn or corrupt frame — exactly the
+/// crash-recovery contract.
+fn decode_prefix(bytes: &[u8]) -> (Vec<WalRecord>, u64) {
+    let mut records = Vec::new();
     let mut pos = 0usize;
     while let Some(len_bytes) = bytes.get(pos..pos + 4) {
         let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
@@ -360,58 +346,13 @@ fn scan_valid_prefix(bytes: &[u8]) -> u64 {
         if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
             break;
         }
-        if WalRecord::decode(body[0], &body[1..]).is_none() {
+        let Some(record) = WalRecord::decode(body[0], &body[1..]) else {
             break;
-        }
+        };
+        records.push(record);
         pos += 8 + len;
     }
-    pos as u64
-}
-
-/// Iterator over the valid record prefix of a raw log image. Stops silently
-/// at the first torn/corrupt record — exactly the crash-recovery contract.
-pub fn replay(bytes: &[u8]) -> WalReplay<'_> {
-    WalReplay { bytes, pos: 0 }
-}
-
-/// See [`replay`].
-pub struct WalReplay<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Iterator for WalReplay<'_> {
-    type Item = WalRecord;
-
-    fn next(&mut self) -> Option<WalRecord> {
-        let bytes = self.bytes;
-        let pos = self.pos;
-        let len = u32::from_le_bytes(bytes.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        if len == 0 {
-            return None;
-        }
-        let body = bytes.get(pos + 4..pos + 4 + len)?;
-        let crc_stored =
-            u32::from_le_bytes(bytes.get(pos + 4 + len..pos + 8 + len)?.try_into().ok()?);
-        if crc32(body) != crc_stored {
-            return None;
-        }
-        let record = WalRecord::decode(body[0], &body[1..])?;
-        self.pos += 8 + len;
-        Some(record)
-    }
-}
-
-/// Replays the valid prefix of the log file at `path`, returning the records
-/// and the byte offset where the valid prefix ends.
-pub fn replay_file(path: impl AsRef<Path>) -> io::Result<(Vec<WalRecord>, u64)> {
-    let bytes = match std::fs::read(path.as_ref()) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let valid = scan_valid_prefix(&bytes);
-    Ok((replay(&bytes).collect(), valid))
+    (records, pos as u64)
 }
 
 #[cfg(test)]
@@ -453,13 +394,12 @@ mod tests {
             wal.append(r).unwrap();
         }
         wal.commit().unwrap();
-        assert_eq!(wal.records().unwrap(), records);
 
-        // Reopen sees the same prefix.
+        // Reopen sees the same prefix, and nothing past it.
         drop(wal);
-        let (replayed, pos) = replay_file(&path).unwrap();
+        let (wal, replayed) = Wal::open(&path).unwrap();
         assert_eq!(replayed, records);
-        assert_eq!(pos, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(wal.position(), std::fs::metadata(&path).unwrap().len());
         std::fs::remove_file(path).ok();
     }
 
@@ -500,15 +440,15 @@ mod tests {
             let bytes = std::fs::read(&path).unwrap();
             let img = bytes.clone();
             std::fs::write(&path, &img[..cut as usize]).unwrap();
-            let (records, valid) = replay_file(&path).unwrap();
+            let (wal, records) = Wal::open(&path).unwrap();
             assert_eq!(records.len(), 1, "cut at {cut}");
-            assert_eq!(valid, first_len);
-            let wal = Wal::open(&path).unwrap();
+            assert_eq!(wal.position(), first_len);
             assert_eq!(std::fs::metadata(&path).unwrap().len(), first_len);
             // The log accepts appends again after tail truncation.
             wal.append(&WalRecord::Delete { id: 9 }).unwrap();
             wal.commit().unwrap();
-            assert_eq!(wal.records().unwrap().len(), 2);
+            drop(wal);
+            assert_eq!(Wal::open(&path).unwrap().1.len(), 2);
             std::fs::write(&path, &img).unwrap(); // restore for the next cut
         }
         std::fs::remove_file(path).ok();
@@ -527,7 +467,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // flip a checksum bit in the last record
         std::fs::write(&path, &bytes).unwrap();
-        let (records, _) = replay_file(&path).unwrap();
+        let (_, records) = Wal::open(&path).unwrap();
         assert_eq!(records, vec![WalRecord::Delete { id: 1 }]);
         std::fs::remove_file(path).ok();
     }
@@ -540,10 +480,12 @@ mod tests {
         wal.commit().unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.position(), 0);
-        assert!(wal.records().unwrap().is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
         wal.append(&WalRecord::Delete { id: 2 }).unwrap();
         wal.commit().unwrap();
-        assert_eq!(wal.records().unwrap(), vec![WalRecord::Delete { id: 2 }]);
+        drop(wal);
+        let (_, records) = Wal::open(&path).unwrap();
+        assert_eq!(records, vec![WalRecord::Delete { id: 2 }]);
         std::fs::remove_file(path).ok();
     }
 }
