@@ -44,10 +44,7 @@ mod tests {
     #[test]
     fn scores_accumulate_across_result_sets() {
         let owner = vec![7, 8];
-        let ranked = borda_count(
-            &owner,
-            &[vec![n(0), n(1)], vec![n(1), n(0)]],
-        );
+        let ranked = borda_count(&owner, &[vec![n(0), n(1)], vec![n(1), n(0)]]);
         // Both images: 2 + 1 = 3 points; tie broken by image id.
         assert_eq!(ranked, vec![(7, 3), (8, 3)]);
     }

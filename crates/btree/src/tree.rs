@@ -1,8 +1,6 @@
 //! The B+-tree proper: bulk load, insert, point/range access.
 
-use crate::node::{
-    internal_capacity, leaf_capacity, Header, Internal, Leaf, NO_PAGE,
-};
+use crate::node::{internal_capacity, leaf_capacity, Header, Internal, Leaf, NO_PAGE};
 use hd_storage::BufferPool;
 use std::io;
 use std::sync::Arc;
@@ -54,7 +52,10 @@ impl BTree {
     /// Panics if the pool already contains pages, if key/value sizes are 0,
     /// or if a page cannot hold at least one leaf entry and two separators.
     pub fn create(pool: Arc<BufferPool>, key_len: usize, val_len: usize) -> io::Result<Self> {
-        assert!(key_len > 0 && val_len > 0, "key/value sizes must be positive");
+        assert!(
+            key_len > 0 && val_len > 0,
+            "key/value sizes must be positive"
+        );
         assert_eq!(pool.num_pages(), 0, "pool must be fresh");
         let ps = pool.page_size();
         assert!(
@@ -192,7 +193,10 @@ impl BTree {
     where
         S: EntrySource + ?Sized,
     {
-        assert!(self.root == NO_PAGE && self.count == 0, "tree must be empty");
+        assert!(
+            self.root == NO_PAGE && self.count == 0,
+            "tree must be empty"
+        );
         assert!(fill > 0.0 && fill <= 1.0, "fill factor must be in (0, 1]");
         let ps = self.pool.page_size();
         let cap = leaf_capacity(ps, self.key_len, self.val_len);
@@ -210,26 +214,28 @@ impl BTree {
         #[cfg(debug_assertions)]
         let mut prev_key: Vec<u8> = Vec::new();
 
-        let mut flush =
-            |cur: &mut Vec<u8>, cur_count: &mut usize, cur_first: &mut Vec<u8>,
-             pending: &mut Option<(Vec<u8>, u64)>, level: &mut Vec<(Vec<u8>, u64)>|
-             -> io::Result<()> {
-                let id = self.pool.allocate_page()?;
-                if let Some((mut pbuf, pid)) = pending.take() {
-                    Leaf::set_right(&mut pbuf, id);
-                    self.pool.write(pid, &pbuf)?;
-                    Leaf::set_left(cur, pid);
-                } else {
-                    self.first_leaf = id;
-                }
-                Leaf::set_count(cur, *cur_count);
-                level.push((std::mem::take(cur_first), id));
-                let mut fresh = vec![0u8; ps];
-                Leaf::init(&mut fresh);
-                *pending = Some((std::mem::replace(cur, fresh), id));
-                *cur_count = 0;
-                Ok(())
-            };
+        let mut flush = |cur: &mut Vec<u8>,
+                         cur_count: &mut usize,
+                         cur_first: &mut Vec<u8>,
+                         pending: &mut Option<(Vec<u8>, u64)>,
+                         level: &mut Vec<(Vec<u8>, u64)>|
+         -> io::Result<()> {
+            let id = self.pool.allocate_page()?;
+            if let Some((mut pbuf, pid)) = pending.take() {
+                Leaf::set_right(&mut pbuf, id);
+                self.pool.write(pid, &pbuf)?;
+                Leaf::set_left(cur, pid);
+            } else {
+                self.first_leaf = id;
+            }
+            Leaf::set_count(cur, *cur_count);
+            level.push((std::mem::take(cur_first), id));
+            let mut fresh = vec![0u8; ps];
+            Leaf::init(&mut fresh);
+            *pending = Some((std::mem::replace(cur, fresh), id));
+            *cur_count = 0;
+            Ok(())
+        };
 
         while let Some((k, v)) = src.next_entry()? {
             assert_eq!(k.len(), self.key_len, "key size mismatch");
@@ -244,7 +250,13 @@ impl BTree {
                 prev_key.extend_from_slice(k);
             }
             if cur_count == take {
-                flush(&mut cur, &mut cur_count, &mut cur_first, &mut pending, &mut level)?;
+                flush(
+                    &mut cur,
+                    &mut cur_count,
+                    &mut cur_first,
+                    &mut pending,
+                    &mut level,
+                )?;
             }
             if cur_count == 0 {
                 cur_first.clear();
@@ -255,7 +267,13 @@ impl BTree {
             total += 1;
         }
         if cur_count > 0 {
-            flush(&mut cur, &mut cur_count, &mut cur_first, &mut pending, &mut level)?;
+            flush(
+                &mut cur,
+                &mut cur_count,
+                &mut cur_first,
+                &mut pending,
+                &mut level,
+            )?;
         }
         if let Some((pbuf, pid)) = pending.take() {
             self.pool.write(pid, &pbuf)?;
@@ -417,10 +435,12 @@ impl BTree {
                         return self.persist_header();
                     }
                     // Internal split.
-                    let mut keys: Vec<Vec<u8>> =
-                        (0..pcnt).map(|s| Internal::key(&pbuf, s, self.key_len).to_vec()).collect();
-                    let mut children: Vec<u64> =
-                        (0..pcnt).map(|s| Internal::child(&pbuf, s, self.key_len)).collect();
+                    let mut keys: Vec<Vec<u8>> = (0..pcnt)
+                        .map(|s| Internal::key(&pbuf, s, self.key_len).to_vec())
+                        .collect();
+                    let mut children: Vec<u64> = (0..pcnt)
+                        .map(|s| Internal::child(&pbuf, s, self.key_len))
+                        .collect();
                     keys.insert(islot, sep.clone());
                     children.insert(islot, new_child);
                     let child0 = Internal::child0(&pbuf);
@@ -722,7 +742,8 @@ mod tests {
     fn bulk_load_and_point_lookup() {
         let (pool, path) = fresh_pool("bulk", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..1000u64).map(|i| (key8(i * 2), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..1000u64).map(|i| (key8(i * 2), val4(i))), 1.0)
+            .unwrap();
         assert_eq!(t.len(), 1000);
         assert!(t.height() >= 2);
         for i in (0..1000u64).step_by(97) {
@@ -736,7 +757,8 @@ mod tests {
     fn upsert_overwrites_in_place() {
         let (pool, path) = fresh_pool("upsert", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..300u64).map(|i| (key8(i * 2), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..300u64).map(|i| (key8(i * 2), val4(i))), 1.0)
+            .unwrap();
         // Overwrite an existing key: count stays, value changes.
         assert!(!t.upsert(&key8(100), &val4(999)).unwrap());
         assert_eq!(t.len(), 300);
@@ -761,7 +783,8 @@ mod tests {
     fn full_forward_scan_visits_all_sorted() {
         let (pool, path) = fresh_pool("scan", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
         let mut c = t.first().unwrap();
         let mut seen = 0u64;
         while c.valid() {
@@ -778,7 +801,8 @@ mod tests {
     fn full_backward_scan() {
         let (pool, path) = fresh_pool("back", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
         let mut c = t.last().unwrap();
         let mut expect = 499i64;
         while c.valid() {
@@ -794,7 +818,8 @@ mod tests {
     fn seek_positions_at_lower_bound() {
         let (pool, path) = fresh_pool("seek", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..100u64).map(|i| (key8(i * 10), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..100u64).map(|i| (key8(i * 10), val4(i))), 1.0)
+            .unwrap();
         let c = t.seek(&key8(55)).unwrap();
         assert_eq!(c.key(), key8(60).as_slice());
         let c = t.seek(&key8(60)).unwrap();
@@ -808,7 +833,8 @@ mod tests {
     fn bidirectional_walk_from_seek() {
         let (pool, path) = fresh_pool("bidi", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..100u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..100u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
         let fwd = t.seek(&key8(50)).unwrap();
         let mut bwd = fwd.clone();
         bwd.retreat().unwrap();
@@ -833,7 +859,8 @@ mod tests {
         // clone retreats onto the last entry and keeps walking backwards.
         let (pool, path) = fresh_pool("pastend", 256, 64);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..500u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
 
         let mut fwd = t.seek(&key8(u64::MAX)).unwrap();
         assert!(!fwd.valid(), "no entry >= probe");
@@ -872,7 +899,8 @@ mod tests {
     fn exhausted_direction_stays_invalid() {
         let (pool, path) = fresh_pool("exhaust", 256, 16);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..3u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..3u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
         let mut c = t.first().unwrap();
         assert!(!c.retreat().unwrap());
         assert!(!c.retreat().unwrap());
@@ -937,7 +965,8 @@ mod tests {
     fn inserts_after_bulk_load() {
         let (pool, path) = fresh_pool("mix", 256, 128);
         let mut t = BTree::create(pool, 8, 4).unwrap();
-        t.bulk_load((0..100u64).map(|i| (key8(i * 2), val4(i * 2))), 1.0).unwrap();
+        t.bulk_load((0..100u64).map(|i| (key8(i * 2), val4(i * 2))), 1.0)
+            .unwrap();
         for i in 0..100u64 {
             t.insert(&key8(i * 2 + 1), &val4(i * 2 + 1)).unwrap();
         }
@@ -977,7 +1006,8 @@ mod tests {
         let (pool, path) = fresh_pool("reopen", 256, 64);
         {
             let mut t = BTree::create(pool, 8, 4).unwrap();
-            t.bulk_load((0..300u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+            t.bulk_load((0..300u64).map(|i| (key8(i), val4(i))), 1.0)
+                .unwrap();
             t.pool().sync().unwrap();
         }
         let pager = Pager::open(&path, 256).unwrap();
@@ -992,7 +1022,8 @@ mod tests {
     fn io_accounting_point_lookup_is_height_reads() {
         let (pool, path) = fresh_pool("iocount", 256, 0);
         let mut t = BTree::create(Arc::clone(&pool), 8, 4).unwrap();
-        t.bulk_load((0..5000u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
+        t.bulk_load((0..5000u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
         pool.reset_stats();
         t.get(&key8(2500)).unwrap();
         let s = pool.stats();
@@ -1021,7 +1052,8 @@ mod tests {
                 }
                 self.buf.clear();
                 self.buf.extend_from_slice(&self.next.to_be_bytes());
-                self.buf.extend_from_slice(&(self.next as u32).to_le_bytes());
+                self.buf
+                    .extend_from_slice(&(self.next as u32).to_le_bytes());
                 self.next += 1;
                 Ok(Some(self.buf.split_at(8)))
             }
@@ -1035,7 +1067,11 @@ mod tests {
             by_vec
                 .bulk_load((0..1500u64).map(|i| (key8(i), val4(i))), fill)
                 .unwrap();
-            let mut src = Scratch { next: 0, end: 1500, buf: Vec::new() };
+            let mut src = Scratch {
+                next: 0,
+                end: 1500,
+                buf: Vec::new(),
+            };
             by_src.bulk_load_stream(&mut src, fill).unwrap();
             pool_v.sync().unwrap();
             pool_s.sync().unwrap();
@@ -1057,8 +1093,10 @@ mod tests {
         let (pool_b, path_b) = fresh_pool("fill_b", 256, 64);
         let mut full = BTree::create(Arc::clone(&pool_a), 8, 4).unwrap();
         let mut half = BTree::create(Arc::clone(&pool_b), 8, 4).unwrap();
-        full.bulk_load((0..1000u64).map(|i| (key8(i), val4(i))), 1.0).unwrap();
-        half.bulk_load((0..1000u64).map(|i| (key8(i), val4(i))), 0.5).unwrap();
+        full.bulk_load((0..1000u64).map(|i| (key8(i), val4(i))), 1.0)
+            .unwrap();
+        half.bulk_load((0..1000u64).map(|i| (key8(i), val4(i))), 0.5)
+            .unwrap();
         assert!(pool_b.num_pages() > pool_a.num_pages());
         std::fs::remove_file(path_a).ok();
         std::fs::remove_file(path_b).ok();

@@ -22,8 +22,14 @@ impl HilbertCurve {
     /// # Panics
     /// Panics unless `1 <= dims <= 64` and `1 <= order <= 32`.
     pub fn new(dims: usize, order: u32) -> Self {
-        assert!((1..=64).contains(&dims), "dims must be in 1..=64 (got {dims})");
-        assert!((1..=32).contains(&order), "order must be in 1..=32 (got {order})");
+        assert!(
+            (1..=64).contains(&dims),
+            "dims must be in 1..=64 (got {dims})"
+        );
+        assert!(
+            (1..=32).contains(&order),
+            "order must be in 1..=32 (got {order})"
+        );
         Self {
             dims: dims as u32,
             order,
@@ -226,7 +232,9 @@ mod tests {
     fn roundtrip_high_dims() {
         // 64 dims at order 32 — the largest configuration Table 3 implies.
         let curve = HilbertCurve::new(64, 32);
-        let p: Vec<u64> = (0..64).map(|i| (i as u64 * 0x9E3779B9) & 0xFFFF_FFFF).collect();
+        let p: Vec<u64> = (0..64)
+            .map(|i| (i as u64 * 0x9E3779B9) & 0xFFFF_FFFF)
+            .collect();
         let key = curve.encode(&p);
         assert_eq!(key.len(), 256);
         assert_eq!(curve.decode(&key), p);

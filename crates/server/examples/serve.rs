@@ -18,8 +18,7 @@ use hd_index::HdIndexParams;
 use hd_server::{Server, ServerConfig};
 
 fn main() {
-    let addr =
-        std::env::var("HD_SERVER_ADDR").unwrap_or_else(|_| "127.0.0.1:7700".to_string());
+    let addr = std::env::var("HD_SERVER_ADDR").unwrap_or_else(|_| "127.0.0.1:7700".to_string());
     let profile = DatasetProfile::SIFT;
     let (data, _) = generate(&profile, 10_000, 1, 42);
     let dir = std::env::temp_dir().join(format!("hd_server_demo_{}", std::process::id()));
@@ -28,7 +27,11 @@ fn main() {
         threads: 2,
         ..EngineParams::new(HdIndexParams::for_profile(&profile))
     };
-    eprintln!("building a {}-point dim-{} demo index …", data.len(), profile.dim);
+    eprintln!(
+        "building a {}-point dim-{} demo index …",
+        data.len(),
+        profile.dim
+    );
     let engine = Arc::new(Engine::build(&data, &params, &dir).expect("build engine"));
 
     let config = ServerConfig {

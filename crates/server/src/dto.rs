@@ -88,7 +88,9 @@ pub fn parse_query(body: &[u8], max_bytes: usize, dim: usize) -> Result<QueryDto
                 if vectors.is_some() {
                     return Err("send either \"vector\" or \"vectors\", not both".into());
                 }
-                let arr = value.as_arr().ok_or("\"vectors\" must be an array of arrays")?;
+                let arr = value
+                    .as_arr()
+                    .ok_or("\"vectors\" must be an array of arrays")?;
                 if arr.is_empty() {
                     return Err("\"vectors\" must not be empty".into());
                 }
@@ -103,9 +105,8 @@ pub fn parse_query(body: &[u8], max_bytes: usize, dim: usize) -> Result<QueryDto
             "refine" => req.refine = Some(parse_positive(value, "\"refine\"")?),
             "metric" => {
                 let name = value.as_str().ok_or("\"metric\" must be a string")?;
-                req.metric = Some(
-                    Metric::parse(name).ok_or_else(|| format!("unknown metric {name:?}"))?,
-                );
+                req.metric =
+                    Some(Metric::parse(name).ok_or_else(|| format!("unknown metric {name:?}"))?);
             }
             "timeout_ms" => {
                 let ms = parse_positive(value, "\"timeout_ms\"")?;
@@ -114,9 +115,12 @@ pub fn parse_query(body: &[u8], max_bytes: usize, dim: usize) -> Result<QueryDto
             other => return Err(format!("unknown field {other:?}")),
         }
     }
-    let (vectors, batch) =
-        vectors.ok_or("body must carry a \"vector\" or \"vectors\" field")?;
-    Ok(QueryDto { vectors, batch, req })
+    let (vectors, batch) = vectors.ok_or("body must carry a \"vector\" or \"vectors\" field")?;
+    Ok(QueryDto {
+        vectors,
+        batch,
+        req,
+    })
 }
 
 /// Parses an upsert body: `{"vector": [...]}`.
@@ -204,7 +208,10 @@ mod tests {
             (br#"{"vector":[1]}"#, "dimensions"),
             (br#"{"vector":[1,"x"]}"#, "finite numbers"),
             (br#"{"vector":[1,2],"k":0}"#, "positive integer"),
-            (br#"{"vector":[1,2],"metric":"chebyshev"}"#, "unknown metric"),
+            (
+                br#"{"vector":[1,2],"metric":"chebyshev"}"#,
+                "unknown metric",
+            ),
             (br#"{"vector":[1,2],"vektor":[1,2]}"#, "unknown field"),
             (br#"{"vectors":[]}"#, "not be empty"),
         ] {
@@ -235,6 +242,9 @@ mod tests {
         );
         let arr = neighbors_json(&[Neighbor::new(7, 0.5)]).render();
         let parsed = hd_telemetry::json::parse(&arr).unwrap();
-        assert_eq!(parsed.as_arr().unwrap()[0].get("id").unwrap().as_u64(), Some(7));
+        assert_eq!(
+            parsed.as_arr().unwrap()[0].get("id").unwrap().as_u64(),
+            Some(7)
+        );
     }
 }

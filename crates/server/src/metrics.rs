@@ -33,10 +33,7 @@ impl ServerMetrics {
     pub fn new() -> Self {
         let registry = hd_telemetry::global();
         ServerMetrics {
-            requests_total: registry.counter(
-                "hd_server_requests_total",
-                "HTTP requests received",
-            ),
+            requests_total: registry.counter("hd_server_requests_total", "HTTP requests received"),
             request_nanos: registry.histogram(
                 "hd_server_request_nanos",
                 "Per-request handling latency in nanoseconds",

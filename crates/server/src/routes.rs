@@ -204,7 +204,11 @@ fn delete(state: &ServerState, req: &Request) -> Response {
     let id: u64 = match suffix.parse() {
         Ok(id) => id,
         Err(_) => {
-            return envelope(400, "bad_request", &format!("record id must be an integer, got {suffix:?}"))
+            return envelope(
+                400,
+                "bad_request",
+                &format!("record id must be an integer, got {suffix:?}"),
+            )
         }
     };
     // The engine treats a re-delete of a tombstoned id as a no-op `Ok` and

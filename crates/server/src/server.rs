@@ -81,10 +81,7 @@ impl Server {
                         }
                         let Ok(stream) = stream else { continue };
                         let state = Arc::clone(&state);
-                        pool.submit(
-                            conn_id,
-                            Box::new(move || serve_connection(&state, stream)),
-                        );
+                        pool.submit(conn_id, Box::new(move || serve_connection(&state, stream)));
                     }
                 })
                 .expect("spawn accept thread")
@@ -183,7 +180,10 @@ fn serve_connection(state: &ServerState, stream: TcpStream) {
             // bytes and will be answered 400 on resume — acceptable for a
             // timeout measured against entire small requests.)
             Err(HttpError::Io(e))
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
             {
                 continue;
             }

@@ -94,7 +94,13 @@ impl Client {
         self.read_reply()
     }
 
-    fn send(&mut self, method: &str, path: &str, headers: &[(&str, &str)], body: Option<&str>) -> Reply {
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: Option<&str>,
+    ) -> Reply {
         let mut raw = format!("{method} {path} HTTP/1.1\r\n");
         for (name, value) in headers {
             raw.push_str(&format!("{name}: {value}\r\n"));
@@ -183,7 +189,9 @@ fn health_info_metrics_round_trip() {
         .header("content-type")
         .unwrap()
         .starts_with("text/plain"));
-    assert!(metrics.body.contains("# TYPE hd_server_requests_total counter"));
+    assert!(metrics
+        .body
+        .contains("# TYPE hd_server_requests_total counter"));
     hd_telemetry::validate_prometheus(&metrics.body).unwrap();
 
     server.shutdown().unwrap();
@@ -294,7 +302,10 @@ fn error_envelope_covers_400_404_405_413_501() {
     let reply = client.send("PUT", "/v1/query", &[], None);
     assert_envelope(&reply, 405, "method_not_allowed");
     // Wrong metric for the index → engine InvalidInput → 400.
-    let body = format!("{{\"vector\":{},\"metric\":\"l1\"}}", vector_json(&queries[0]));
+    let body = format!(
+        "{{\"vector\":{},\"metric\":\"l1\"}}",
+        vector_json(&queries[0])
+    );
     let reply = client.send("POST", "/v1/query", &[], Some(&body));
     assert_envelope(&reply, 400, "bad_request");
 
@@ -306,9 +317,8 @@ fn error_envelope_covers_400_404_405_413_501() {
     assert_envelope(&reply, 413, "payload_too_large");
 
     let mut client = Client::connect(server.addr());
-    let reply = client.send_raw(
-        "POST /v1/query HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n",
-    );
+    let reply =
+        client.send_raw("POST /v1/query HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n");
     assert_envelope(&reply, 501, "not_implemented");
 
     server.shutdown().unwrap();
@@ -329,10 +339,20 @@ fn rate_limiter_throttles_per_api_key() {
     let body = format!("{{\"vector\":{},\"k\":2}}", vector_json(&queries[0]));
 
     for i in 0..3 {
-        let reply = client.send("POST", "/v1/query", &[("x-api-key", "tenant-a")], Some(&body));
+        let reply = client.send(
+            "POST",
+            "/v1/query",
+            &[("x-api-key", "tenant-a")],
+            Some(&body),
+        );
         assert_eq!(reply.status, 200, "burst request {i}: {}", reply.body);
     }
-    let reply = client.send("POST", "/v1/query", &[("x-api-key", "tenant-a")], Some(&body));
+    let reply = client.send(
+        "POST",
+        "/v1/query",
+        &[("x-api-key", "tenant-a")],
+        Some(&body),
+    );
     assert_eq!(reply.status, 429, "{}", reply.body);
     assert!(reply.header("retry-after").is_some());
     let error = reply.json();
@@ -341,7 +361,12 @@ fn rate_limiter_throttles_per_api_key() {
         Some("rate_limited")
     );
     // A different key is a different bucket.
-    let reply = client.send("POST", "/v1/query", &[("x-api-key", "tenant-b")], Some(&body));
+    let reply = client.send(
+        "POST",
+        "/v1/query",
+        &[("x-api-key", "tenant-b")],
+        Some(&body),
+    );
     assert_eq!(reply.status, 200);
     // Health and metrics stay exempt.
     let reply = client.send("GET", "/healthz", &[("x-api-key", "tenant-a")], None);
@@ -420,12 +445,17 @@ fn shutdown_snapshots_and_stops_listening() {
     );
 
     // The port no longer answers.
-    assert!(TcpStream::connect(addr).is_err() || {
-        // Accept backlog may briefly linger; a request must at least fail.
-        let mut probe = Client::connect(addr);
-        probe.writer.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").is_err()
-            || probe.reader.read_line(&mut String::new()).unwrap_or(0) == 0
-    });
+    assert!(
+        TcpStream::connect(addr).is_err() || {
+            // Accept backlog may briefly linger; a request must at least fail.
+            let mut probe = Client::connect(addr);
+            probe
+                .writer
+                .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+                .is_err()
+                || probe.reader.read_line(&mut String::new()).unwrap_or(0) == 0
+        }
+    );
 
     std::fs::remove_dir_all(dir).ok();
 }
