@@ -2,7 +2,7 @@
 
 use crate::config::EngineParams;
 use crate::metrics::{EngineMetrics, EngineStats};
-use crate::shard::{global_of, shard_of, Shard, ShardSet};
+use crate::shard::{global_of, shard_of, ShardSet};
 use hd_core::api::{
     check_metric, AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, WriteStats,
 };
@@ -10,10 +10,9 @@ use hd_core::dataset::Dataset;
 use hd_core::pool::WorkerPool;
 use hd_core::topk::{Neighbor, TopK};
 use hd_index::{PreparedQuery, QueryParams};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,17 +36,13 @@ use std::time::Instant;
 /// No code path spawns OS threads per query: all fan-out rides the pool
 /// created when the engine was.
 pub struct Engine {
-    set: ShardSet,
+    /// Shared (`Arc`) with the background compaction job.
+    set: Arc<ShardSet>,
     pool: WorkerPool,
     metrics: EngineMetrics,
-    /// Total object count; serializes appends so the round-robin placement
-    /// invariant (`global id n → shard n mod S`) holds under concurrency.
-    /// Shared (`Arc`) with background compaction jobs, which take it while
-    /// installing a rebuilt shard so no write can interleave with the swap.
-    /// Lock order: the gate first, then a shard lock. Never take the gate
-    /// while holding a shard guard (read or write) — writers hold the gate
-    /// while they wait for a shard's write lock.
-    append_gate: Arc<Mutex<u64>>,
+    /// The one compaction slot every rebuild runs under; it comes first in
+    /// the lock order (see [`ShardSet::gate`]).
+    slot: Arc<CompactionSlot>,
     /// Tombstone-density trigger for background compaction (see
     /// [`EngineParams::compaction_threshold`]).
     compaction_threshold: Option<f64>,
@@ -65,10 +60,12 @@ pub struct Engine {
 pub struct EngineHealth {
     /// Shards probed (all of them — the probe blocks on each read lock).
     pub shards: usize,
-    /// Shards with a background compaction currently in flight.
+    /// `1` while the engine's compaction slot is held (a background job,
+    /// queued or running, or a [`Engine::compact_now`] call), else `0`:
+    /// the engine compacts one shard at a time.
     pub compacting_shards: usize,
-    /// Shards at or above the judging threshold with no compaction running
-    /// for them. `0` when no threshold is configured.
+    /// Shards at or above the judging threshold, not counting the one
+    /// being rebuilt. `0` when no threshold is configured.
     pub compaction_backlog: usize,
     /// Worst per-shard tombstone density, in `[0, 1]`.
     pub max_tombstone_density: f64,
@@ -89,7 +86,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("shards", &self.set.shards.len())
             .field("threads", &self.pool.threads())
-            .field("n", &*self.append_gate.lock())
+            .field("n", &*self.set.gate.lock())
             .finish()
     }
 }
@@ -125,13 +122,11 @@ impl Engine {
         shards: impl FnOnce(&Path, &WorkerPool) -> io::Result<ShardSet>,
     ) -> io::Result<Self> {
         let pool = WorkerPool::new(params.resolved_threads());
-        let set = shards(dir, &pool)?;
-        let n = set.len();
         Ok(Self {
-            set,
+            set: Arc::new(shards(dir, &pool)?),
             pool,
             metrics: EngineMetrics::new(),
-            append_gate: Arc::new(Mutex::new(n)),
+            slot: Arc::new(CompactionSlot::default()),
             compaction_threshold: params.compaction_threshold,
             dir: dir.to_path_buf(),
             serve: QueryParams::default(),
@@ -224,7 +219,7 @@ impl Engine {
             .run_scoped(slots.chunks_mut(b).enumerate().map(|(si, shard_slots)| {
                 let shard = &self.set.shards[si];
                 let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let index = shard.index.read();
+                    let index = shard.read();
                     for (query, slot) in prepared.iter().zip(shard_slots) {
                         // Expired budget: bail before touching the shard so
                         // one slow shard cannot hold the whole batch hostage
@@ -272,7 +267,7 @@ impl Engine {
     /// serves a read-heavy profile, and parallel ingest (per-shard ticket
     /// ordering) is deliberately left to a later PR.
     pub fn insert(&self, vector: &[f32]) -> io::Result<u64> {
-        let mut n = self.append_gate.lock();
+        let mut n = self.set.gate.lock();
         let s_count = self.set.shards.len() as u64;
         let (si, expected_local) = shard_of(*n, s_count);
         let shard = &self.set.shards[si];
@@ -281,7 +276,7 @@ impl Engine {
         // shard proceed. Only the in-memory/tree mutation below takes the
         // write lock. The append gate (held across both halves) keeps the
         // log and apply order identical.
-        let local = shard.index.read().log_insert(vector)?;
+        let local = shard.read().log_insert(vector)?;
         if local != expected_local {
             // The shard's id watermark disagrees with the engine's count —
             // its directory was modified behind the engine's back. Surface
@@ -294,7 +289,7 @@ impl Engine {
                 ),
             ));
         }
-        shard.index.write().apply_insert(local, vector)?;
+        shard.write().apply_insert(local, vector)?;
         *n += 1;
         Ok(global_of(si, local, s_count))
     }
@@ -303,19 +298,19 @@ impl Engine {
     /// can still return. The serving layer uses this to distinguish "never
     /// existed / already deleted" (404) from a failed delete.
     pub fn contains_live(&self, global_id: u64) -> bool {
-        let n = *self.append_gate.lock();
+        let n = *self.set.gate.lock();
         if global_id >= n {
             return false;
         }
         let (si, local) = shard_of(global_id, self.set.shards.len() as u64);
-        self.set.shards[si].index.read().is_live(local)
+        self.set.shards[si].read().is_live(local)
     }
 
     /// Tombstones a global id so it is never returned again. May schedule a
     /// background compaction (see [`EngineParams::compaction_threshold`]).
     pub fn delete(&self, global_id: u64) -> io::Result<()> {
         {
-            let n = self.append_gate.lock();
+            let n = self.set.gate.lock();
             if global_id >= *n {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
@@ -327,7 +322,7 @@ impl Engine {
             // Same split as insert: log + fsync under the read lock,
             // tombstone under the write lock.
             {
-                let index = shard.index.read();
+                let index = shard.read();
                 if !index.contains_id(local) {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
@@ -336,116 +331,118 @@ impl Engine {
                 }
                 index.log_delete(local)?;
             }
-            shard.index.write().apply_delete(local)?;
+            shard.write().apply_delete(local)?;
         }
         self.maybe_schedule_compaction();
         Ok(())
     }
 
-    /// Schedules a background compaction of the worst shard when its
-    /// tombstone density crosses the configured threshold, unless one is
-    /// already running: one at a time, so a rebuild's transient memory is
-    /// one shard's however many shards cross the threshold together (the
-    /// running job picks the others up). Searches, on this shard while the
-    /// rebuild runs and on every other, are never blocked.
+    /// Schedules the background compaction job when a shard's tombstone
+    /// density reaches the configured threshold and the compaction slot is
+    /// free. Searches, on the shard being rebuilt and on every other, are
+    /// never blocked.
     fn maybe_schedule_compaction(&self) {
         let Some(threshold) = self.compaction_threshold else {
             return;
         };
-        if self.compacting() {
-            return;
-        }
-        if let Some(si) = Self::worst_shard(&self.set.shards, threshold) {
-            self.spawn_compaction(si, threshold);
+        if let Some((si, slot)) = Self::due(&self.set, &self.slot, threshold) {
+            let set = Arc::clone(&self.set);
+            let job = move || Self::compact_in_background(&set, slot, threshold);
+            self.pool.submit(si, Box::new(job));
         }
     }
 
-    /// The shard with the highest tombstone density at or above
-    /// `threshold`.
-    fn worst_shard(shards: &[Arc<Shard>], threshold: f64) -> Option<usize> {
+    /// The worst shard at or above `threshold`, with the slot taken to
+    /// rebuild it, when the slot is free. It probes before taking the slot,
+    /// so only a compaction run ever holds it, and every run calls this
+    /// after releasing it: a delete that found the slot held is still seen.
+    fn due(
+        set: &ShardSet,
+        slot: &Arc<CompactionSlot>,
+        threshold: f64,
+    ) -> Option<(usize, SlotGuard)> {
+        if slot.state() != SlotState::Free {
+            return None;
+        }
+        let si = Self::worst_shard(set, threshold, |_| false)?;
+        Some((si, slot.try_take()?))
+    }
+
+    /// The background job: passes at `threshold` while they rebuild
+    /// something (carried-over deletes may push a shard back over), then
+    /// releases the slot and probes once more. A failed rebuild leaves its
+    /// shard serving the current generation (stale files are swept at the
+    /// next open) and ends the job; the next delete retries.
+    fn compact_in_background(set: &ShardSet, mut slot: SlotGuard, threshold: f64) {
+        loop {
+            let pass = Self::compact_worst(set, &slot, threshold);
+            if matches!(pass, Ok(n) if n > 0) {
+                continue;
+            }
+            let slots = Arc::clone(&slot.0);
+            drop(slot);
+            match pass.ok().and_then(|_| Self::due(set, &slots, threshold)) {
+                Some((_, next)) => slot = next,
+                None => return,
+            }
+        }
+    }
+
+    /// The one compaction routine, run with the slot held by the background
+    /// job and by [`Self::compact_now`]: compacts the worst shard at or
+    /// above `threshold` until none is, each shard at most once per call so
+    /// a steady stream of deletes cannot keep one call going. Returns how
+    /// many shards it rebuilt.
+    fn compact_worst(set: &ShardSet, slot: &SlotGuard, threshold: f64) -> io::Result<usize> {
+        let mut rebuilt = vec![false; set.shards.len()];
+        while let Some(si) = Self::worst_shard(set, threshold, |si| rebuilt[si]) {
+            slot.set(SlotState::Rebuilding(si));
+            let installed = Self::compact_shard(set, si);
+            slot.set(SlotState::Held);
+            installed?;
+            rebuilt[si] = true;
+        }
+        Ok(rebuilt.iter().filter(|&&r| r).count())
+    }
+
+    /// The shard with tombstones and the highest density at or above
+    /// `threshold`, among those `skip` passes.
+    fn worst_shard(set: &ShardSet, threshold: f64, skip: impl Fn(usize) -> bool) -> Option<usize> {
         let mut worst: Option<(usize, f64)> = None;
-        for (si, shard) in shards.iter().enumerate() {
-            let d = shard.index.read().tombstone_density();
-            if d >= threshold && worst.is_none_or(|(_, wd)| d > wd) {
+        for (si, shard) in set.shards.iter().enumerate() {
+            let d = shard.read().tombstone_density();
+            if d > 0.0 && d >= threshold && !skip(si) && worst.is_none_or(|(_, wd)| d > wd) {
                 worst = Some((si, d));
             }
         }
         worst.map(|(si, _)| si)
     }
 
-    /// Submits a background compaction job starting at shard `si`, unless
-    /// one is already in flight for it.
-    fn spawn_compaction(&self, si: usize, threshold: f64) {
-        if self.set.shards[si].compacting.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let shards = self.set.shards.clone();
-        let gate = Arc::clone(&self.append_gate);
-        self.pool.submit(
-            si,
-            Box::new(move || {
-                // Deletes that land while a rebuild runs carry over as
-                // tombstones of the new generation, and deletes that found
-                // this job running scheduled nothing: keep compacting the
-                // worst shard above the threshold until none is. Failure
-                // leaves the shard serving its current generation (stale
-                // files are swept at the next open); its flag flips back
-                // either way so the next delete can retry.
-                let mut si = si;
-                loop {
-                    let next = match Self::compact_shard(&shards[si], &gate) {
-                        Ok(_) => Self::worst_shard(&shards, threshold),
-                        Err(_) => None,
-                    };
-                    match next {
-                        Some(n) if n == si => continue,
-                        Some(n) if !shards[n].compacting.swap(true, Ordering::AcqRel) => {
-                            shards[si].compacting.store(false, Ordering::Release);
-                            si = n;
-                        }
-                        _ => {
-                            shards[si].compacting.store(false, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-            }),
-        );
-    }
-
     /// One shard compaction: build the survivor generation under a read
     /// lock (searches proceed, and so do writes to other shards), then
     /// install it under the append gate plus a brief write lock, carrying
-    /// over the writes this shard applied in between. Returns whether it
-    /// ran (not when the shard had no tombstones).
-    fn compact_shard(shard: &Shard, gate: &Mutex<u64>) -> io::Result<bool> {
-        let plan = {
-            let index = shard.index.read();
-            if index.tombstone_density() == 0.0 {
-                return Ok(false);
-            }
-            index.prepare_compaction()?
-        };
-        // Gate before write lock (the engine's universal lock order). With
-        // the gate held no write is between its WAL record and its apply,
-        // so the install carries over every logged write and its
-        // checkpoint may empty the log.
-        let _gate = gate.lock();
-        shard.index.write().apply_compaction(plan)?;
-        Ok(true)
+    /// over the writes this shard applied in between. With the gate held no
+    /// write is between its WAL record and its apply, so the install
+    /// carries over every logged write and its checkpoint may empty the log.
+    fn compact_shard(set: &ShardSet, si: usize) -> io::Result<()> {
+        let plan = set.shards[si].read().prepare_compaction()?;
+        let _gate = set.gate.lock();
+        set.shards[si].write().apply_compaction(plan)
     }
 
     /// Compacts every shard that has tombstones, synchronously, returning
-    /// how many shards were rebuilt. The forced path for tests, benches,
-    /// and engines running without a background threshold.
+    /// how many shards were rebuilt: the forced path for tests, benches,
+    /// `Lifecycle::compact`, and engines running without a background
+    /// threshold. It takes the engine's compaction slot, first waiting for
+    /// a running background job, so it never overlaps another rebuild. Each
+    /// shard is rebuilt at most once per call: a delete that lands after its
+    /// shard's rebuild stays a tombstone.
     pub fn compact_now(&self) -> io::Result<usize> {
-        let mut rebuilt = 0;
-        for shard in &self.set.shards {
-            if Self::compact_shard(shard, &self.append_gate)? {
-                rebuilt += 1;
-            }
-        }
-        Ok(rebuilt)
+        let rebuilt = Self::compact_worst(&self.set, &self.slot.take(), 0.0);
+        // The slot is free again. Deletes that crossed the threshold while
+        // it was held scheduled nothing.
+        self.maybe_schedule_compaction();
+        rebuilt
     }
 
     /// One aggregated "can this engine serve?" view for health endpoints,
@@ -463,19 +460,21 @@ impl Engine {
     /// shard answers basic accessors — a shard wedged behind a poisoned
     /// write path would block here, which is exactly what a health probe
     /// should observe), compaction backlog (shards at or above `threshold`
-    /// with no compaction in flight for them), and WAL state (committed
-    /// bytes an open would replay, i.e. writes not yet snapshotted).
+    /// other than the one being rebuilt), and WAL state (committed bytes an
+    /// open would replay, i.e. writes not yet snapshotted). The compaction
+    /// slot is read once, without waiting for its holder.
     ///
     /// The verdict is `healthy = false` only when **every** shard is
-    /// backlogged and none is compacting: maintenance has demonstrably
-    /// stopped keeping up, so admission control should shed load. Tombstone
-    /// debt on some shards degrades recall/latency but the engine still
-    /// serves — that state stays `healthy = true` with the numbers exposed
-    /// for dashboards to alarm on.
+    /// backlogged and no compaction holds the slot: maintenance has
+    /// demonstrably stopped keeping up, so admission control should shed
+    /// load. Tombstone debt on some shards degrades recall/latency but the
+    /// engine still serves — that state stays `healthy = true` with the
+    /// numbers exposed for dashboards to alarm on.
     pub fn health_against(&self, threshold: Option<f64>) -> EngineHealth {
+        let slot = self.slot.state();
         let mut health = EngineHealth {
             shards: self.set.shards.len(),
-            compacting_shards: 0,
+            compacting_shards: usize::from(slot != SlotState::Free),
             compaction_backlog: 0,
             max_tombstone_density: 0.0,
             wal_tail_bytes: 0,
@@ -483,19 +482,17 @@ impl Engine {
             healthy: true,
             status: String::new(),
         };
-        for shard in &self.set.shards {
-            let compacting = shard.compacting.load(Ordering::Acquire);
-            let index = shard.index.read();
+        for (si, shard) in self.set.shards.iter().enumerate() {
+            let index = shard.read();
             let density = index.tombstone_density();
-            health.compacting_shards += usize::from(compacting);
             health.max_tombstone_density = health.max_tombstone_density.max(density);
             health.wal_tail_bytes += index.wal_tail_bytes();
             health.live_len += index.live_len() as u64;
-            if threshold.is_some_and(|t| density >= t) && !compacting {
+            if threshold.is_some_and(|t| density >= t) && slot != SlotState::Rebuilding(si) {
                 health.compaction_backlog += 1;
             }
         }
-        if health.compaction_backlog == health.shards {
+        if health.compaction_backlog == health.shards && slot == SlotState::Free {
             health.healthy = false;
             health.status = format!(
                 "every shard is above the compaction threshold (max density {:.3}) and no \
@@ -508,28 +505,28 @@ impl Engine {
         health
     }
 
-    /// Whether any background shard compaction is currently in flight.
+    /// Whether a compaction holds the engine's slot: a background job
+    /// (from the delete that scheduled it until it finds no shard left to
+    /// rebuild) or a [`Self::compact_now`] call. Reads the slot without
+    /// waiting for its holder.
     pub fn compacting(&self) -> bool {
-        self.set
-            .shards
-            .iter()
-            .any(|s| s.compacting.load(Ordering::Acquire))
+        self.slot.state() != SlotState::Free
     }
 
     /// Snapshots every shard: WAL-committed writes become part of the data
     /// files and each shard's log is emptied (see `HdIndex::save`).
     pub fn save(&self) -> io::Result<()> {
         // The gate keeps writes out while shards snapshot one by one.
-        let _gate = self.append_gate.lock();
+        let _gate = self.set.gate.lock();
         for shard in &self.set.shards {
-            shard.index.write().save()?;
+            shard.write().save()?;
         }
         Ok(())
     }
 
     /// Total objects across all shards (including tombstoned ones).
     pub fn len(&self) -> u64 {
-        *self.append_gate.lock()
+        *self.set.gate.lock()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -544,7 +541,7 @@ impl Engine {
     /// The metric every shard serves (shards are verified to agree at
     /// open time).
     pub fn metric(&self) -> hd_core::metric::Metric {
-        self.set.shards[0].index.read().metric()
+        self.set.shards[0].read().metric()
     }
 
     /// Engine directory (shard subdirectories live underneath).
@@ -572,18 +569,14 @@ impl Engine {
     /// phase that calls this measures from a clean slate on both axes.
     pub fn reset_io_stats(&self) {
         for shard in &self.set.shards {
-            shard.index.read().reset_io_stats();
+            shard.read().reset_io_stats();
         }
         self.metrics.reset();
     }
 
     /// Total on-disk footprint across shards.
     pub fn disk_bytes(&self) -> u64 {
-        self.set
-            .shards
-            .iter()
-            .map(|s| s.index.read().disk_bytes())
-            .sum()
+        self.set.shards.iter().map(|s| s.read().disk_bytes()).sum()
     }
 
     /// Query-resident memory across shards (reference sets + caches). The
@@ -592,7 +585,7 @@ impl Engine {
         self.set
             .shards
             .iter()
-            .map(|s| s.index.read().memory_bytes())
+            .map(|s| s.read().memory_bytes())
             .sum()
     }
 
@@ -616,7 +609,7 @@ impl AnnIndex for Engine {
     }
 
     fn dim(&self) -> usize {
-        self.set.shards[0].index.read().dim()
+        self.set.shards[0].read().dim()
     }
 
     fn metric(&self) -> hd_core::metric::Metric {
@@ -664,14 +657,14 @@ impl AnnIndex for Engine {
         // takes the append gate, so it runs before any shard guard is held.
         let n = self.len() as usize;
         let build_memory_bytes = {
-            let shard0 = self.set.shards[0].index.read();
+            let shard0 = self.set.shards[0].read();
             shard0.params().build_memory_bytes(n, shard0.dim())
         };
         let mut stored = 0u64;
         let mut live = 0u64;
         let mut write = WriteStats::default();
         for shard in &self.set.shards {
-            let index = shard.index.read();
+            let index = shard.read();
             stored += index.len();
             live += index.live_len() as u64;
             let w = index.write_stats();
@@ -698,6 +691,64 @@ impl AnnIndex for Engine {
 
     fn lifecycle(&mut self) -> Option<&mut dyn Lifecycle> {
         Some(self)
+    }
+}
+
+/// Who holds an engine's compaction slot.
+#[derive(Clone, Copy, PartialEq, Default)]
+enum SlotState {
+    #[default]
+    Free,
+    /// Held by a queued job, or by a run between rebuilds.
+    Held,
+    Rebuilding(usize),
+}
+
+/// The engine's one compaction slot (DESIGN.md §9): every rebuild, the
+/// background job's and [`Engine::compact_now`]'s, runs holding it. Its
+/// lock is held only for a transition, never across a rebuild, so reading
+/// the slot never waits on one.
+#[derive(Default)]
+struct CompactionSlot {
+    state: Mutex<SlotState>,
+    freed: Condvar,
+}
+
+impl CompactionSlot {
+    fn state(&self) -> SlotState {
+        *self.state.lock()
+    }
+
+    /// Takes the slot if it is free.
+    fn try_take(self: &Arc<Self>) -> Option<SlotGuard> {
+        let mut state = self.state.lock();
+        (*state == SlotState::Free).then(|| {
+            *state = SlotState::Held;
+            SlotGuard(Arc::clone(self))
+        })
+    }
+
+    /// Takes the slot, waiting for its holder to release it.
+    fn take(self: &Arc<Self>) -> SlotGuard {
+        let held = |s: &mut SlotState| *s != SlotState::Free;
+        *self.freed.wait_while(self.state.lock(), held) = SlotState::Held;
+        SlotGuard(Arc::clone(self))
+    }
+}
+
+/// A held compaction slot; dropping it frees the slot.
+struct SlotGuard(Arc<CompactionSlot>);
+
+impl SlotGuard {
+    fn set(&self, state: SlotState) {
+        *self.0.state.lock() = state;
+    }
+}
+
+impl Drop for SlotGuard {
+    fn drop(&mut self) {
+        self.set(SlotState::Free);
+        self.0.freed.notify_all();
     }
 }
 
@@ -747,7 +798,7 @@ mod tests {
             let shards = &engine.set.shards;
             shards
                 .iter()
-                .map(|s| s.index.read().build_stats().spilled_runs)
+                .map(|s| s.read().build_stats().spilled_runs)
                 .collect()
         };
         let built = Engine::build(&data, &params, &dir).unwrap();

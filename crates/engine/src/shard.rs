@@ -20,11 +20,9 @@ use hd_core::dataset::Dataset;
 use hd_core::pool::WorkerPool;
 use hd_index::{BuildOpts, HdIndex, ReferenceSet};
 use hd_storage::{BuildBudget, CacheBudget, IoSnapshot};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::io::{self, BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 
 const META_FILE: &str = "engine.meta";
 const MAGIC: &str = "hd-engine v1";
@@ -41,32 +39,27 @@ pub fn global_of(shard: usize, local: u64, shards: u64) -> u64 {
     local * shards + shard as u64
 }
 
-/// One shard: a full HD-Index over its round-robin slice, behind a
-/// read-write lock so searches (`read`) run concurrently with each other
-/// and exclusively with structural updates (`write`).
-pub(crate) struct Shard {
-    pub index: RwLock<HdIndex>,
-    /// Set while a background compaction of this shard is in flight, so at
-    /// most one rebuild per shard runs at a time.
-    pub compacting: AtomicBool,
-}
-
-impl Shard {
-    pub fn new(index: HdIndex) -> Self {
-        Self {
-            index: RwLock::new(index),
-            compacting: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The shard fleet plus what they share: the reference set and the cache
-/// budget. Shards sit behind `Arc` so background compaction jobs on the
-/// worker pool can hold one past the submitting call's lifetime.
+/// The shard fleet plus what they share: the reference set, the cache
+/// budget and the append gate. Each shard is a full HD-Index over its
+/// round-robin slice, behind a read-write lock so searches (`read`) run
+/// concurrently with each other and exclusively with structural updates
+/// (`write`).
 pub(crate) struct ShardSet {
-    pub shards: Vec<Arc<Shard>>,
+    pub shards: Vec<RwLock<HdIndex>>,
     pub refs: ReferenceSet,
     pub budget: Option<CacheBudget>,
+    /// The append gate: total object ids ever assigned across all shards.
+    /// It serializes writes so the round-robin placement invariant
+    /// (`global id n → shard n mod S`) holds under concurrency, and a
+    /// compaction takes it while installing a rebuilt shard so no write
+    /// interleaves with the swap.
+    ///
+    /// Lock order: the engine's compaction slot, then the gate, then a
+    /// shard lock. Never take the gate while holding a shard guard (read or
+    /// write) — writers hold the gate while they wait for a shard's write
+    /// lock — and never wait for the slot while holding the gate or a shard
+    /// guard: its holder takes both.
+    pub gate: Mutex<u64>,
 }
 
 impl ShardSet {
@@ -143,16 +136,10 @@ impl ShardSet {
 
         let mut shards = Vec::with_capacity(s);
         for slot in built {
-            shards.push(Arc::new(Shard::new(
-                slot.expect("pool completed every build task")?,
-            )));
+            shards.push(RwLock::new(slot.expect("pool completed every build task")?));
         }
 
-        let set = Self {
-            shards,
-            refs,
-            budget,
-        };
+        let set = Self::new(shards, refs, budget);
         set.write_meta(dir)?;
         Ok(set)
     }
@@ -193,7 +180,7 @@ impl ShardSet {
             // some shards — refuse instead.
             let m0 = shards
                 .first()
-                .map(|s0: &Arc<Shard>| s0.index.read().metric());
+                .map(|s0: &RwLock<HdIndex>| s0.read().metric());
             if let Some(m0) = m0 {
                 if index.metric() != m0 {
                     return Err(io::Error::new(
@@ -206,15 +193,24 @@ impl ShardSet {
                     ));
                 }
             }
-            shards.push(Arc::new(Shard::new(index)));
+            shards.push(RwLock::new(index));
         }
         // Every shard persisted the same shared reference set.
-        let refs = shards[0].index.read().references().clone();
-        Ok(Self {
+        let refs = shards[0].read().references().clone();
+        Ok(Self::new(shards, refs, budget))
+    }
+
+    /// The gate starts at the shards' `next_id` watermarks, not their stored
+    /// counts: compaction shrinks a shard's heap but never reuses an id, and
+    /// the round-robin arithmetic is defined over assigned ids.
+    fn new(shards: Vec<RwLock<HdIndex>>, refs: ReferenceSet, budget: Option<CacheBudget>) -> Self {
+        let n = shards.iter().map(|s| s.read().next_id()).sum();
+        Self {
             shards,
             refs,
             budget,
-        })
+            gate: Mutex::new(n),
+        }
     }
 
     fn write_meta(&self, dir: &Path) -> io::Result<()> {
@@ -260,17 +256,9 @@ impl ShardSet {
         Ok(shards)
     }
 
-    /// Total object ids ever assigned across all shards. Uses the shards'
-    /// `next_id` watermarks, not their stored counts: compaction shrinks a
-    /// shard's heap but never reuses an id, and the round-robin arithmetic
-    /// is defined over assigned ids.
-    pub fn len(&self) -> u64 {
-        self.shards.iter().map(|s| s.index.read().next_id()).sum()
-    }
-
     /// Aggregated IO ledger over every shard's pools.
     pub fn io_stats(&self) -> IoSnapshot {
-        self.shards.iter().map(|s| s.index.read().io_stats()).sum()
+        self.shards.iter().map(|s| s.read().io_stats()).sum()
     }
 }
 

@@ -7,6 +7,7 @@ use hd_engine::{Engine, EngineParams};
 use hd_index::{HdIndexParams, QueryParams, RefSelection};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn index_params() -> HdIndexParams {
@@ -250,5 +251,109 @@ fn compact_now_is_transparent_to_search() {
     );
     // Second call: nothing left to do.
     assert_eq!(engine.compact_now().unwrap(), 0);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A one-shard engine over `n` SIFT-profile vectors with every third id
+/// deleted, plus its queries.
+fn tombstoned_engine(
+    name: &str,
+    n: usize,
+    threshold: Option<f64>,
+) -> (Engine, EngineParams, PathBuf, hd_core::dataset::Dataset) {
+    let (data, queries) = generate(&DatasetProfile::SIFT, n, 6, 41);
+    let dir = scratch(name);
+    let params = EngineParams {
+        shards: 1,
+        threads: 2,
+        cache_budget_pages: 256,
+        build_budget_bytes: 0,
+        index: index_params(),
+        compaction_threshold: threshold,
+    };
+    let engine = Engine::build(&data, &params, &dir).unwrap();
+    (engine, params, dir, queries)
+}
+
+/// Two `compact_now` calls released together share the engine's one
+/// compaction slot: the second waits for the first, finds nothing left to
+/// rebuild, and neither reports an error. Answers match the pre-compaction
+/// ones at saturated budgets, before and after a reopen.
+#[test]
+fn overlapping_compact_now_calls_rebuild_once() {
+    let n = 1500;
+    let (engine, params, dir, queries) = tombstoned_engine("compact_now_overlap", n, None);
+    for id in (0..n as u64).step_by(3) {
+        engine.delete(id).unwrap();
+    }
+    let qp = QueryParams::triangular(n, n, 10);
+    let answers = |engine: &Engine| -> Vec<_> {
+        queries
+            .iter()
+            .map(|q| engine.search(q, &qp).unwrap())
+            .collect()
+    };
+    let before = answers(&engine);
+
+    let barrier = Barrier::new(2);
+    let rebuilt: Vec<usize> = std::thread::scope(|s| {
+        let calls: Vec<_> = (0..2)
+            .map(|_| {
+                let (engine, barrier) = (&engine, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    engine.compact_now()
+                })
+            })
+            .collect();
+        calls
+            .into_iter()
+            .map(|call| call.join().unwrap().unwrap())
+            .collect()
+    });
+    assert_eq!(rebuilt.iter().sum::<usize>(), 1, "rebuilds: {rebuilt:?}");
+    assert_eq!(AnnIndex::stats(&engine).write.compactions, 1);
+    assert_eq!(answers(&engine), before);
+
+    drop(engine);
+    let reopened = Engine::open(&dir, &params).unwrap();
+    assert_eq!(answers(&reopened), before);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `compact_now` issued while the background job that a delete just
+/// scheduled runs waits for it instead of rebuilding the same shard beside
+/// it, and no deleted id is returned afterwards.
+#[test]
+fn compact_now_waits_for_the_background_job() {
+    let n = 1500;
+    let (engine, _, dir, queries) = tombstoned_engine("compact_now_vs_job", n, Some(0.25));
+    let mut deleted = Vec::new();
+    for id in (0..n as u64).step_by(3) {
+        engine.delete(id).unwrap();
+        deleted.push(id);
+        if engine.compacting() {
+            break;
+        }
+    }
+    assert!(engine.compacting(), "no delete scheduled a compaction");
+    engine.compact_now().unwrap();
+    quiesce(&engine);
+
+    let stats = AnnIndex::stats(&engine);
+    assert_eq!(stats.live_len, (n - deleted.len()) as u64);
+    assert_eq!(stats.stored_len, stats.live_len, "tombstones left behind");
+    let qp = QueryParams::triangular(n, n, 10);
+    for q in queries.iter() {
+        let answer = engine.search(q, &qp).unwrap();
+        assert_eq!(answer.len(), 10);
+        for nb in &answer {
+            assert!(
+                deleted.binary_search(&nb.id).is_err(),
+                "deleted id {} returned",
+                nb.id
+            );
+        }
+    }
     std::fs::remove_dir_all(dir).ok();
 }

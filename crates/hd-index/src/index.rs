@@ -120,16 +120,23 @@ fn file_generation(name: &str) -> Option<u64> {
     None
 }
 
-/// Deletes tree/heap files of any generation other than `current` — debris
-/// of a compaction that crashed before (new generation never committed) or
-/// after (old generation not yet unlinked) the meta rename.
-fn remove_stale_generations(dir: &Path, current: u64) -> io::Result<()> {
+/// Deletes every tree/heap file the meta does not name — debris of a
+/// compaction that crashed before (new generation never committed) or
+/// after (old generation not yet unlinked) the meta rename, and the extra
+/// trees of an earlier index with a larger τ built into the same directory.
+fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) -> io::Result<()> {
+    let live: Vec<PathBuf> = (0..tau)
+        .map(|g| tree_file(dir, g, generation))
+        .chain([heap_file(dir, generation)])
+        .collect();
     for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if file_generation(name).is_some_and(|g| g != current) {
-            std::fs::remove_file(entry.path())?;
+        let path = entry?.path();
+        let managed = path
+            .file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(|name| file_generation(name).is_some());
+        if managed && !live.contains(&path) {
+            std::fs::remove_file(path)?;
         }
     }
     Ok(())
@@ -570,7 +577,7 @@ impl HdIndex {
         // meta-rename commit point — only the generation the meta names is
         // live — plus any scratch of a build/compaction that died
         // mid-pipeline.
-        remove_stale_generations(&dir, meta.generation)?;
+        remove_stale_generations(&dir, meta.generation, meta.tau)?;
         build::sweep_tmp(&dir);
         let partitioning = Partitioning::from_groups(meta.dim, meta.groups.clone());
         let refs =
@@ -996,6 +1003,12 @@ impl HdIndex {
     /// build (DESIGN.md §11), under the index's [`BuildBudget`] —
     /// compacting a shard much larger than RAM spills sorted runs instead
     /// of materializing every entry.
+    ///
+    /// At most one plan may be outstanding per index, from this call until
+    /// it is applied or dropped: two plans share generation k+1's file
+    /// names and its `build.tmp/` scratch. A caller that prepares under a
+    /// shared lock must keep a second preparation out itself (the engine
+    /// runs every rebuild under its one compaction slot).
     pub fn prepare_compaction(&self) -> io::Result<CompactionPlan> {
         let _s = hd_telemetry::span!("compaction_prepare_nanos");
         let next_gen = self.generation + 1;
@@ -1128,7 +1141,7 @@ impl HdIndex {
         // generations; crash before it leaves the old generation plus the
         // full WAL, crash after leaves stale files that the next open sweeps.
         self.commit()?;
-        remove_stale_generations(&self.dir, self.generation)?;
+        remove_stale_generations(&self.dir, self.generation, self.trees.len())?;
         if hd_telemetry::enabled() {
             let reclaimed = bytes_before.saturating_sub(self.disk_bytes());
             hd_telemetry::global()
@@ -1637,6 +1650,36 @@ mod tests {
         check(&built);
         drop(built);
         check(&HdIndex::open(&dir, 0).unwrap());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A build with a smaller τ over an index with a larger one leaves only
+    /// the files its meta names: the old index's trees τ.. go too.
+    #[test]
+    fn build_over_a_larger_tau_removes_the_extra_trees() {
+        let (data, _) = generate(&DatasetProfile::SIFT, 400, 1, 33);
+        let dir = test_dir("rebuild_smaller_tau");
+        let tree_files = || -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("tree_"))
+                .collect();
+            names.sort();
+            names
+        };
+        let wide = HdIndexParams {
+            tau: 8,
+            ..small_params()
+        };
+        drop(HdIndex::build(&data, &wide, &dir).unwrap());
+        assert_eq!(tree_files().len(), 8);
+        let narrow = HdIndex::build(&data, &small_params(), &dir).unwrap();
+        let expected: Vec<String> = (0..4).map(|g| format!("tree_{g}.rdb")).collect();
+        assert_eq!(tree_files(), expected);
+        drop(narrow);
+        HdIndex::open(&dir, 0).unwrap();
+        assert_eq!(tree_files(), expected);
         std::fs::remove_dir_all(dir).ok();
     }
 
