@@ -8,13 +8,13 @@
 //! memory-resident (vectors + adjacency), which is the fast-but-RAM-heavy
 //! corner of the paper's quality/efficiency/memory triangle (Fig. 9).
 
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::metric::Metric;
 use hd_core::topk::{Neighbor, TopK};
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: M = 10; ef defaults follow the HNSW paper's
 /// recommendations).
@@ -197,7 +197,9 @@ impl Hnsw {
         let mut cur_d = self.dist(cur, q);
         loop {
             let mut improved = false;
-            for &nb in &self.nodes[cur as usize].links[layer.min(self.nodes[cur as usize].links.len() - 1)] {
+            for &nb in
+                &self.nodes[cur as usize].links[layer.min(self.nodes[cur as usize].links.len() - 1)]
+            {
                 let d = self.dist(nb, q);
                 if d < cur_d {
                     cur = nb;
@@ -213,7 +215,13 @@ impl Hnsw {
 
     /// HNSW Alg. 2: beam search within one layer. Returns up to `ef`
     /// `(distance, id)` pairs sorted ascending.
-    fn search_layer(&self, q: &[f32], entry_points: &[u32], ef: usize, layer: usize) -> Vec<(f32, u32)> {
+    fn search_layer(
+        &self,
+        q: &[f32],
+        entry_points: &[u32],
+        ef: usize,
+        layer: usize,
+    ) -> Vec<(f32, u32)> {
         let mut visited: HashSet<u32> = HashSet::with_capacity(ef * 4);
         let mut candidates: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
         let mut result: BinaryHeap<HeapEntry> = BinaryHeap::new(); // max-heap
@@ -353,7 +361,6 @@ impl Hnsw {
     }
 }
 
-
 impl AnnIndex for Hnsw {
     fn len(&self) -> u64 {
         self.nodes.len() as u64
@@ -371,8 +378,12 @@ impl AnnIndex for Hnsw {
     /// build-time `ef_search`, floored at 2k — the paper's §5 operating
     /// point); `refine` does not apply.
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> std::io::Result<SearchOutput> {
-        let ef = req.candidates.unwrap_or_else(|| self.params.ef_search.max(2 * req.k));
-        Ok(SearchOutput::from_neighbors(self.knn_with_ef(query, req.k, ef)))
+        let ef = req
+            .candidates
+            .unwrap_or_else(|| self.params.ef_search.max(2 * req.k));
+        Ok(SearchOutput::from_neighbors(
+            self.knn_with_ef(query, req.k, ef),
+        ))
     }
 
     fn stats(&self) -> IndexStats {
@@ -450,11 +461,7 @@ mod tests {
         }
         assert_eq!(counts[0], 3000);
         if h.top_layer >= 1 {
-            assert!(
-                counts[1] < 3000 / 2,
-                "upper layer too dense: {:?}",
-                counts
-            );
+            assert!(counts[1] < 3000 / 2, "upper layer too dense: {:?}", counts);
         }
     }
 

@@ -11,16 +11,16 @@
 //! `≤ r` — at which point no unexamined point can improve the answer, so the
 //! result is exact (MAP = 1 by construction, Fig. 8).
 
+use hd_btree::BTree;
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::{l2, l2_sq_bounded};
 use hd_core::kmeans::kmeans;
 use hd_core::topk::{Neighbor, TopK};
-use hd_btree::BTree;
 use hd_storage::{BufferPool, IoSnapshot, Pager, VectorHeap};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Order-preserving 8-byte encoding of a non-negative `f64` key.
 fn f64_key(v: f64) -> [u8; 8] {
@@ -78,7 +78,11 @@ impl std::fmt::Debug for IDistance {
 
 impl IDistance {
     /// Builds the index in `dir` (files `idistance.bt`, `idistance.heap`).
-    pub fn build(data: &Dataset, params: IDistanceParams, dir: impl AsRef<Path>) -> io::Result<Self> {
+    pub fn build(
+        data: &Dataset,
+        params: IDistanceParams,
+        dir: impl AsRef<Path>,
+    ) -> io::Result<Self> {
         crate::require_l2(
             data,
             "iDistance",
@@ -122,7 +126,8 @@ impl IDistance {
         let mut tree = BTree::create(pool, 16, 8)?;
         tree.bulk_load(entries, 1.0)?;
 
-        let mut heap = VectorHeap::create(dir.join("idistance.heap"), data.dim(), params.cache_pages)?;
+        let mut heap =
+            VectorHeap::create(dir.join("idistance.heap"), data.dim(), params.cache_pages)?;
         for p in data.iter() {
             heap.append(p)?;
         }
@@ -309,7 +314,6 @@ impl IDistance {
         self.heap.pool().reset_stats();
     }
 }
-
 
 impl AnnIndex for IDistance {
     fn len(&self) -> u64 {

@@ -229,7 +229,9 @@ impl Iterator for IncrementalNn<'_> {
                         let (s, e) = (*start as usize, *end as usize);
                         let dim = self.tree.dim;
                         let block = &self.tree.points[s * dim..e * dim];
-                        self.tree.metric.key_batch(&self.query, block, &mut self.scratch);
+                        self.tree
+                            .metric
+                            .key_batch(&self.query, block, &mut self.scratch);
                         for (r, &d) in self.scratch.iter().enumerate() {
                             self.heap.push(HeapItem {
                                 dist: d,
@@ -321,8 +323,8 @@ impl AnnIndex for KdTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_core::distance::l2_sq;
     use hd_core::dataset::Dataset;
+    use hd_core::distance::l2_sq;
     use rand::{Rng, SeedableRng};
 
     fn random_points(n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -422,12 +424,9 @@ mod tests {
         let tree = KdTree::build(&data);
         for seed in 0..4 {
             let q: Vec<f32> = random_points(1, 6, 200 + seed);
-            let got = hd_core::api::AnnIndex::search(
-                &tree,
-                &q,
-                &hd_core::api::SearchRequest::new(8),
-            )
-            .unwrap();
+            let got =
+                hd_core::api::AnnIndex::search(&tree, &q, &hd_core::api::SearchRequest::new(8))
+                    .unwrap();
             assert_eq!(got.neighbors, knn_exact(&data, &q, 8), "seed {seed}");
         }
     }

@@ -10,13 +10,13 @@
 //! inner-product (dot) workloads exactly. Metrics with a bounded kernel
 //! still abandon hopeless evaluations early; dot evaluates fully.
 
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::metric::Metric;
 use hd_core::topk::{Neighbor, TopK};
 use hd_storage::VectorHeap;
 use std::io;
 use std::path::Path;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// In-memory exhaustive scan, in the dataset's recorded metric.
 #[derive(Debug)]
@@ -128,7 +128,6 @@ impl DiskLinearScan {
         self.heap.disk_bytes()
     }
 }
-
 
 impl AnnIndex for LinearScan<'_> {
     fn len(&self) -> u64 {

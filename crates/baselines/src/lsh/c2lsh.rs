@@ -20,6 +20,7 @@
 
 use crate::lsh::{gaussian_projections, project};
 use crate::stats_math::p_stable_collision;
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::l2_sq;
 use hd_core::topk::{Neighbor, TopK};
@@ -27,7 +28,6 @@ use hd_storage::{IoSnapshot, VectorHeap};
 use rand::{Rng, SeedableRng};
 use std::io;
 use std::path::Path;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: c = 2, w = 1, β = 100/n, δ = 1/e).
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +101,11 @@ impl std::fmt::Debug for C2lsh {
 
 impl C2lsh {
     pub fn build(data: &Dataset, params: C2lshParams, dir: impl AsRef<Path>) -> io::Result<Self> {
-        crate::require_l2(data, "C2LSH", "its dynamic collision counting uses Euclidean LSH")?;
+        crate::require_l2(
+            data,
+            "C2LSH",
+            "its dynamic collision counting uses Euclidean LSH",
+        )?;
         assert!(!data.is_empty(), "cannot index an empty dataset");
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -115,8 +119,7 @@ impl C2lsh {
         for i in 0..m {
             let mut tab: Vec<(i64, u32)> = (0..n)
                 .map(|j| {
-                    let h = ((project(&projections[i], data.get(j)) as f64 + offsets[i])
-                        / params.w)
+                    let h = ((project(&projections[i], data.get(j)) as f64 + offsets[i]) / params.w)
                         .floor() as i64;
                     (h, j as u32)
                 })
@@ -248,7 +251,11 @@ impl C2lsh {
             .iter()
             .map(|t| t.capacity() * std::mem::size_of::<(i64, u32)>())
             .sum::<usize>()
-            + self.projections.iter().map(|p| p.capacity() * 4).sum::<usize>()
+            + self
+                .projections
+                .iter()
+                .map(|p| p.capacity() * 4)
+                .sum::<usize>()
     }
 
     pub fn disk_bytes(&self) -> u64 {
@@ -263,7 +270,6 @@ impl C2lsh {
         self.heap.pool().reset_stats();
     }
 }
-
 
 impl AnnIndex for C2lsh {
     fn len(&self) -> u64 {
@@ -328,13 +334,16 @@ mod tests {
         let dir = test_dir("recall");
         let idx = C2lsh::build(&data, C2lshParams::default(), &dir).unwrap();
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
         for a in &approx {
             assert!(a.len() <= 10);
         }
         let s = score_workload(&truth, &approx);
-        assert!(s.recall > 0.05, "C2LSH should beat random: recall {}", s.recall);
+        assert!(
+            s.recall > 0.05,
+            "C2LSH should beat random: recall {}",
+            s.recall
+        );
         assert!(s.ratio < 3.0, "ratio implausible: {}", s.ratio);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -11,6 +11,7 @@
 //! guarantees) motivates the paper's scalability critique (§1).
 
 use crate::lsh::{gaussian_projections, project};
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::l2_sq;
 use hd_core::topk::{Neighbor, TopK};
@@ -19,7 +20,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters: `l` tables of `k_hashes` concatenated atomic hashes with
 /// bucket width `w` (in units of the data's distance scale).
@@ -193,7 +193,10 @@ impl E2lsh {
                     .iter()
                     .map(|(k, v)| k.capacity() * 4 + v.capacity() * 4 + 48)
                     .sum::<usize>()
-                    + t.projections.iter().map(|p| p.capacity() * 4).sum::<usize>()
+                    + t.projections
+                        .iter()
+                        .map(|p| p.capacity() * 4)
+                        .sum::<usize>()
             })
             .sum()
     }
@@ -211,7 +214,6 @@ impl E2lsh {
         self.heap.pool().reset_stats();
     }
 }
-
 
 impl AnnIndex for E2lsh {
     fn len(&self) -> u64 {
@@ -282,8 +284,7 @@ mod tests {
         let dir = test_dir("recall");
         let idx = E2lsh::build(&data, E2lshParams::default(), &dir).unwrap();
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
         let s = score_workload(&truth, &approx);
         assert!(s.recall > 0.1, "E2LSH recall at chance: {}", s.recall);
         // Candidate sets must be sub-linear (the whole point of hashing).

@@ -14,15 +14,15 @@
 
 use crate::lsh::{encode_f64_key, gaussian_projections, project};
 use crate::stats_math::qalsh_collision;
+use hd_btree::BTree;
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::l2_sq;
 use hd_core::topk::{Neighbor, TopK};
-use hd_btree::BTree;
 use hd_storage::{BufferPool, IoSnapshot, Pager, VectorHeap};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: c = 2, β = 100/n, δ = 1/e; w from QALSH's optimal
 /// formula ≈ 2.719 for c = 2).
@@ -282,7 +282,10 @@ impl Qalsh {
     /// Query-resident memory: just projection vectors (m · ν floats) and the
     /// per-query count array — QALSH's small-footprint profile (Fig. 8e/j/o).
     pub fn memory_bytes(&self) -> usize {
-        self.projections.iter().map(|p| p.capacity() * 4).sum::<usize>()
+        self.projections
+            .iter()
+            .map(|p| p.capacity() * 4)
+            .sum::<usize>()
             + self
                 .trees
                 .iter()
@@ -309,7 +312,6 @@ impl Qalsh {
         self.heap.pool().reset_stats();
     }
 }
-
 
 impl AnnIndex for Qalsh {
     fn len(&self) -> u64 {
@@ -387,8 +389,7 @@ mod tests {
         let dir = test_dir("qual");
         let idx = Qalsh::build(&data, small_params(), &dir).unwrap();
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
         let s = score_workload(&truth, &approx);
         assert!(s.recall > 0.2, "QALSH recall too low: {}", s.recall);
         std::fs::remove_dir_all(dir).ok();

@@ -19,13 +19,13 @@
 use crate::kdtree::KdTree;
 use crate::lsh::{gaussian_projections, project};
 use crate::stats_math::chi2_cdf;
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::l2_sq;
 use hd_core::topk::{Neighbor, TopK};
 use hd_storage::{IoSnapshot, VectorHeap};
 use std::io;
 use std::path::Path;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: SRS-12, c = 2, m = 6, τ = 0.1809, t = 0.00242).
 #[derive(Debug, Clone, Copy)]
@@ -157,7 +157,11 @@ impl Srs {
     /// The famous tiny index: m floats per point plus the kd-tree topology.
     pub fn memory_bytes(&self) -> usize {
         self.tree.memory_bytes()
-            + self.projections.iter().map(|p| p.capacity() * 4).sum::<usize>()
+            + self
+                .projections
+                .iter()
+                .map(|p| p.capacity() * 4)
+                .sum::<usize>()
     }
 
     pub fn disk_bytes(&self) -> u64 {
@@ -172,7 +176,6 @@ impl Srs {
         self.heap.pool().reset_stats();
     }
 }
-
 
 impl AnnIndex for Srs {
     fn len(&self) -> u64 {
@@ -256,7 +259,7 @@ mod tests {
         let (data, queries) = generate(&DatasetProfile::SIFT, 3000, 1, 43);
         let dir = test_dir("budget");
         let params = SrsParams {
-            t: 0.01, // 30 points
+            t: 0.01,  // 30 points
             tau: 0.0, // disable early termination: force the budget path
             ..Default::default()
         };
@@ -282,8 +285,7 @@ mod tests {
         };
         let idx = Srs::build(&data, params, &dir).unwrap();
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| idx.knn(q, 10).unwrap()).collect();
         let s = score_workload(&truth, &approx);
         assert!(s.recall > 0.15, "SRS recall too low: {}", s.recall);
         assert!(s.ratio < 2.0, "SRS ratio too high: {}", s.ratio);

@@ -10,17 +10,17 @@
 //! descriptors larger than a page (e.g. Enron's 5476 B), construction fails
 //! — the paper's "NP: not possible due to an inherent limitation".
 
+use hd_btree::{leaf_capacity, BTree};
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::metric::Metric;
 use hd_core::partition::Partitioning;
 use hd_core::topk::{Neighbor, TopK};
-use hd_btree::{leaf_capacity, BTree};
 use hd_hilbert::HilbertCurve;
 use hd_storage::{BufferPool, IoSnapshot, Pager};
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Construction parameters (paper §5: τ = 8, α = 4096).
 #[derive(Debug, Clone, Copy)]
@@ -70,7 +70,11 @@ impl std::fmt::Debug for Multicurves {
 impl Multicurves {
     /// Builds the index; errors with `InvalidInput` when a descriptor cannot
     /// fit in a leaf page (the paper's "NP" configurations).
-    pub fn build(data: &Dataset, params: MulticurvesParams, dir: impl AsRef<Path>) -> io::Result<Self> {
+    pub fn build(
+        data: &Dataset,
+        params: MulticurvesParams,
+        dir: impl AsRef<Path>,
+    ) -> io::Result<Self> {
         assert!(!data.is_empty(), "cannot index an empty dataset");
         let dim = data.dim();
         assert!(params.tau <= dim, "more curves than dimensions");
@@ -167,7 +171,12 @@ impl Multicurves {
 
     /// [`Self::knn`] with a per-call candidate budget α instead of the
     /// build-time default.
-    pub fn knn_with_alpha(&self, query: &[f32], k: usize, alpha: usize) -> io::Result<Vec<Neighbor>> {
+    pub fn knn_with_alpha(
+        &self,
+        query: &[f32],
+        k: usize,
+        alpha: usize,
+    ) -> io::Result<Vec<Neighbor>> {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         let k = k.min(self.n);
         if k == 0 {
@@ -178,8 +187,9 @@ impl Multicurves {
         // At most n distinct ids can ever be collected, whatever α says.
         let alpha = alpha.min(self.n);
         let mut tk = TopK::new(k);
-        let mut seen =
-            std::collections::HashSet::with_capacity(alpha.saturating_mul(self.trees.len()).min(self.n));
+        let mut seen = std::collections::HashSet::with_capacity(
+            alpha.saturating_mul(self.trees.len()).min(self.n),
+        );
         let (lo, hi) = self.params.domain;
         let mut sub = Vec::new();
         let mut vbuf: Vec<f32> = Vec::with_capacity(self.dim);
@@ -195,9 +205,9 @@ impl Multicurves {
 
             let mut taken = 0usize;
             let consume = |cur: &hd_btree::Cursor,
-                               seen: &mut std::collections::HashSet<u64>,
-                               tk: &mut TopK,
-                               vbuf: &mut Vec<f32>| {
+                           seen: &mut std::collections::HashSet<u64>,
+                           tk: &mut TopK,
+                           vbuf: &mut Vec<f32>| {
                 let klen = cur.key().len();
                 let id = u64::from_be_bytes(cur.key()[klen - 8..].try_into().expect("id tail"));
                 if seen.insert(id) {
@@ -267,7 +277,6 @@ impl Multicurves {
     }
 }
 
-
 impl AnnIndex for Multicurves {
     fn len(&self) -> u64 {
         self.n as u64
@@ -286,8 +295,13 @@ impl AnnIndex for Multicurves {
     /// (descriptors live in the leaves, so candidate generation *is*
     /// refinement).
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> io::Result<SearchOutput> {
-        let alpha = req.candidates.unwrap_or(self.params.alpha).clamp(1, self.n.max(1));
-        Ok(SearchOutput::from_neighbors(self.knn_with_alpha(query, req.k, alpha)?))
+        let alpha = req
+            .candidates
+            .unwrap_or(self.params.alpha)
+            .clamp(1, self.n.max(1));
+        Ok(SearchOutput::from_neighbors(
+            self.knn_with_alpha(query, req.k, alpha)?,
+        ))
     }
 
     fn stats(&self) -> IndexStats {
@@ -346,8 +360,7 @@ mod tests {
         assert_eq!(res[0].dist, 0.0, "self-query must hit the object");
 
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| mc.knn(q, 10).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| mc.knn(q, 10).unwrap()).collect();
         let s = score_workload(&truth, &approx);
         assert!(s.map > 0.4, "Multicurves MAP too low: {}", s.map);
         let _ = ids(&truth[0]);

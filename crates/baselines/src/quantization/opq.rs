@@ -8,12 +8,12 @@
 //! solved in closed form by the SVD in [`hd_core::linalg`].
 
 use super::pq::{Pq, PqParams};
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::linalg::{procrustes, Matrix};
 use hd_core::topk::Neighbor;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: M = 8 subspaces).
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +124,13 @@ impl Opq {
 
     /// ADC shortlist + exact re-ranking against the original (unrotated)
     /// data — the paper's OPQ operating point (see [`Pq::knn_rerank`]).
-    pub fn knn_rerank(&self, data: &Dataset, query: &[f32], k: usize, expand: usize) -> Vec<Neighbor> {
+    pub fn knn_rerank(
+        &self,
+        data: &Dataset,
+        query: &[f32],
+        k: usize,
+        expand: usize,
+    ) -> Vec<Neighbor> {
         self.knn_rerank_shortlist(data, query, k, k * expand.max(1))
     }
 
@@ -179,7 +185,6 @@ impl Opq {
     }
 }
 
-
 /// An [`Opq`] bundled with the corpus it encodes — see
 /// [`crate::quantization::PqRerank`] for the rationale.
 pub struct OpqRerank<'a> {
@@ -200,9 +205,10 @@ impl AnnIndex for OpqRerank<'_> {
     /// `candidates` does not apply.
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> std::io::Result<SearchOutput> {
         let shortlist = req.refine.unwrap_or(req.k.saturating_mul(20));
-        Ok(SearchOutput::from_neighbors(self.opq.knn_rerank_shortlist(
-            self.data, query, req.k, shortlist,
-        )))
+        Ok(SearchOutput::from_neighbors(
+            self.opq
+                .knn_rerank_shortlist(self.data, query, req.k, shortlist),
+        ))
     }
 
     fn stats(&self) -> IndexStats {
@@ -291,9 +297,15 @@ mod tests {
             },
         );
         let truth = ground_truth_knn(&data, &queries, 10, 4);
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| opq.knn_rerank(&data, q, 10, 20)).collect();
+        let approx: Vec<Vec<Neighbor>> = queries
+            .iter()
+            .map(|q| opq.knn_rerank(&data, q, 10, 20))
+            .collect();
         let s = score_workload(&truth, &approx);
-        assert!(s.recall > 0.4, "OPQ (re-ranked) recall too low: {}", s.recall);
+        assert!(
+            s.recall > 0.4,
+            "OPQ (re-ranked) recall too low: {}",
+            s.recall
+        );
     }
 }

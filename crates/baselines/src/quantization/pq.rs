@@ -5,13 +5,13 @@
 //! table lookups. Entirely memory-resident — fast, approximate, RAM-hungry
 //! relative to disk methods (the trade Fig. 8 illustrates).
 
+use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 use hd_core::dataset::Dataset;
 use hd_core::distance::{l2_sq, l2_sq_bounded};
 use hd_core::kmeans::kmeans;
 use hd_core::topk::{Neighbor, TopK};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use hd_core::api::{AnnIndex, IndexStats, SearchOutput, SearchRequest};
 
 /// Parameters (paper §5: M = 8 subspaces; 8 bits/subspace is the PQ
 /// standard).
@@ -103,7 +103,12 @@ impl Pq {
             for &i in &idx {
                 sub.push(&data.get(i)[lo..hi]);
             }
-            let km = kmeans(&sub, params.k_sub, params.kmeans_iters, params.seed ^ s as u64);
+            let km = kmeans(
+                &sub,
+                params.k_sub,
+                params.kmeans_iters,
+                params.seed ^ s as u64,
+            );
             codebooks.push(km.centroids);
         }
 
@@ -210,7 +215,13 @@ impl Pq {
     /// against the in-memory dataset. This is how the paper's OPQ
     /// configuration reaches MAP parity with HD-Index (§5, "Parameters") —
     /// and why its RAM footprint includes the raw data.
-    pub fn knn_rerank(&self, data: &Dataset, query: &[f32], k: usize, expand: usize) -> Vec<Neighbor> {
+    pub fn knn_rerank(
+        &self,
+        data: &Dataset,
+        query: &[f32],
+        k: usize,
+        expand: usize,
+    ) -> Vec<Neighbor> {
         self.knn_rerank_shortlist(data, query, k, k * expand.max(1))
     }
 
@@ -274,7 +285,6 @@ impl Pq {
     }
 }
 
-
 /// A [`Pq`] bundled with the corpus it encodes, so ADC shortlists are
 /// exactly re-ranked through the unified trait — the paper's "ADC+R"
 /// operating point, whose RAM footprint deliberately includes the raw data
@@ -298,9 +308,10 @@ impl AnnIndex for PqRerank<'_> {
     /// scans every code).
     fn search_core(&self, query: &[f32], req: &SearchRequest) -> std::io::Result<SearchOutput> {
         let shortlist = req.refine.unwrap_or(req.k.saturating_mul(20));
-        Ok(SearchOutput::from_neighbors(self.pq.knn_rerank_shortlist(
-            self.data, query, req.k, shortlist,
-        )))
+        Ok(SearchOutput::from_neighbors(
+            self.pq
+                .knn_rerank_shortlist(self.data, query, req.k, shortlist),
+        ))
     }
 
     fn stats(&self) -> IndexStats {
@@ -364,12 +375,22 @@ mod tests {
         // distance spread) but must be far better than chance (10/3000).
         let adc: Vec<Vec<Neighbor>> = queries.iter().map(|q| pq.knn(q, 10)).collect();
         let s_adc = score_workload(&truth, &adc);
-        assert!(s_adc.recall > 0.03, "ADC recall at chance level: {}", s_adc.recall);
+        assert!(
+            s_adc.recall > 0.03,
+            "ADC recall at chance level: {}",
+            s_adc.recall
+        );
         // ADC + exact re-ranking (the paper's OPQ operating point).
-        let rr: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| pq.knn_rerank(&data, q, 10, 20)).collect();
+        let rr: Vec<Vec<Neighbor>> = queries
+            .iter()
+            .map(|q| pq.knn_rerank(&data, q, 10, 20))
+            .collect();
         let s_rr = score_workload(&truth, &rr);
-        assert!(s_rr.recall > 0.4, "re-ranked recall too low: {}", s_rr.recall);
+        assert!(
+            s_rr.recall > 0.4,
+            "re-ranked recall too low: {}",
+            s_rr.recall
+        );
         assert!(s_rr.recall >= s_adc.recall);
     }
 
@@ -391,11 +412,8 @@ mod tests {
             *m /= data.len() as f64;
         }
         let meanf: Vec<f32> = mean.iter().map(|&m| m as f32).collect();
-        let var: f64 = data
-            .iter()
-            .map(|p| l2_sq(p, &meanf) as f64)
-            .sum::<f64>()
-            / data.len() as f64;
+        let var: f64 =
+            data.iter().map(|p| l2_sq(p, &meanf) as f64).sum::<f64>() / data.len() as f64;
         assert!(
             distortion < var * 0.8,
             "PQ distortion {distortion} not better than global mean {var}"

@@ -13,8 +13,7 @@ pub fn erf(x: f64) -> f64 {
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
+        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
             + 0.254_829_592)
             * t
             * (-x * x).exp();
@@ -41,7 +40,9 @@ pub fn ln_gamma(x: f64) -> f64 {
     ];
     if x < 0.5 {
         // Reflection formula.
-        return std::f64::consts::PI.ln() - (std::f64::consts::PI * x).sin().ln() - ln_gamma(1.0 - x);
+        return std::f64::consts::PI.ln()
+            - (std::f64::consts::PI * x).sin().ln()
+            - ln_gamma(1.0 - x);
     }
     let x = x - 1.0;
     let mut a = COEFFS[0];
@@ -118,8 +119,8 @@ pub fn p_stable_collision(w: f64, s: f64) -> f64 {
         return 1.0;
     }
     let r = w / s;
-    1.0 - 2.0 * norm_cdf(-r) - 2.0 / ((2.0 * std::f64::consts::PI).sqrt() * r)
-        * (1.0 - (-r * r / 2.0).exp())
+    1.0 - 2.0 * norm_cdf(-r)
+        - 2.0 / ((2.0 * std::f64::consts::PI).sqrt() * r) * (1.0 - (-r * r / 2.0).exp())
 }
 
 /// QALSH's query-centered collision probability for distance `s` and bucket

@@ -274,7 +274,11 @@ mod tests {
         let va = VaFile::build(&data, VaFileParams::default(), &dir).unwrap();
         let q = [1000.0f32, 100.0];
         let got = va.knn(&q, 1).unwrap();
-        assert_eq!(got, knn_exact(&data, &q, 1), "the exact method lost its neighbour");
+        assert_eq!(
+            got,
+            knn_exact(&data, &q, 1),
+            "the exact method lost its neighbour"
+        );
         assert_eq!(got[0].id, 0);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -322,7 +326,10 @@ mod tests {
         let q = queries.get(0);
         let rf = fine.refinement_count(q, 10).unwrap();
         let rc = coarse.refinement_count(q, 10).unwrap();
-        assert!(rc >= rf, "coarser quantization must refine at least as much ({rc} vs {rf})");
+        assert!(
+            rc >= rf,
+            "coarser quantization must refine at least as much ({rc} vs {rf})"
+        );
         assert!(coarse.memory_bytes() <= fine.memory_bytes());
         std::fs::remove_dir_all(dir).ok();
     }

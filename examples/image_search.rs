@@ -50,7 +50,9 @@ fn main() -> std::io::Result<()> {
             index.knn(d, &qp).expect("query IO")
         });
         // Exact pipeline (linear scan per descriptor).
-        let exact = search_image(&corpus, &query, 20, |d, k| knn_exact(&corpus.descriptors, d, k));
+        let exact = search_image(&corpus, &query, 20, |d, k| {
+            knn_exact(&corpus.descriptors, d, k)
+        });
 
         let hd_top = approx.top_k(3);
         let ex_top = exact.top_k(3);

@@ -38,7 +38,11 @@ fn main() -> std::io::Result<()> {
         (mean_average_precision(&truth_ids, &approx), per_query)
     };
 
-    let req = |alpha: usize, gamma: usize| SearchRequest::new(10).with_candidates(alpha).with_refine(gamma);
+    let req = |alpha: usize, gamma: usize| {
+        SearchRequest::new(10)
+            .with_candidates(alpha)
+            .with_refine(gamma)
+    };
 
     println!("-- sweep m (reference objects), τ=8, α=2048, γ=512 --");
     for m in [2usize, 5, 10, 15] {

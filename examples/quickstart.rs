@@ -18,7 +18,12 @@ fn main() -> std::io::Result<()> {
     //    plus 5 held-out queries from the same distribution.
     let profile = DatasetProfile::SIFT;
     let (data, queries) = generate(&profile, 20_000, 5, 42);
-    println!("dataset: n={} ν={} ({})", data.len(), data.dim(), profile.name);
+    println!(
+        "dataset: n={} ν={} ({})",
+        data.len(),
+        data.dim(),
+        profile.name
+    );
 
     // 2. Build with the paper's recommended parameters for this profile:
     //    τ=8 RDB-trees, Hilbert order ω=8, m=10 reference objects (SSS).

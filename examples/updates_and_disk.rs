@@ -31,17 +31,25 @@ fn main() -> std::io::Result<()> {
     // Insert: a brand-new vector becomes immediately queryable (§3.6 —
     // B+-trees are naturally update-friendly; reference set is kept as-is).
     println!("\n-- inserts --");
-    let novel: Vec<f32> = (0..profile.dim).map(|i| ((i % 20) as f32 - 10.0) * 0.9).collect();
+    let novel: Vec<f32> = (0..profile.dim)
+        .map(|i| ((i % 20) as f32 - 10.0) * 0.9)
+        .collect();
     let id = index.insert(&novel)?;
     let hit = index.knn(&novel, &qp)?[0];
-    println!("inserted object {id}; self-query returns id {} at distance {}", hit.id, hit.dist);
+    println!(
+        "inserted object {id}; self-query returns id {} at distance {}",
+        hit.id, hit.dist
+    );
     assert_eq!(hit.id, id);
 
     // Delete: tombstoned, never returned again.
     println!("\n-- deletes --");
     index.delete(id)?;
     let after = index.knn(&novel, &qp)?[0];
-    println!("after delete, nearest is id {} at distance {:.3}", after.id, after.dist);
+    println!(
+        "after delete, nearest is id {} at distance {:.3}",
+        after.id, after.dist
+    );
     assert_ne!(after.id, id);
 
     // The index survives on disk; file sizes match the paper's accounting.

@@ -44,7 +44,11 @@ fn build<'a>(
 fn assert_well_formed(method: &str, out: &[hd_core::Neighbor]) {
     let mut seen = std::collections::HashSet::new();
     for n in out {
-        assert!(seen.insert(n.id), "{method}: duplicate id {} in results", n.id);
+        assert!(
+            seen.insert(n.id),
+            "{method}: duplicate id {} in results",
+            n.id
+        );
     }
     for pair in out.windows(2) {
         assert!(
@@ -64,7 +68,8 @@ fn every_registered_method_honors_the_search_contract() {
 
     for spec in registry() {
         let dir = scratch(spec.name);
-        let index = build(spec, &w, &dir).unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
+        let index =
+            build(spec, &w, &dir).unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
         assert_eq!(index.len(), 300, "{}", spec.name);
         assert_eq!(index.dim(), w.data.dim(), "{}", spec.name);
 
@@ -75,12 +80,20 @@ fn every_registered_method_honors_the_search_contract() {
             "{}: stats() reports no footprint at all",
             spec.name
         );
-        assert!(stats.build_memory_bytes > 0, "{}: no build memory estimate", spec.name);
+        assert!(
+            stats.build_memory_bytes > 0,
+            "{}: no build memory estimate",
+            spec.name
+        );
 
         let req = SearchRequest::new(k);
         let sequential: Vec<_> = queries
             .iter()
-            .map(|q| index.search(q, &req).unwrap_or_else(|e| panic!("{}: {e}", spec.name)))
+            .map(|q| {
+                index
+                    .search(q, &req)
+                    .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
+            })
             .collect();
 
         for out in &sequential {
@@ -125,12 +138,17 @@ fn k_edge_cases_are_normalized_at_the_trait_boundary() {
 
     for spec in registry() {
         let dir = scratch(&format!("edge_{}", spec.name));
-        let index = build(spec, &w, &dir).unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
+        let index =
+            build(spec, &w, &dir).unwrap_or_else(|e| panic!("{}: build failed: {e}", spec.name));
 
         // k == 0 → empty result, never an error or a silent clamp to 1.
         for q in &queries {
             let out = index.search(q, &SearchRequest::new(0)).unwrap();
-            assert!(out.neighbors.is_empty(), "{}: k=0 must yield nothing", spec.name);
+            assert!(
+                out.neighbors.is_empty(),
+                "{}: k=0 must yield nothing",
+                spec.name
+            );
         }
 
         // Absurd budget overrides must clamp, not overflow or pre-allocate
@@ -139,10 +157,17 @@ fn k_edge_cases_are_normalized_at_the_trait_boundary() {
             .with_candidates(usize::MAX)
             .with_refine(usize::MAX);
         let out = index.search(queries[0], &req).unwrap();
-        assert_eq!(out.neighbors.len(), 3, "{}: huge budgets broke search", spec.name);
+        assert_eq!(
+            out.neighbors.len(),
+            3,
+            "{}: huge budgets broke search",
+            spec.name
+        );
 
         // k > n → capped at n; exact methods return all n.
-        let out = index.search(queries[0], &SearchRequest::new(n + 25)).unwrap();
+        let out = index
+            .search(queries[0], &SearchRequest::new(n + 25))
+            .unwrap();
         assert!(
             out.neighbors.len() <= n,
             "{}: returned more than n results",
@@ -150,9 +175,18 @@ fn k_edge_cases_are_normalized_at_the_trait_boundary() {
         );
         assert_well_formed(spec.name, &out.neighbors);
         if spec.exact {
-            assert_eq!(out.neighbors.len(), n, "{}: exact method must return all n", spec.name);
+            assert_eq!(
+                out.neighbors.len(),
+                n,
+                "{}: exact method must return all n",
+                spec.name
+            );
         } else {
-            assert!(!out.neighbors.is_empty(), "{}: k>n returned nothing", spec.name);
+            assert!(
+                !out.neighbors.is_empty(),
+                "{}: k>n returned nothing",
+                spec.name
+            );
         }
 
         std::fs::remove_dir_all(&dir).ok();
@@ -168,7 +202,9 @@ fn single_point_corpora_are_searchable() {
             .unwrap_or_else(|e| panic!("{}: build failed on n=1: {e}", spec.name));
         assert_eq!(index.len(), 1, "{}", spec.name);
         for k in [1usize, 3] {
-            let out = index.search(w.queries.get(0), &SearchRequest::new(k)).unwrap();
+            let out = index
+                .search(w.queries.get(0), &SearchRequest::new(k))
+                .unwrap();
             assert_eq!(
                 out.neighbors.len(),
                 1,
@@ -202,8 +238,14 @@ fn empty_corpora_answer_empty_where_buildable() {
             buildable += 1;
             assert_eq!(index.len(), 0, "{}", spec.name);
             for k in [0usize, 1, 5] {
-                let out = index.search(w.queries.get(0), &SearchRequest::new(k)).unwrap();
-                assert!(out.neighbors.is_empty(), "{}: empty index, k={k}", spec.name);
+                let out = index
+                    .search(w.queries.get(0), &SearchRequest::new(k))
+                    .unwrap();
+                assert!(
+                    out.neighbors.is_empty(),
+                    "{}: empty index, k={k}",
+                    spec.name
+                );
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -240,7 +282,12 @@ fn every_method_honors_its_declared_metrics() {
             let index = build(spec, &w, &dir)
                 .unwrap_or_else(|e| panic!("{} under {metric}: build failed: {e}", spec.name));
             assert_eq!(index.metric(), metric, "{}: metric() disagrees", spec.name);
-            assert_eq!(index.stats().metric, metric, "{}: stats().metric disagrees", spec.name);
+            assert_eq!(
+                index.stats().metric,
+                metric,
+                "{}: stats().metric disagrees",
+                spec.name
+            );
 
             // A request pinned to the right metric passes; the wrong one
             // is refused at the trait boundary — on the sequential path
@@ -410,10 +457,22 @@ fn budget_knobs_reach_the_methods_that_support_them() {
     // A wide-open budget must dominate a starved one on candidate volume:
     // with tracing on, κ reflects the per-call γ override.
     let starved = index
-        .search(w.queries.get(0), &SearchRequest::new(5).with_candidates(8).with_refine(8).with_trace())
+        .search(
+            w.queries.get(0),
+            &SearchRequest::new(5)
+                .with_candidates(8)
+                .with_refine(8)
+                .with_trace(),
+        )
         .unwrap();
     let wide = index
-        .search(w.queries.get(0), &SearchRequest::new(5).with_candidates(400).with_refine(400).with_trace())
+        .search(
+            w.queries.get(0),
+            &SearchRequest::new(5)
+                .with_candidates(400)
+                .with_refine(400)
+                .with_trace(),
+        )
         .unwrap();
     let (st, wt) = (starved.trace.expect("trace"), wide.trace.expect("trace"));
     assert!(
@@ -422,7 +481,10 @@ fn budget_knobs_reach_the_methods_that_support_them() {
         st.kappa,
         wt.kappa
     );
-    assert!(st.scanned < wt.scanned, "α override did not change candidate volume");
+    assert!(
+        st.scanned < wt.scanned,
+        "α override did not change candidate volume"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -491,7 +553,11 @@ fn wrong_dimension_queries_are_invalid_input() {
         let err = lifecycle.insert(&short).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{name}: {err}");
         assert!(err.to_string().contains("dimensions"), "{name}: {err}");
-        assert_eq!(lifecycle.len(), len, "{name}: a refused insert stored nothing");
+        assert_eq!(
+            lifecycle.len(),
+            len,
+            "{name}: a refused insert stored nothing"
+        );
         let id = lifecycle.insert(w.queries.get(0)).unwrap();
         assert_eq!(id, len, "{name}: the refused insert consumed an id");
         assert_eq!(index.len(), len + 1, "{name}");

@@ -98,7 +98,11 @@ fn maxmin_selector_works_end_to_end() {
     let qp = QueryParams::triangular(1024, 256, 10);
     let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| index.knn(q, &qp).unwrap()).collect();
     let s = score_workload(&truth, &approx);
-    assert!(s.map > 0.5, "MaxMin-selected references underperform: {}", s.map);
+    assert!(
+        s.map > 0.5,
+        "MaxMin-selected references underperform: {}",
+        s.map
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -46,23 +46,35 @@ fn hd_index_beats_lsh_family_on_map() {
 
     let c2 = {
         let index = C2lsh::build(&data, C2lshParams::default(), dir.join("c2")).unwrap();
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| index.knn(q, k).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| index.knn(q, k).unwrap()).collect();
         score_workload(&truth, &approx)
     };
 
     let srs = {
         let index = Srs::build(&data, SrsParams::default(), dir.join("srs")).unwrap();
-        let approx: Vec<Vec<Neighbor>> =
-            queries.iter().map(|q| index.knn(q, k).unwrap()).collect();
+        let approx: Vec<Vec<Neighbor>> = queries.iter().map(|q| index.knn(q, k).unwrap()).collect();
         score_workload(&truth, &approx)
     };
 
     assert!(hd.map > 0.6, "HD-Index MAP too low: {}", hd.map);
-    assert!(hd.map > c2.map, "HD-Index ({}) must beat C2LSH ({})", hd.map, c2.map);
-    assert!(hd.map > srs.map, "HD-Index ({}) must beat SRS ({})", hd.map, srs.map);
+    assert!(
+        hd.map > c2.map,
+        "HD-Index ({}) must beat C2LSH ({})",
+        hd.map,
+        c2.map
+    );
+    assert!(
+        hd.map > srs.map,
+        "HD-Index ({}) must beat SRS ({})",
+        hd.map,
+        srs.map
+    );
     // And the motivating observation: C2LSH's *ratio* still looks fine.
-    assert!(c2.ratio < 2.0, "C2LSH ratio should look acceptable: {}", c2.ratio);
+    assert!(
+        c2.ratio < 2.0,
+        "C2LSH ratio should look acceptable: {}",
+        c2.ratio
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -13,11 +13,10 @@ use proptest::prelude::*;
 
 fn small_dataset() -> impl Strategy<Value = Dataset> {
     // 20–60 points in 4–8 dims, values in [-100, 100].
-    (4usize..=8, 20usize..=60)
-        .prop_flat_map(|(dim, n)| {
-            proptest::collection::vec(-100.0f32..100.0, dim * n)
-                .prop_map(move |flat| Dataset::from_flat(dim, flat))
-        })
+    (4usize..=8, 20usize..=60).prop_flat_map(|(dim, n)| {
+        proptest::collection::vec(-100.0f32..100.0, dim * n)
+            .prop_map(move |flat| Dataset::from_flat(dim, flat))
+    })
 }
 
 fn refs_for(data: &Dataset, m: usize, seed: u64) -> ReferenceSet {
