@@ -15,11 +15,6 @@ pub enum RefSelection {
     /// SSS-Dyn: SSS followed by victim replacement driven by how well each
     /// reference lower-bounds distances of `pairs` sampled object pairs.
     SssDyn { f: f32, pairs: usize },
-    /// Greedy k-center ("maximize the minimum distance among themselves",
-    /// the §2.2.2 selection family of \[23\]): each new reference is the
-    /// sample point farthest from all chosen so far. `sample` bounds the
-    /// candidate pool so selection stays O(sample · m).
-    MaxMin { sample: usize },
 }
 
 impl Default for RefSelection {

@@ -193,56 +193,8 @@ pub fn select(data: &Dataset, m: usize, method: RefSelection, seed: u64) -> Refe
         RefSelection::Random => select_random(data, m, seed),
         RefSelection::Sss { f } => select_sss(data, m, f, seed),
         RefSelection::SssDyn { f, pairs } => select_sss_dyn(data, m, f, pairs, seed),
-        RefSelection::MaxMin { sample } => select_maxmin(data, m, sample, seed),
     };
     ReferenceSet::from_ids(data, ids)
-}
-
-/// Greedy k-center: start from a random point; repeatedly add the candidate
-/// whose minimum distance to the chosen set is largest. On a bounded random
-/// sample for O(sample · m) cost.
-fn select_maxmin(data: &Dataset, m: usize, sample: usize, seed: u64) -> Vec<ObjectId> {
-    let dist = |a: &[f32], b: &[f32]| data.metric().linear_dist(a, b);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6d61_786d);
-    let pool: Vec<ObjectId> = if sample >= data.len() {
-        (0..data.len() as ObjectId).collect()
-    } else {
-        let mut all: Vec<ObjectId> = (0..data.len() as ObjectId).collect();
-        all.shuffle(&mut rng);
-        all.truncate(sample.max(m));
-        all
-    };
-    let mut ids = vec![pool[rng.gen_range(0..pool.len())]];
-    // min-distance of every pool point to the chosen set, updated greedily.
-    let mut min_d: Vec<f32> = pool
-        .iter()
-        .map(|&p| dist(data.get(p as usize), data.get(ids[0] as usize)))
-        .collect();
-    while ids.len() < m {
-        let (best_idx, _) = min_d
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .expect("non-empty pool");
-        let chosen = pool[best_idx];
-        if ids.contains(&chosen) {
-            // Entire pool already at distance 0 (degenerate data): pad.
-            for &p in &pool {
-                if ids.len() >= m {
-                    break;
-                }
-                if !ids.contains(&p) {
-                    ids.push(p);
-                }
-            }
-            break;
-        }
-        ids.push(chosen);
-        for (i, &p) in pool.iter().enumerate() {
-            min_d[i] = min_d[i].min(dist(data.get(p as usize), data.get(chosen as usize)));
-        }
-    }
-    ids
 }
 
 fn select_random(data: &Dataset, m: usize, seed: u64) -> Vec<ObjectId> {
@@ -464,45 +416,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 8, "replacement must never introduce duplicates");
-    }
-
-    #[test]
-    fn maxmin_produces_m_distinct_spread_references() {
-        let data = small_data();
-        let r = select(&data, 10, RefSelection::MaxMin { sample: 200 }, 1);
-        assert_eq!(r.m(), 10);
-        let mut ids = r.ids.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 10);
-        // k-center maximizes the min pairwise distance: it must beat a
-        // random selection on that criterion.
-        let min_pair = |s: &ReferenceSet| {
-            let mut best = f32::INFINITY;
-            for i in 0..s.m() {
-                for j in (i + 1)..s.m() {
-                    best = best.min(s.dist(i, j));
-                }
-            }
-            best
-        };
-        let rand_set = select(&data, 10, RefSelection::Random, 99);
-        assert!(
-            min_pair(&r) >= min_pair(&rand_set),
-            "k-center min-pair {} < random {}",
-            min_pair(&r),
-            min_pair(&rand_set)
-        );
-    }
-
-    #[test]
-    fn maxmin_degenerate_data_pads() {
-        let mut ds = Dataset::new(3);
-        for _ in 0..12 {
-            ds.push(&[2.0, 2.0, 2.0]);
-        }
-        let r = select(&ds, 6, RefSelection::MaxMin { sample: 12 }, 3);
-        assert_eq!(r.m(), 6);
     }
 
     #[test]
