@@ -1,26 +1,25 @@
-//! HD-Index construction (Algorithm 1), reopening, and updates (§3.6).
-//! Querying (Algorithm 2) lives in the `query` module.
+//! The [`HdIndex`] itself: its state, accessors, id/slot helpers, IO and
+//! memory accounting, and the [`AnnIndex`]/[`Lifecycle`] impls. Each
+//! lifecycle stage lives in its own module: construction and reopening
+//! (Algorithm 1) in `open`, inserts and deletes (§3.6) in `write`, the
+//! tombstone rebuild in `compaction`, the file-naming and commit protocol
+//! they share in `generation`, and querying (Algorithm 2) in `query`.
 
-use crate::build;
 use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
 use crate::live::{IdMap, IdSet};
-use crate::meta::IndexMeta;
-use crate::rdb;
-use crate::reference::{self, ReferenceSet};
+use crate::reference::ReferenceSet;
 use hd_btree::BTree;
-use hd_core::api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest, WriteStats};
-use hd_core::dataset::{Dataset, VectorSource};
+use hd_core::api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest};
 use hd_core::metric::Metric;
 use hd_core::partition::Partitioning;
 use hd_hilbert::HilbertCurve;
-use hd_storage::{
-    BufferPool, BuildBudget, CacheBudget, IoSnapshot, VectorHeap, Wal, WalRecord, WAL_FILE,
-};
+use hd_storage::{BufferPool, BuildBudget, CacheBudget, IoSnapshot, VectorHeap, Wal};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+
+pub use crate::compaction::CompactionPlan;
 
 /// Optional knobs for [`HdIndex::build_with`] / [`HdIndex::open_with`]
 /// beyond [`HdIndexParams`]. The defaults reproduce [`HdIndex::build`].
@@ -72,174 +71,6 @@ pub struct BuildStats {
     pub scratch_io: IoSnapshot,
 }
 
-/// On-disk name of RDB-tree `g` at file `generation`. Generation 0 keeps
-/// the legacy names so pre-WAL index directories open unchanged; each
-/// compaction bumps the generation and writes a fresh set of files, and the
-/// meta rename is the atomic switch between generations.
-fn tree_file(dir: &Path, g: usize, generation: u64) -> PathBuf {
-    if generation == 0 {
-        dir.join(format!("tree_{g}.rdb"))
-    } else {
-        dir.join(format!("tree_{g}.g{generation}.rdb"))
-    }
-}
-
-/// On-disk name of the vector heap at file `generation` (see [`tree_file`]).
-fn heap_file(dir: &Path, generation: u64) -> PathBuf {
-    if generation == 0 {
-        dir.join("vectors.heap")
-    } else {
-        dir.join(format!("vectors.g{generation}.heap"))
-    }
-}
-
-/// Parses a data-file name back to its generation, `None` for files that are
-/// not generation-managed (meta, WAL, foreign files).
-fn file_generation(name: &str) -> Option<u64> {
-    if name == "vectors.heap" {
-        return Some(0);
-    }
-    if let Some(rest) = name
-        .strip_prefix("vectors.g")
-        .and_then(|r| r.strip_suffix(".heap"))
-    {
-        return rest.parse().ok();
-    }
-    if let Some(rest) = name
-        .strip_prefix("tree_")
-        .and_then(|r| r.strip_suffix(".rdb"))
-    {
-        return match rest.split_once(".g") {
-            None => rest.parse::<u64>().ok().map(|_| 0),
-            Some((g, k)) => {
-                g.parse::<u64>().ok()?;
-                k.parse().ok()
-            }
-        };
-    }
-    None
-}
-
-/// Deletes every tree/heap file the meta does not name — debris of a
-/// compaction that crashed before (new generation never committed) or
-/// after (old generation not yet unlinked) the meta rename, and the extra
-/// trees of an earlier index with a larger τ built into the same directory.
-fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) -> io::Result<()> {
-    let live: Vec<PathBuf> = (0..tau)
-        .map(|g| tree_file(dir, g, generation))
-        .chain([heap_file(dir, generation)])
-        .collect();
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let managed = path
-            .file_name()
-            .and_then(|name| name.to_str())
-            .is_some_and(|name| file_generation(name).is_some());
-        if managed && !live.contains(&path) {
-            std::fs::remove_file(path)?;
-        }
-    }
-    Ok(())
-}
-
-/// Opens generation `generation`'s τ trees and its heap of `n` vectors of
-/// `dim` dimensions, every pool caching up to `cache_pages` pages.
-fn open_generation(
-    dir: &Path,
-    generation: u64,
-    tau: usize,
-    (dim, n): (usize, u64),
-    cache_pages: usize,
-    cache_budget: &Option<CacheBudget>,
-) -> io::Result<(Vec<BTree>, VectorHeap)> {
-    let mut trees = Vec::with_capacity(tau);
-    for g in 0..tau {
-        let pager =
-            hd_storage::Pager::open(tree_file(dir, g, generation), hd_storage::DEFAULT_PAGE_SIZE)?;
-        let pool = Arc::new(BufferPool::with_budget(
-            pager,
-            cache_pages,
-            cache_budget.clone(),
-        ));
-        trees.push(BTree::open(pool)?);
-    }
-    let heap = VectorHeap::open_budgeted(
-        heap_file(dir, generation),
-        dim,
-        cache_pages,
-        n,
-        cache_budget.clone(),
-    )?;
-    Ok((trees, heap))
-}
-
-/// The meta of an index with this layout and no objects: generation 0,
-/// snapshot 0, no tombstones. Callers fill in the state.
-fn layout_meta(
-    params: &HdIndexParams,
-    partitioning: &Partitioning,
-    refs: &ReferenceSet,
-    metric: Metric,
-    dim: usize,
-) -> IndexMeta {
-    IndexMeta {
-        dim,
-        n: 0,
-        tau: params.tau,
-        omega: params.hilbert_order,
-        m: refs.m(),
-        domain: params.domain,
-        groups: (0..partitioning.tau())
-            .map(|g| partitioning.group(g).to_vec())
-            .collect(),
-        ref_ids: refs.ids.clone(),
-        ref_vectors: refs.vectors.clone(),
-        tombstones: Vec::new(),
-        metric,
-        snapshot_version: 0,
-        wal_pos: 0,
-        next_id: 0,
-        generation: 0,
-        id_map: None,
-        refine_codes: false,
-    }
-}
-
-/// The snapshot commit, shared by a build's generation 0, [`HdIndex::save`]
-/// and [`HdIndex::apply_compaction`]: bumps `meta`'s snapshot version, logs
-/// and fsyncs a checkpoint carrying it, renames the meta into place (the
-/// commit point) and empties the log. The data files the meta names must
-/// already be synced. Before the rename recovery replays the full log onto
-/// the previous snapshot; after it the checkpoint tells replay everything
-/// earlier is already captured.
-fn commit_snapshot(wal: &Wal, dir: &Path, meta: &mut IndexMeta) -> io::Result<()> {
-    meta.snapshot_version += 1;
-    wal.append(&WalRecord::Checkpoint {
-        snapshot_version: meta.snapshot_version,
-    })?;
-    meta.wal_pos = wal.commit()?;
-    meta.write(dir)?;
-    wal.reset()
-}
-
-/// A fully built, fully synced next-generation file set, ready to swap in.
-/// Produced by [`HdIndex::prepare_compaction`] (concurrent with searches),
-/// installed by [`HdIndex::apply_compaction`], which carries over the
-/// writes applied in between.
-pub struct CompactionPlan {
-    generation: u64,
-    /// Heap slots of the generation the plan was prepared from; slots at
-    /// or past it were inserted since.
-    heap_len: u64,
-    /// Tombstones the plan dropped; any other tombstone is a delete since.
-    dropped: IdSet,
-    trees: Vec<BTree>,
-    heap: VectorHeap,
-    id_map: Option<IdMap>,
-    /// Spill/scratch accounting of the streaming rebuild.
-    build_stats: BuildStats,
-}
-
 /// The HD-Index: τ RDB-trees over Hilbert keys plus a vector heap file.
 pub struct HdIndex {
     pub(crate) params: HdIndexParams,
@@ -254,15 +85,15 @@ pub struct HdIndex {
     /// The metric this index was built under (from the dataset); persisted
     /// in the meta file and enforced at reopen.
     pub(crate) metric: Metric,
-    dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Default query-time parameters used when this index is driven through
     /// the [`hd_core::api::AnnIndex`] trait (which only carries `k` and
     /// generic budget knobs). Set with [`HdIndex::set_serve_params`].
-    serve: QueryParams,
+    pub(crate) serve: QueryParams,
     /// The write-ahead log: every insert/delete is logged and fsynced
     /// *before* the trees/heap are touched, so a crash loses nothing that
     /// was acknowledged.
-    wal: Wal,
+    pub(crate) wal: Wal,
     /// `heap slot ↔ original object id`; `None` means identity. Becomes
     /// `Some` after a compaction drops tombstoned slots: survivors keep
     /// their ids while their heap slots shift down.
@@ -273,23 +104,24 @@ pub struct HdIndex {
     /// Next object id to assign; never reused, so it exceeds the stored
     /// count once a compaction has dropped slots. Atomic so the engine can
     /// reserve ids while logging under a shard *read* lock.
-    next_id: AtomicU64,
+    pub(crate) next_id: AtomicU64,
     /// Bumped by every snapshot/compaction; WAL `Checkpoint` records carry
     /// it so replay can skip what the snapshot captured.
-    snapshot_version: u64,
-    /// Current data-file generation (see [`tree_file`]).
-    generation: u64,
+    pub(crate) snapshot_version: u64,
+    /// Current data-file generation (see
+    /// [`tree_file`](crate::generation::tree_file)).
+    pub(crate) generation: u64,
     /// Compactions applied since open.
-    compactions: u64,
+    pub(crate) compactions: u64,
     /// Shared cache quota the pools charge; kept so compaction can rebuild
     /// the next generation's pools under the same budget.
-    cache_budget: Option<CacheBudget>,
+    pub(crate) cache_budget: Option<CacheBudget>,
     /// Working-memory cap this index was built under; compaction rebuilds
     /// through the same streaming pipeline with the same cap. Unbounded
     /// for indexes opened from disk until [`Self::set_build_budget`].
-    build_budget: BuildBudget,
+    pub(crate) build_budget: BuildBudget,
     /// Spill/scratch accounting of the most recent build or compaction.
-    build_stats: BuildStats,
+    pub(crate) build_stats: BuildStats,
 }
 
 impl std::fmt::Debug for HdIndex {
@@ -304,419 +136,6 @@ impl std::fmt::Debug for HdIndex {
 }
 
 impl HdIndex {
-    /// Builds the index over `data` in directory `dir` (Algorithm 1):
-    /// select references → compute reference distances → partition
-    /// dimensions → Hilbert-key each partition → bulk-load τ RDB-trees →
-    /// store raw descriptors in the heap file.
-    ///
-    /// # Errors
-    /// `InvalidInput` on an empty dataset, τ > ν, or a non-metric distance.
-    pub fn build(
-        data: &Dataset,
-        params: &HdIndexParams,
-        dir: impl AsRef<Path>,
-    ) -> io::Result<Self> {
-        Self::build_with(data, params, dir, BuildOpts::default())
-    }
-
-    /// [`Self::build`] with explicit [`BuildOpts`] (shared reference set,
-    /// shared cache budget, build budget) — the entry point the serving
-    /// engine uses. Selects references over the full in-memory dataset
-    /// (when none are shared) and streams the rest through
-    /// [`Self::build_from_source`].
-    pub fn build_with(
-        data: &Dataset,
-        params: &HdIndexParams,
-        dir: impl AsRef<Path>,
-        mut opts: BuildOpts,
-    ) -> io::Result<Self> {
-        if opts.references.is_none() && !data.is_empty() && data.metric().is_metric_space() {
-            opts.references = Some(reference::select(
-                data,
-                params.num_references,
-                params.ref_selection,
-                params.seed,
-            ));
-        }
-        let mut src = hd_core::dataset::DatasetSource::new(data);
-        Self::build_from_source(&mut src, params, dir, opts)
-    }
-
-    /// Builds the index by streaming an arbitrary [`VectorSource`] — the
-    /// out-of-core entry point (DESIGN.md §11): the corpus can be a flat
-    /// file orders of magnitude larger than RAM, and working memory is
-    /// capped by [`BuildOpts::build_budget`]. When no reference set is
-    /// supplied one is selected over a deterministic strided sample of the
-    /// source (the full corpus may not fit in memory).
-    ///
-    /// The build writes generation 0 the way a compaction writes generation
-    /// k, commits it as snapshot 1 with an empty log, and brings it up
-    /// through [`Self::open_with`]: a just-built index is its reopened
-    /// directory, cold pools included.
-    pub fn build_from_source(
-        src: &mut dyn VectorSource,
-        params: &HdIndexParams,
-        dir: impl AsRef<Path>,
-        opts: BuildOpts,
-    ) -> io::Result<Self> {
-        if src.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "cannot index an empty dataset",
-            ));
-        }
-        let dim = src.dim();
-        if params.tau > dim {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "τ = {} trees over {dim} dimensions: every tree needs at least one \
-                     dimension",
-                    params.tau
-                ),
-            ));
-        }
-        let metric = src.metric();
-        if !metric.is_metric_space() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "HD-Index's reference-distance lower bounds require a true metric; \
-                     {metric} satisfies no triangle inequality (serve inner-product \
-                     workloads with a brute-force or graph method instead)"
-                ),
-            ));
-        }
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        // Debris of a build that crashed mid-pipeline is meaningless —
-        // sweep it before spilling fresh runs into the same scratch dir.
-        build::sweep_tmp(&dir);
-
-        // Metrics that normalize vectors move the corpus into the unit
-        // ball; the Hilbert grid must quantize over the occupied domain,
-        // whatever the caller's (profile-derived) domain says — otherwise
-        // every vector lands in one or two grid cells and candidate
-        // generation silently collapses. Derived here, once, instead of
-        // trusting every call site to remember.
-        let mut params = params.clone();
-        if metric.normalizes_vectors() {
-            params.domain = (-1.0, 1.0);
-        }
-        let params = &params;
-
-        // 1. Reference objects (the leaf payloads are their distances).
-        if let Some(shared) = &opts.references {
-            if shared.metric() != metric {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "shared reference set was selected under {} but the dataset \
-                         records {metric}",
-                        shared.metric()
-                    ),
-                ));
-            }
-        }
-        let refs = match opts.references {
-            Some(r) => r,
-            None => Self::select_refs_from_source(src, params, metric)?,
-        };
-        let n = src.len();
-
-        // 2. Dimension partitioning (contiguous by default, §3.1).
-        let partitioning = match params.random_partitioning {
-            Some(seed) => Partitioning::random(dim, params.tau, seed),
-            None => Partitioning::contiguous(dim, params.tau),
-        };
-
-        // 3. One Hilbert curve per partition.
-        let mut curves = Vec::with_capacity(params.tau);
-        for g in 0..params.tau {
-            let eta = partitioning.group(g).len();
-            if eta > 64 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "η = {eta} dimensions per curve exceeds the 64-dim Hilbert kernel; \
-                         raise τ (the paper doubles τ for 500+ dims, §5.2.4)"
-                    ),
-                ));
-            }
-            curves.push(HilbertCurve::new(eta, params.hilbert_order));
-        }
-
-        // 4. Stream heap + τ trees through the out-of-core pipeline into
-        //    generation 0, synced.
-        let budget = opts.build_budget.unwrap_or_else(BuildBudget::unbounded);
-        let ctx = build::BuildCtx {
-            domain: params.domain,
-            refs: &refs,
-            partitioning: &partitioning,
-            curves: &curves,
-            dir: &dir,
-            heap_path: heap_file(&dir, 0),
-            tree_paths: (0..params.tau).map(|g| tree_file(&dir, g, 0)).collect(),
-            budget: budget.clone(),
-            scratch_tag: 0,
-        };
-        let build_stats = build::run(&ctx, src, None)?;
-
-        // 5. Commit generation 0 as snapshot 1 with an empty log. The log of
-        //    an index built here before is emptied first, so its tail can
-        //    never replay onto the new corpus.
-        let wal = Wal::create(dir.join(WAL_FILE))?;
-        let mut meta = IndexMeta {
-            n: n as u64,
-            next_id: n as u64,
-            refine_codes: opts.refine_codes,
-            ..layout_meta(params, &partitioning, &refs, metric, dim)
-        };
-        commit_snapshot(&wal, &dir, &mut meta)?;
-        drop(wal);
-
-        // 6. Come up the way every reopen does.
-        let mut index = Self::open_with(&dir, params.query_cache_pages, opts.cache_budget)?;
-        index.build_budget = budget;
-        index.build_stats = build_stats;
-        Ok(index)
-    }
-
-    /// Selects a reference set over a deterministic strided sample of the
-    /// source — build-from-disk cannot hand the full corpus to
-    /// [`reference::select`]. The stride keeps the sample spread over the
-    /// whole corpus (clustered corpora are often written cluster-by-
-    /// cluster, so a prefix would be biased).
-    fn select_refs_from_source(
-        src: &mut dyn VectorSource,
-        params: &HdIndexParams,
-        metric: Metric,
-    ) -> io::Result<ReferenceSet> {
-        const SAMPLE_MAX: usize = 1 << 17;
-        let n = src.len();
-        let stride = n.div_ceil(SAMPLE_MAX).max(1);
-        let mut sample = Dataset::new(src.dim()).with_metric(metric);
-        let mut buf: Vec<f32> = Vec::new();
-        let dim = src.dim();
-        src.reset()?;
-        let mut j = 0usize;
-        loop {
-            let got = src.next_chunk(4096, &mut buf)?;
-            if got == 0 {
-                break;
-            }
-            for (i, v) in buf.chunks_exact(dim).enumerate() {
-                if (j + i).is_multiple_of(stride) {
-                    sample.push(v);
-                }
-            }
-            j += got;
-        }
-        if sample.len() < params.num_references {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "m = {} references from {} objects: need at least one object per \
-                     reference",
-                    params.num_references, n
-                ),
-            ));
-        }
-        Ok(reference::select(
-            &sample,
-            params.num_references,
-            params.ref_selection,
-            params.seed,
-        ))
-    }
-
-    /// Reopens a previously built index from its directory: metadata, τ
-    /// RDB-tree files, and the vector heap. Tombstones survive the round
-    /// trip; the reference set is restored bit-exactly; the index serves
-    /// whatever metric the metadata records (pre-metric-layer metas read
-    /// back as L2). Callers that *expect* a particular metric should use
-    /// [`Self::open_expecting`] instead of trusting the directory.
-    pub fn open(dir: impl AsRef<Path>, query_cache_pages: usize) -> io::Result<Self> {
-        Self::open_with(dir, query_cache_pages, None)
-    }
-
-    /// [`Self::open`] that refuses to serve when the on-disk index was
-    /// built under a different metric than the caller expects — the
-    /// distances would be silently wrong, which is strictly worse than an
-    /// error.
-    pub fn open_expecting(
-        dir: impl AsRef<Path>,
-        query_cache_pages: usize,
-        expected: Metric,
-    ) -> io::Result<Self> {
-        let index = Self::open_with(&dir, query_cache_pages, None)?;
-        if index.metric != expected {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "index at {} was built under metric {} but the caller expects \
-                     {expected}; rebuild the index or fix the caller — serving would \
-                     return wrong distances",
-                    dir.as_ref().display(),
-                    index.metric
-                ),
-            ));
-        }
-        Ok(index)
-    }
-
-    /// [`Self::open`] with the pools charging a shared [`CacheBudget`].
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        query_cache_pages: usize,
-        cache_budget: Option<CacheBudget>,
-    ) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        let meta = crate::meta::IndexMeta::read(&dir)?;
-        // Clear debris of a compaction that crashed before or after its
-        // meta-rename commit point — only the generation the meta names is
-        // live — plus any scratch of a build/compaction that died
-        // mid-pipeline.
-        remove_stale_generations(&dir, meta.generation, meta.tau)?;
-        build::sweep_tmp(&dir);
-        let partitioning = Partitioning::from_groups(meta.dim, meta.groups.clone());
-        let refs =
-            ReferenceSet::from_parts(meta.ref_ids.clone(), meta.ref_vectors.clone(), meta.metric);
-
-        let curves = (0..meta.tau)
-            .map(|g| HilbertCurve::new(partitioning.group(g).len(), meta.omega))
-            .collect();
-        let (trees, heap) = open_generation(
-            &dir,
-            meta.generation,
-            meta.tau,
-            (meta.dim, meta.n),
-            query_cache_pages,
-            &cache_budget,
-        )?;
-
-        let params = HdIndexParams {
-            tau: meta.tau,
-            hilbert_order: meta.omega,
-            num_references: meta.m,
-            ref_selection: crate::config::RefSelection::default(),
-            domain: meta.domain,
-            random_partitioning: None,
-            query_cache_pages,
-            seed: 0,
-        };
-        // Opening the WAL truncates any torn tail back to the last intact
-        // record boundary; everything before it is committed history.
-        let (wal, records) = Wal::open(dir.join(WAL_FILE))?;
-        let mut index = Self {
-            params,
-            partitioning,
-            curves,
-            trees,
-            heap,
-            refs,
-            tombstones: meta.tombstones.into_iter().collect(),
-            dim: meta.dim,
-            metric: meta.metric,
-            dir,
-            serve: QueryParams::default(),
-            wal,
-            id_map: meta.id_map.map(IdMap::new).transpose()?,
-            // Derived below, once replay has appended every logged insert.
-            codes: None,
-            next_id: AtomicU64::new(meta.next_id),
-            snapshot_version: meta.snapshot_version,
-            generation: meta.generation,
-            compactions: 0,
-            cache_budget,
-            build_budget: BuildBudget::unbounded(),
-            build_stats: BuildStats::default(),
-        };
-        index.replay(&records)?;
-        if meta.refine_codes {
-            index.codes = Some(RefineCodes::derive(&index.heap, index.params.domain)?);
-        }
-        index.reset_io_stats();
-        Ok(index)
-    }
-
-    /// Applies the WAL tail that the snapshot this directory was opened from
-    /// did not capture. Replay is idempotent: inserts are id-watermarked
-    /// (ids below [`Self::next_id`] are already present — the heap rewrites
-    /// their slot in place and the trees upsert), deletes re-tombstone, and
-    /// checkpoints past the meta's snapshot version (a snapshot that crashed
-    /// before its meta rename) are inert.
-    fn replay(&mut self, records: &[WalRecord]) -> io::Result<()> {
-        // Skip to just past the last checkpoint the current snapshot
-        // captured; everything before it is already in the data files.
-        let mut start = 0;
-        for (i, r) in records.iter().enumerate() {
-            if let WalRecord::Checkpoint { snapshot_version } = r {
-                if *snapshot_version <= self.snapshot_version {
-                    start = i + 1;
-                }
-            }
-        }
-        let mut applied = 0u64;
-        for record in &records[start..] {
-            match record {
-                WalRecord::Insert { id, vector } => {
-                    let next = self.next_id.load(Ordering::Relaxed);
-                    if *id < next {
-                        continue; // captured by the snapshot already
-                    }
-                    if *id > next {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("WAL insert id {id} skips ahead of next id {next}"),
-                        ));
-                    }
-                    self.next_id.store(id + 1, Ordering::Relaxed);
-                    self.apply_insert(*id, vector)?;
-                    applied += 1;
-                }
-                WalRecord::Delete { id } => {
-                    if self.is_live(*id) {
-                        self.apply_delete(*id)?;
-                        applied += 1;
-                    }
-                }
-                WalRecord::Checkpoint { .. } => {}
-            }
-        }
-        self.wal.note_replayed(applied);
-        Ok(())
-    }
-
-    /// The meta of the current state, as the next snapshot records it.
-    fn meta(&self) -> IndexMeta {
-        IndexMeta {
-            n: self.heap.len(),
-            tombstones: self.tombstones.iter().collect(),
-            snapshot_version: self.snapshot_version,
-            next_id: self.next_id.load(Ordering::Relaxed),
-            generation: self.generation,
-            id_map: self.id_map.as_ref().map(|map| map.ids().to_vec()),
-            refine_codes: self.codes.is_some(),
-            ..layout_meta(
-                &self.params,
-                &self.partitioning,
-                &self.refs,
-                self.metric,
-                self.dim,
-            )
-        }
-    }
-
-    /// Commits the current state as the next snapshot ([`commit_snapshot`]).
-    /// The data files must already be synced.
-    fn commit(&mut self) -> io::Result<()> {
-        let mut meta = self.meta();
-        commit_snapshot(&self.wal, &self.dir, &mut meta)?;
-        self.snapshot_version = meta.snapshot_version;
-        Ok(())
-    }
-
     pub fn len(&self) -> u64 {
         self.heap.len()
     }
@@ -832,343 +251,13 @@ impl HdIndex {
         &self.dir
     }
 
-    /// Inserts a new object (§3.6): log to the WAL and fsync, then append
-    /// the descriptor, compute its reference distances and Hilbert keys, and
-    /// insert into every RDB-tree. The reference set is deliberately not
-    /// re-selected.
-    pub fn insert(&mut self, vector: &[f32]) -> io::Result<u64> {
-        let id = self.log_insert(vector)?;
-        self.apply_insert(id, vector)?;
-        Ok(id)
-    }
-
-    /// The durability half of [`Self::insert`]: checks the dimensionality,
-    /// then reserves the id and logs and fsyncs the record. Takes `&self`
-    /// so the serving engine can log under a shard *read* lock — the fsync
-    /// never blocks searches — and apply under the write lock afterwards.
-    /// Callers splitting the halves must apply in id order (the engine's
-    /// append gate guarantees it).
-    pub fn log_insert(&self, vector: &[f32]) -> io::Result<u64> {
-        if vector.len() != self.dim {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "insert has {} dimensions but the index has {}",
-                    vector.len(),
-                    self.dim
-                ),
-            ));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.wal.append(&WalRecord::Insert {
-            id,
-            vector: vector.to_vec(),
-        })?;
-        self.wal.commit()?;
-        Ok(id)
-    }
-
-    /// The structure half of [`Self::insert`], also the replay path:
-    /// normalizes (the WAL stores the caller's raw vector), appends the
-    /// heap slot, and upserts into every tree.
-    pub fn apply_insert(&mut self, id: u64, vector: &[f32]) -> io::Result<()> {
-        let expected_slot = match &self.id_map {
-            None => id,
-            Some(map) => map.ids().len() as u64,
-        };
-        if self.heap.len() != expected_slot {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "insert of id {id} expects heap slot {expected_slot} but the heap holds \
-                     {} slots — a previous apply failed midway; reopen the index to recover \
-                     from the WAL",
-                    self.heap.len()
-                ),
-            ));
-        }
-        // The WAL stores the caller's raw vector; prepare normalizes it and
-        // computes the leaf payload (its reference distances).
-        let prepared = self.refs.prepare(vector)?;
-        self.append_prepared(id, prepared.vector(), prepared.ref_dists())?;
-        self.tombstones.remove(id);
-        Ok(())
-    }
-
-    /// Appends object `id` — `vector` already in index form, `ref_dists`
-    /// its leaf payload — to the heap, the refine codes, the id map and
-    /// every tree.
-    fn append_prepared(&mut self, id: u64, vector: &[f32], ref_dists: &[f32]) -> io::Result<()> {
-        self.heap.append(vector)?;
-        if let Some(codes) = &mut self.codes {
-            codes.push(vector);
-        }
-        if let Some(map) = &mut self.id_map {
-            map.push(id)?; // id == next_id - 1 > every mapped id: stays sorted
-        }
-        let value = rdb::encode_value(ref_dists);
-        let (lo, hi) = self.params.domain;
-        let mut sub = Vec::new();
-        for g in 0..self.trees.len() {
-            self.partitioning.project_into(vector, g, &mut sub);
-            let hk = self.curves[g].encode_floats(&sub, lo, hi);
-            let key = rdb::encode_key(&hk, id);
-            // Upsert: replaying over a partially applied crash state meets
-            // the same key again and must not grow a duplicate entry.
-            self.trees[g].upsert(&key, &value)?;
-        }
-        Ok(())
-    }
-
-    /// Deletes an object (§3.6): logged, then tombstoned — never returned
-    /// again. Space is reclaimed by [`Self::compact`].
-    pub fn delete(&mut self, id: u64) -> io::Result<()> {
-        if !self.contains_id(id) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("delete of unknown object id {id}"),
-            ));
-        }
-        self.log_delete(id)?;
-        self.apply_delete(id)
-    }
-
-    /// The durability half of [`Self::delete`] (see [`Self::log_insert`]
-    /// for the split's locking rationale).
-    pub fn log_delete(&self, id: u64) -> io::Result<()> {
-        self.wal.append(&WalRecord::Delete { id })?;
-        self.wal.commit()?;
-        Ok(())
-    }
-
-    /// The structure half of [`Self::delete`], also the replay path.
-    pub fn apply_delete(&mut self, id: u64) -> io::Result<()> {
-        self.tombstones.insert(id);
-        Ok(())
-    }
-
-    /// Committed WAL bytes the next open would have to replay — `0` right
-    /// after a snapshot emptied the log. A persistently growing tail means
-    /// nobody is calling [`Self::save`]; health checks surface it.
-    pub fn wal_tail_bytes(&self) -> u64 {
-        self.wal.position()
-    }
-
-    /// Write-path counters (WAL traffic, recovery, compactions) surfaced
-    /// through [`IndexStats`].
-    pub fn write_stats(&self) -> WriteStats {
-        let c = self.wal.counters();
-        WriteStats {
-            wal_records: c.records_appended,
-            wal_commits: c.commits,
-            wal_replayed: c.records_replayed,
-            compactions: self.compactions,
-        }
-    }
-
-    /// Takes an atomic snapshot: commits the WAL, fsyncs the data files,
-    /// logs a checkpoint, renames the new meta into place (the commit
-    /// point) and empties the log. A crash at any step leaves either the
-    /// old snapshot plus a replayable log or the new snapshot — never a
-    /// state that loses a committed write.
-    pub fn save(&mut self) -> io::Result<()> {
-        self.wal.commit()?;
-        for pool in self.pools() {
-            pool.sync()?;
-        }
-        self.commit()
-    }
-
-    /// Rebuilds the index over the survivors whenever tombstones exist,
-    /// reclaiming their space, and snapshots. Returns whether a compaction
-    /// ran. The serving engine instead splits this into
-    /// [`Self::prepare_compaction`] (concurrent with searches) and
-    /// [`Self::apply_compaction`] (brief, under its write lock).
-    pub fn compact(&mut self) -> io::Result<bool> {
-        if self.tombstones.is_empty() {
-            return Ok(false);
-        }
-        let plan = self.prepare_compaction()?;
-        self.apply_compaction(plan)?;
-        Ok(true)
-    }
-
-    /// Builds the next file generation over the surviving (non-tombstoned)
-    /// objects: fresh bulk-loaded RDB-trees and a dense heap, fully synced
-    /// to disk, ids preserved via the slot→id map. Read-only on the current
-    /// state, so searches (and WAL appends) proceed while it runs; nothing
-    /// becomes visible until [`Self::apply_compaction`].
-    ///
-    /// Survivors stream through the same out-of-core pipeline as a fresh
-    /// build (DESIGN.md §11), under the index's [`BuildBudget`] —
-    /// compacting a shard much larger than RAM spills sorted runs instead
-    /// of materializing every entry.
-    ///
-    /// At most one plan may be outstanding per index, from this call until
-    /// it is applied or dropped: two plans share generation k+1's file
-    /// names and its `build.tmp/` scratch. A caller that prepares under a
-    /// shared lock must keep a second preparation out itself (the engine
-    /// runs every rebuild under its one compaction slot).
-    pub fn prepare_compaction(&self) -> io::Result<CompactionPlan> {
-        let _s = hd_telemetry::span!("compaction_prepare_nanos");
-        let next_gen = self.generation + 1;
-        // Survivor slots ascend, and so do their ids (the map is monotone).
-        let mut survivor_slots: Vec<u64> = Vec::with_capacity(self.live_len());
-        let mut survivor_ids: Vec<u64> = Vec::with_capacity(self.live_len());
-        for slot in 0..self.heap.len() {
-            let id = self.id_at(slot);
-            if !self.tombstones.contains(id) {
-                survivor_slots.push(slot);
-                survivor_ids.push(id);
-            }
-        }
-        let n = survivor_slots.len();
-
-        // Vectors in the heap are already in index form (normalized at
-        // original ingest), so the streamed ref-distances are exactly what
-        // the original build computed.
-        let mut src = build::HeapSurvivorSource::new(&self.heap, &survivor_slots, self.metric);
-        // The rebuild writes uncached (a second copy of the shard's cache
-        // while the current generation still serves); the plan reopens the
-        // synced files with serving pools, which queries warm.
-        let ctx = build::BuildCtx {
-            domain: self.params.domain,
-            refs: &self.refs,
-            partitioning: &self.partitioning,
-            curves: &self.curves,
-            dir: &self.dir,
-            heap_path: heap_file(&self.dir, next_gen),
-            tree_paths: (0..self.trees.len())
-                .map(|g| tree_file(&self.dir, g, next_gen))
-                .collect(),
-            budget: self.build_budget.clone(),
-            scratch_tag: next_gen,
-        };
-        let build_stats = build::run(&ctx, &mut src, Some(&survivor_ids))?;
-        let (trees, heap) = open_generation(
-            &self.dir,
-            next_gen,
-            self.trees.len(),
-            (self.dim, n as u64),
-            self.params.query_cache_pages,
-            &self.cache_budget,
-        )?;
-
-        // When nothing before next_id was ever dropped the map is identity;
-        // normalize it back to None so the fast path stays fast.
-        let identity = self.next_id.load(Ordering::Relaxed) == n as u64
-            && survivor_ids
-                .iter()
-                .enumerate()
-                .all(|(s, &id)| s as u64 == id);
-        // The inverse is built here, off the write lock, so installing the
-        // plan stays a swap.
-        let id_map = if identity {
-            None
-        } else {
-            Some(IdMap::new(survivor_ids)?)
-        };
-
-        Ok(CompactionPlan {
-            generation: next_gen,
-            heap_len: self.heap.len(),
-            dropped: self.tombstones.clone(),
-            build_stats,
-            trees,
-            heap,
-            id_map,
-        })
-    }
-
-    /// Installs a [`CompactionPlan`]: swaps the file generation in, carries
-    /// over the writes applied since the plan was prepared (inserts are
-    /// appended to the new generation, deletes stay tombstones), and
-    /// commits via checkpoint + meta rename. Callers that split the halves
-    /// must apply no write during the install itself (the engine holds its
-    /// append gate), so every logged write is applied by then and the
-    /// checkpoint covers it.
-    pub fn apply_compaction(&mut self, plan: CompactionPlan) -> io::Result<()> {
-        let _s = hd_telemetry::span!("compaction_apply_nanos");
-        let bytes_before = self.disk_bytes();
-        // Writes since the plan: inserts occupy the heap slots past the
-        // plan's, deletes are the tombstones the plan did not drop.
-        let mut inserted = Vec::new();
-        for slot in plan.heap_len..self.heap.len() {
-            inserted.push((self.id_at(slot), self.heap.get(slot)?));
-        }
-        let deleted: Vec<u64> = self
-            .tombstones
-            .iter()
-            .filter(|&id| !plan.dropped.contains(id))
-            .collect();
-        // The survivors' codes keep their order; the inserts since are
-        // appended again below, like their vectors.
-        if let Some(codes) = &mut self.codes {
-            let keep: Vec<bool> = (0..plan.heap_len)
-                .map(|slot| {
-                    !plan.dropped.contains(match &self.id_map {
-                        None => slot,
-                        Some(map) => map.id(slot),
-                    })
-                })
-                .collect();
-            codes.retain_rows(&keep);
-        }
-        self.trees = plan.trees;
-        self.heap = plan.heap;
-        self.id_map = plan.id_map;
-        self.build_stats = plan.build_stats;
-        self.tombstones.clear();
-        self.generation = plan.generation;
-        self.compactions += 1;
-        if !inserted.is_empty() {
-            let mut ref_dists = Vec::new();
-            for (id, vector) in &inserted {
-                self.refs.distances_to(vector, &mut ref_dists);
-                self.append_prepared(*id, vector, &ref_dists)?;
-            }
-            // The plan's files were synced when it was built; these appends
-            // must be durable too before the checkpoint empties the WAL.
-            for pool in self.pools() {
-                pool.sync()?;
-            }
-        }
-        for id in deleted {
-            self.tombstones.insert(id);
-        }
-
-        // Same commit as save(): the meta rename atomically switches
-        // generations; crash before it leaves the old generation plus the
-        // full WAL, crash after leaves stale files that the next open sweeps.
-        self.commit()?;
-        remove_stale_generations(&self.dir, self.generation, self.trees.len())?;
-        if hd_telemetry::enabled() {
-            let reclaimed = bytes_before.saturating_sub(self.disk_bytes());
-            hd_telemetry::global()
-                .counter(
-                    "compaction_bytes_reclaimed_total",
-                    "on-disk bytes freed by installed compactions",
-                )
-                .add(reclaimed);
-            hd_telemetry::event!(
-                hd_telemetry::Level::Info,
-                "compaction",
-                "generation installed",
-                generation = self.generation,
-                bytes_reclaimed = reclaimed,
-                live = self.live_len(),
-            );
-        }
-        Ok(())
-    }
-
     /// Whether an object is deleted.
     pub fn is_deleted(&self, id: u64) -> bool {
         self.tombstones.contains(id)
     }
 
     /// The τ tree pools followed by the heap pool.
-    fn pools(&self) -> impl Iterator<Item = &BufferPool> {
+    pub(crate) fn pools(&self) -> impl Iterator<Item = &BufferPool> {
         self.trees
             .iter()
             .map(|t| t.pool().as_ref())
@@ -1296,47 +385,13 @@ impl Lifecycle for HdIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RefSelection;
-    use hd_core::dataset::{generate, DatasetProfile};
+    use crate::generation::file_generation;
+    use crate::testutil::{answer_bits, build_both_ways, build_coded, small_params, test_dir};
+    use hd_core::dataset::{generate, Dataset, DatasetProfile};
     use hd_core::ground_truth::ground_truth_knn;
     use hd_core::metrics::{ids, score_workload};
     use hd_core::topk::Neighbor;
     use proptest::prelude::*;
-
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("hd_index_tests")
-            .join(format!("{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// Builds `data` in `dir` with refine codes on or off.
-    fn build_coded(
-        data: &Dataset,
-        params: &HdIndexParams,
-        dir: &Path,
-        refine_codes: bool,
-    ) -> HdIndex {
-        let opts = BuildOpts {
-            refine_codes,
-            ..BuildOpts::default()
-        };
-        HdIndex::build_with(data, params, dir, opts).unwrap()
-    }
-
-    fn small_params() -> HdIndexParams {
-        HdIndexParams {
-            tau: 4,
-            hilbert_order: 8,
-            num_references: 5,
-            ref_selection: RefSelection::Sss { f: 0.3 },
-            domain: (0.0, 255.0),
-            random_partitioning: None,
-            query_cache_pages: 0,
-            seed: 7,
-        }
-    }
 
     #[test]
     fn build_and_query_returns_k_sorted_neighbors() {
@@ -1546,17 +601,6 @@ mod tests {
             "with query_cache_pages=0 only the references stay in RAM"
         );
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    /// Every answer of `index` to `queries`, ids and distance bits.
-    fn answer_bits(index: &HdIndex, queries: &Dataset, qp: &QueryParams) -> Vec<Vec<(u64, u32)>> {
-        queries
-            .iter()
-            .map(|q| {
-                let answer = index.knn(q, qp).unwrap();
-                answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
-            })
-            .collect()
     }
 
     #[test]
@@ -2009,40 +1053,6 @@ mod tests {
         let err = HdIndex::build(&data, &p, &dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         std::fs::remove_dir_all(dir).ok();
-    }
-
-    /// Builds the same corpus unbounded and under `budget_bytes`, returning
-    /// (per-tree file bytes, spilled runs) for each.
-    #[allow(clippy::type_complexity)]
-    fn build_both_ways(
-        n: usize,
-        seed: u64,
-        budget_bytes: usize,
-        tag: &str,
-    ) -> ((Vec<Vec<u8>>, u64), (Vec<Vec<u8>>, u64)) {
-        let (data, _) = generate(&DatasetProfile::SIFT, n, 1, seed);
-        let p = small_params();
-        let read_trees = |dir: &Path| -> Vec<Vec<u8>> {
-            (0..p.tau)
-                .map(|g| std::fs::read(tree_file(dir, g, 0)).unwrap())
-                .collect()
-        };
-        let dir_a = test_dir(&format!("{tag}_mem"));
-        let mem = HdIndex::build(&data, &p, &dir_a).unwrap();
-        let mem_out = (read_trees(&dir_a), mem.build_stats().spilled_runs);
-        drop(mem);
-        std::fs::remove_dir_all(&dir_a).ok();
-
-        let dir_b = test_dir(&format!("{tag}_ext"));
-        let opts = BuildOpts {
-            build_budget: Some(hd_storage::BuildBudget::new(budget_bytes)),
-            ..BuildOpts::default()
-        };
-        let ext = HdIndex::build_with(&data, &p, &dir_b, opts).unwrap();
-        let ext_out = (read_trees(&dir_b), ext.build_stats().spilled_runs);
-        drop(ext);
-        std::fs::remove_dir_all(&dir_b).ok();
-        (mem_out, ext_out)
     }
 
     proptest! {

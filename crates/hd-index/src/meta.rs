@@ -20,8 +20,9 @@ const MAGIC_V2: &str = "hdindex-meta v2";
 /// Absent fields default to the pre-WAL state (version 0, identity ids).
 const MAGIC_V3: &str = "hdindex-meta v3";
 
-/// The persisted state of an [`crate::HdIndex`].
-#[derive(Debug, Clone, PartialEq)]
+/// The persisted state of an [`crate::HdIndex`]. The default is the
+/// empty state every optional line falls back to.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct IndexMeta {
     pub dim: usize,
     pub n: u64,
@@ -141,25 +142,7 @@ impl IndexMeta {
                 format!("bad metadata magic: {first}"),
             ));
         }
-        let mut meta = IndexMeta {
-            dim: 0,
-            n: 0,
-            tau: 0,
-            omega: 0,
-            m: 0,
-            domain: (0.0, 0.0),
-            groups: Vec::new(),
-            ref_ids: Vec::new(),
-            ref_vectors: Vec::new(),
-            tombstones: Vec::new(),
-            metric: Metric::L2,
-            snapshot_version: 0,
-            wal_pos: 0,
-            next_id: 0,
-            generation: 0,
-            id_map: None,
-            refine_codes: false,
-        };
+        let mut meta = IndexMeta::default();
         let mut saw_next_id = false;
         for line in lines {
             let line = line?;
