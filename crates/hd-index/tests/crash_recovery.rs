@@ -6,9 +6,12 @@
 //! between is possible. These tests simulate the crash by copying the
 //! index directory and truncating the copied `wal.log` at every byte
 //! boundary, then reopening and comparing against the reference state
-//! reached by applying that record prefix. Each test runs with refine
-//! codes off and on: with codes on, an open derives them from the heap
-//! after replay, so replayed inserts must be found through them too.
+//! reached by applying that record prefix. The compaction crash matrix
+//! (DESIGN.md §9) is pinned the same way: a crash between a compaction's
+//! prepare and its install, and one between its meta rename and the unlink
+//! of the old generation. Each test runs with refine codes off and on:
+//! with codes on, an open derives them from the heap after replay, so
+//! replayed inserts must be found through them too.
 
 use hd_core::dataset::{generate_uniform, Dataset};
 use hd_index::{BuildOpts, HdIndex, HdIndexParams, QueryParams, RefSelection};
@@ -330,4 +333,119 @@ proptest! {
         prop_assert_eq!(twice.write_stats().wal_replayed, replayed);
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+/// The generation data files (RDB-trees and heap) in `dir`, sorted.
+fn data_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".rdb") || name.ends_with(".heap"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Exact answers (saturated budgets) of `index` for every probe.
+fn answers(index: &HdIndex, probes: &[Vec<f32>]) -> Vec<Vec<hd_core::topk::Neighbor>> {
+    let qp = QueryParams::triangular(1000, 1000, 5);
+    probes.iter().map(|q| index.knn(q, &qp).unwrap()).collect()
+}
+
+/// A crash after `prepare_compaction` and before `apply_compaction`: the
+/// generation k+1 files are on disk but no meta names them. The reopen
+/// serves generation k plus the whole log — the deletes the plan dropped
+/// and every write since the prepare — and sweeps the orphaned files.
+#[test]
+fn crash_between_prepare_and_apply_serves_the_old_generation() {
+    for refine_codes in [false, true] {
+        crash_between_prepare_and_apply(refine_codes);
+    }
+}
+
+fn crash_between_prepare_and_apply(refine_codes: bool) {
+    let dir = scratch(&format!("prepare_crash_{refine_codes}"));
+    let base_n = 80u64;
+    let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 8);
+    let live = dir.join("live");
+    let mut index = build(&data, &live, refine_codes);
+    let old_files = data_files(&live);
+    for id in (0..base_n).step_by(4) {
+        index.delete(id).unwrap();
+    }
+    let plan = index.prepare_compaction().unwrap();
+    assert!(
+        data_files(&live).len() > old_files.len(),
+        "plan files written"
+    );
+    // Writes after the prepare: inserts, one deleted again, and a delete
+    // of an object the plan kept.
+    for i in 0..5 {
+        index.insert(&vec_for(base_n + i)).unwrap();
+    }
+    index.delete(base_n + 1).unwrap();
+    index.delete(1).unwrap();
+    let probes: Vec<Vec<f32>> = (0..base_n + 5).map(vec_for).collect();
+    let want = answers(&index, &probes);
+    let crashed = dir.join("crashed");
+    copy_dir(&live, &crashed);
+    drop(plan);
+    drop(index);
+
+    let reopened = HdIndex::open(&crashed, 0).unwrap();
+    assert_eq!(reopened.has_refine_codes(), refine_codes);
+    assert_eq!(
+        reopened.write_stats().wal_replayed,
+        base_n / 4 + 5 + 2,
+        "every write replays"
+    );
+    assert_eq!(reopened.next_id(), base_n + 5);
+    assert!(reopened.is_deleted(0) && reopened.is_deleted(1) && reopened.is_deleted(base_n + 1));
+    assert_eq!(answers(&reopened, &probes), want, "codes {refine_codes}");
+    assert_eq!(data_files(&crashed), old_files, "generation k+1 swept");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A crash after a compaction's meta rename and before it unlinked the old
+/// generation: both generations are on disk and the meta names the new
+/// one. The reopen serves the compacted index and deletes generation k.
+#[test]
+fn crash_after_the_meta_rename_serves_the_new_generation() {
+    for refine_codes in [false, true] {
+        crash_after_the_meta_rename(refine_codes);
+    }
+}
+
+fn crash_after_the_meta_rename(refine_codes: bool) {
+    let dir = scratch(&format!("rename_crash_{refine_codes}"));
+    let base_n = 80u64;
+    let data = generate_uniform(DIM, 0.0, 255.0, base_n as usize, 9);
+    let live = dir.join("live");
+    let mut index = build(&data, &live, refine_codes);
+    for id in (0..base_n).step_by(3) {
+        index.delete(id).unwrap();
+    }
+    let old = dir.join("old");
+    copy_dir(&live, &old);
+    let old_files = data_files(&old);
+    assert!(index.compact().unwrap());
+    let new_files = data_files(&live);
+    assert!(new_files.iter().all(|name| !old_files.contains(name)));
+    let probes: Vec<Vec<f32>> = (0..base_n).map(vec_for).collect();
+    let want = answers(&index, &probes);
+    let crashed = dir.join("crashed");
+    copy_dir(&live, &crashed);
+    drop(index);
+    // Generation k's files, as the interrupted unlink left them.
+    for name in &old_files {
+        std::fs::copy(old.join(name), crashed.join(name)).unwrap();
+    }
+
+    let reopened = HdIndex::open(&crashed, 0).unwrap();
+    assert_eq!(reopened.has_refine_codes(), refine_codes);
+    assert_eq!(reopened.len(), base_n - base_n.div_ceil(3));
+    assert_eq!(reopened.write_stats().wal_replayed, 0);
+    assert_eq!(answers(&reopened, &probes), want, "codes {refine_codes}");
+    assert_eq!(data_files(&crashed), new_files, "generation k deleted");
+    std::fs::remove_dir_all(dir).ok();
 }
