@@ -70,9 +70,9 @@ pub(crate) fn sweep_tmp(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir.join(BUILD_TMP));
 }
 
-/// Everything [`run`] needs besides the vector stream itself. The caller
-/// (fresh build or compaction) decides file paths and generation tags; the
-/// core only streams.
+/// Everything [`run`] needs besides the vector stream itself. The index's
+/// generation module fills in the file paths and scratch tag of the
+/// generation a fresh build or a compaction writes; the core only streams.
 pub(crate) struct BuildCtx<'a> {
     /// Per-axis Hilbert-grid domain, already adjusted for the metric.
     pub domain: (f32, f32),

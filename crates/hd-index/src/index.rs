@@ -1,9 +1,10 @@
 //! The [`HdIndex`] itself: its state, accessors, id/slot helpers, IO and
 //! memory accounting, and the [`AnnIndex`]/[`Lifecycle`] impls. Each
-//! lifecycle stage lives in its own module: construction and reopening
-//! (Algorithm 1) in `open`, inserts and deletes (§3.6) in `write`, the
-//! tombstone rebuild in `compaction`, the file-naming and commit protocol
-//! they share in `generation`, and querying (Algorithm 2) in `query`.
+//! lifecycle stage lives in its own submodule, which sees the private
+//! state: construction and reopening (Algorithm 1) in `open`, inserts and
+//! deletes (§3.6) in `write`, the tombstone rebuild in `compaction`, and
+//! the file-naming and commit protocol they share in `generation`.
+//! Querying (Algorithm 2) lives in the crate's `query` module.
 
 use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
@@ -19,7 +20,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use crate::compaction::CompactionPlan;
+mod compaction;
+mod generation;
+mod open;
+mod write;
+
+pub use compaction::CompactionPlan;
 
 /// Optional knobs for [`HdIndex::build_with`] / [`HdIndex::open_with`]
 /// beyond [`HdIndexParams`]. The defaults reproduce [`HdIndex::build`].
@@ -85,15 +91,15 @@ pub struct HdIndex {
     /// The metric this index was built under (from the dataset); persisted
     /// in the meta file and enforced at reopen.
     pub(crate) metric: Metric,
-    pub(crate) dir: PathBuf,
+    dir: PathBuf,
     /// Default query-time parameters used when this index is driven through
     /// the [`hd_core::api::AnnIndex`] trait (which only carries `k` and
     /// generic budget knobs). Set with [`HdIndex::set_serve_params`].
-    pub(crate) serve: QueryParams,
+    serve: QueryParams,
     /// The write-ahead log: every insert/delete is logged and fsynced
     /// *before* the trees/heap are touched, so a crash loses nothing that
     /// was acknowledged.
-    pub(crate) wal: Wal,
+    wal: Wal,
     /// `heap slot ↔ original object id`; `None` means identity. Becomes
     /// `Some` after a compaction drops tombstoned slots: survivors keep
     /// their ids while their heap slots shift down.
@@ -104,24 +110,23 @@ pub struct HdIndex {
     /// Next object id to assign; never reused, so it exceeds the stored
     /// count once a compaction has dropped slots. Atomic so the engine can
     /// reserve ids while logging under a shard *read* lock.
-    pub(crate) next_id: AtomicU64,
+    next_id: AtomicU64,
     /// Bumped by every snapshot/compaction; WAL `Checkpoint` records carry
     /// it so replay can skip what the snapshot captured.
-    pub(crate) snapshot_version: u64,
-    /// Current data-file generation (see
-    /// [`tree_file`](crate::generation::tree_file)).
-    pub(crate) generation: u64,
+    snapshot_version: u64,
+    /// Current data-file generation (see [`generation::tree_file`]).
+    generation: u64,
     /// Compactions applied since open.
-    pub(crate) compactions: u64,
+    compactions: u64,
     /// Shared cache quota the pools charge; kept so compaction can rebuild
     /// the next generation's pools under the same budget.
-    pub(crate) cache_budget: Option<CacheBudget>,
+    cache_budget: Option<CacheBudget>,
     /// Working-memory cap this index was built under; compaction rebuilds
     /// through the same streaming pipeline with the same cap. Unbounded
     /// for indexes opened from disk until [`Self::set_build_budget`].
-    pub(crate) build_budget: BuildBudget,
+    build_budget: BuildBudget,
     /// Spill/scratch accounting of the most recent build or compaction.
-    pub(crate) build_stats: BuildStats,
+    build_stats: BuildStats,
 }
 
 impl std::fmt::Debug for HdIndex {
@@ -257,7 +262,7 @@ impl HdIndex {
     }
 
     /// The τ tree pools followed by the heap pool.
-    pub(crate) fn pools(&self) -> impl Iterator<Item = &BufferPool> {
+    fn pools(&self) -> impl Iterator<Item = &BufferPool> {
         self.trees
             .iter()
             .map(|t| t.pool().as_ref())
@@ -384,9 +389,9 @@ impl Lifecycle for HdIndex {
 
 #[cfg(test)]
 mod tests {
+    use super::generation::file_generation;
+    use super::testutil::{answer_bits, build_both_ways, build_coded, small_params, test_dir};
     use super::*;
-    use crate::generation::file_generation;
-    use crate::testutil::{answer_bits, build_both_ways, build_coded, small_params, test_dir};
     use hd_core::dataset::{generate, Dataset, DatasetProfile};
     use hd_core::ground_truth::ground_truth_knn;
     use hd_core::metrics::{ids, score_workload};
@@ -1079,5 +1084,99 @@ mod tests {
                 prop_assert!(a == b, "tree {} differs between build paths", g);
             }
         }
+    }
+}
+
+#[cfg(test)]
+/// Fixtures shared by the unit tests of the index's lifecycle modules.
+mod testutil {
+    use super::generation::tree_file;
+    use super::{BuildOpts, HdIndex};
+    use crate::config::{HdIndexParams, QueryParams, RefSelection};
+    use hd_core::dataset::{generate, Dataset, DatasetProfile};
+    use std::path::{Path, PathBuf};
+
+    pub(crate) fn test_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("hd_index_tests")
+            .join(format!("{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Builds `data` in `dir` with refine codes on or off.
+    pub(crate) fn build_coded(
+        data: &Dataset,
+        params: &HdIndexParams,
+        dir: &Path,
+        refine_codes: bool,
+    ) -> HdIndex {
+        let opts = BuildOpts {
+            refine_codes,
+            ..BuildOpts::default()
+        };
+        HdIndex::build_with(data, params, dir, opts).unwrap()
+    }
+
+    pub(crate) fn small_params() -> HdIndexParams {
+        HdIndexParams {
+            tau: 4,
+            hilbert_order: 8,
+            num_references: 5,
+            ref_selection: RefSelection::Sss { f: 0.3 },
+            domain: (0.0, 255.0),
+            random_partitioning: None,
+            query_cache_pages: 0,
+            seed: 7,
+        }
+    }
+
+    /// Every answer of `index` to `queries`, ids and distance bits.
+    pub(crate) fn answer_bits(
+        index: &HdIndex,
+        queries: &Dataset,
+        qp: &QueryParams,
+    ) -> Vec<Vec<(u64, u32)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let answer = index.knn(q, qp).unwrap();
+                answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    /// Builds the same corpus unbounded and under `budget_bytes`, returning
+    /// (per-tree file bytes, spilled runs) for each.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn build_both_ways(
+        n: usize,
+        seed: u64,
+        budget_bytes: usize,
+        tag: &str,
+    ) -> ((Vec<Vec<u8>>, u64), (Vec<Vec<u8>>, u64)) {
+        let (data, _) = generate(&DatasetProfile::SIFT, n, 1, seed);
+        let p = small_params();
+        let read_trees = |dir: &Path| -> Vec<Vec<u8>> {
+            (0..p.tau)
+                .map(|g| std::fs::read(tree_file(dir, g, 0)).unwrap())
+                .collect()
+        };
+        let dir_a = test_dir(&format!("{tag}_mem"));
+        let mem = HdIndex::build(&data, &p, &dir_a).unwrap();
+        let mem_out = (read_trees(&dir_a), mem.build_stats().spilled_runs);
+        drop(mem);
+        std::fs::remove_dir_all(&dir_a).ok();
+
+        let dir_b = test_dir(&format!("{tag}_ext"));
+        let opts = BuildOpts {
+            build_budget: Some(hd_storage::BuildBudget::new(budget_bytes)),
+            ..BuildOpts::default()
+        };
+        let ext = HdIndex::build_with(&data, &p, &dir_b, opts).unwrap();
+        let ext_out = (read_trees(&dir_b), ext.build_stats().spilled_runs);
+        drop(ext);
+        std::fs::remove_dir_all(&dir_b).ok();
+        (mem_out, ext_out)
     }
 }

@@ -3,9 +3,9 @@
 //! installed with the snapshot commit, carrying over the writes applied
 //! in between (DESIGN.md §9).
 
+use super::generation::{build_ctx, open_generation, remove_stale_generations};
+use super::{BuildStats, HdIndex};
 use crate::build;
-use crate::generation::{build_ctx, open_generation, remove_stale_generations};
-use crate::index::{BuildStats, HdIndex};
 use crate::live::{IdMap, IdSet};
 use hd_btree::BTree;
 use hd_storage::VectorHeap;

@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// the legacy names so pre-WAL index directories open unchanged; each
 /// compaction bumps the generation and writes a fresh set of files, and the
 /// meta rename is the atomic switch between generations.
-pub(crate) fn tree_file(dir: &Path, g: usize, generation: u64) -> PathBuf {
+pub(super) fn tree_file(dir: &Path, g: usize, generation: u64) -> PathBuf {
     if generation == 0 {
         dir.join(format!("tree_{g}.rdb"))
     } else {
@@ -44,7 +44,7 @@ fn heap_file(dir: &Path, generation: u64) -> PathBuf {
 
 /// Parses a data-file name back to its generation, `None` for files that are
 /// not generation-managed (meta, WAL, foreign files).
-pub(crate) fn file_generation(name: &str) -> Option<u64> {
+pub(super) fn file_generation(name: &str) -> Option<u64> {
     if name == "vectors.heap" {
         return Some(0);
     }
@@ -73,7 +73,7 @@ pub(crate) fn file_generation(name: &str) -> Option<u64> {
 /// compaction that crashed before (new generation never committed) or
 /// after (old generation not yet unlinked) the meta rename, and the extra
 /// trees of an earlier index with a larger τ built into the same directory.
-pub(crate) fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) -> io::Result<()> {
+pub(super) fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) -> io::Result<()> {
     let live: Vec<PathBuf> = (0..tau)
         .map(|g| tree_file(dir, g, generation))
         .chain([heap_file(dir, generation)])
@@ -94,7 +94,7 @@ pub(crate) fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) 
 /// The context that streams generation `generation` of the index in `dir`
 /// through the out-of-core pipeline: its heap and tree paths, and its
 /// scratch tag. A build writes generation 0, a compaction generation k+1.
-pub(crate) fn build_ctx<'a>(
+pub(super) fn build_ctx<'a>(
     dir: &'a Path,
     generation: u64,
     domain: (f32, f32),
@@ -120,7 +120,7 @@ pub(crate) fn build_ctx<'a>(
 
 /// Opens generation `generation`'s τ trees and its heap of `n` vectors of
 /// `dim` dimensions, every pool caching up to `cache_pages` pages.
-pub(crate) fn open_generation(
+pub(super) fn open_generation(
     dir: &Path,
     generation: u64,
     tau: usize,
@@ -151,7 +151,7 @@ pub(crate) fn open_generation(
 
 /// The meta of an index with this layout and no objects: generation 0,
 /// snapshot 0, no tombstones. Callers fill in the state.
-pub(crate) fn layout_meta(
+pub(super) fn layout_meta(
     params: &HdIndexParams,
     partitioning: &Partitioning,
     refs: &ReferenceSet,
@@ -182,7 +182,7 @@ pub(crate) fn layout_meta(
 /// data files the meta names must already be synced. Before the rename
 /// recovery replays the full log onto the previous snapshot; after it the
 /// checkpoint tells replay everything earlier is already captured.
-pub(crate) fn commit_snapshot(wal: &Wal, dir: &Path, meta: &mut IndexMeta) -> io::Result<()> {
+pub(super) fn commit_snapshot(wal: &Wal, dir: &Path, meta: &mut IndexMeta) -> io::Result<()> {
     meta.snapshot_version += 1;
     wal.append(&WalRecord::Checkpoint {
         snapshot_version: meta.snapshot_version,
@@ -195,7 +195,7 @@ pub(crate) fn commit_snapshot(wal: &Wal, dir: &Path, meta: &mut IndexMeta) -> io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{small_params, test_dir};
+    use crate::index::testutil::{small_params, test_dir};
     use crate::HdIndex;
     use hd_core::dataset::{generate, DatasetProfile};
 

@@ -3,13 +3,13 @@
 //! the same [`HdIndex::open_with`] as every reopen, which replays the WAL
 //! tail the snapshot did not capture (DESIGN.md §9, §11).
 
+use super::generation::{
+    build_ctx, commit_snapshot, layout_meta, open_generation, remove_stale_generations,
+};
+use super::{BuildOpts, BuildStats, HdIndex};
 use crate::build;
 use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
-use crate::generation::{
-    build_ctx, commit_snapshot, layout_meta, open_generation, remove_stale_generations,
-};
-use crate::index::{BuildOpts, BuildStats, HdIndex};
 use crate::live::IdMap;
 use crate::meta::IndexMeta;
 use crate::reference::{self, ReferenceSet};
@@ -427,7 +427,7 @@ impl HdIndex {
 
     /// Commits the current state as the next snapshot ([`commit_snapshot`]).
     /// The data files must already be synced.
-    pub(crate) fn commit(&mut self) -> io::Result<()> {
+    pub(super) fn commit(&mut self) -> io::Result<()> {
         let mut meta = self.meta();
         commit_snapshot(&self.wal, &self.dir, &mut meta)?;
         self.snapshot_version = meta.snapshot_version;

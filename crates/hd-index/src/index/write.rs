@@ -3,7 +3,7 @@
 //! the refine codes and the trees), plus the snapshot that empties the log
 //! (DESIGN.md §9).
 
-use crate::index::HdIndex;
+use super::HdIndex;
 use crate::rdb;
 use hd_core::api::WriteStats;
 use hd_storage::WalRecord;
@@ -77,7 +77,7 @@ impl HdIndex {
     /// Appends object `id` — `vector` already in index form, `ref_dists`
     /// its leaf payload — to the heap, the refine codes, the id map and
     /// every tree.
-    pub(crate) fn append_prepared(
+    pub(super) fn append_prepared(
         &mut self,
         id: u64,
         vector: &[f32],

@@ -27,124 +27,25 @@
 //! println!("nearest: {:?}", knn.first());
 //! ```
 //!
-//! One module per lifecycle stage of [`HdIndex`] (DESIGN.md §9):
-//! [`index`] holds the struct, its accessors and IO/memory accounting;
-//! `open` builds (Algorithm 1), reopens and replays the WAL; `write`
-//! inserts and deletes (§3.6) and snapshots; `compaction` rebuilds over
-//! the survivors; `generation` owns the file names and the commit that
-//! the other three share; `query` answers (Algorithm 2); `build` is the
-//! out-of-core construction pipeline (DESIGN.md §11).
+//! [`index`] holds [`HdIndex`] and one submodule per lifecycle stage
+//! (DESIGN.md §9): `open` builds (Algorithm 1), reopens and replays the
+//! WAL; `write` inserts and deletes (§3.6) and snapshots; `compaction`
+//! rebuilds over the survivors; `generation` owns the file names and the
+//! commit the other three share. `query` answers (Algorithm 2) and
+//! `build` is the out-of-core construction pipeline (DESIGN.md §11).
 
 mod build;
 mod codes;
-mod compaction;
 pub mod config;
 pub mod filters;
-mod generation;
 pub mod index;
 mod live;
 pub mod meta;
-mod open;
 mod query;
 pub mod rdb;
 pub mod reference;
-mod write;
 
 pub use config::{FilterKind, HdIndexParams, QueryParams, RefSelection};
 pub use index::{BuildOpts, BuildStats, HdIndex};
 pub use query::QueryTrace;
 pub use reference::{PreparedQuery, ReferenceSet};
-
-#[cfg(test)]
-/// Fixtures shared by the unit tests of the index's lifecycle modules.
-mod testutil {
-    use crate::config::{HdIndexParams, QueryParams, RefSelection};
-    use crate::generation::tree_file;
-    use crate::index::{BuildOpts, HdIndex};
-    use hd_core::dataset::{generate, Dataset, DatasetProfile};
-    use std::path::{Path, PathBuf};
-
-    pub(crate) fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("hd_index_tests")
-            .join(format!("{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// Builds `data` in `dir` with refine codes on or off.
-    pub(crate) fn build_coded(
-        data: &Dataset,
-        params: &HdIndexParams,
-        dir: &Path,
-        refine_codes: bool,
-    ) -> HdIndex {
-        let opts = BuildOpts {
-            refine_codes,
-            ..BuildOpts::default()
-        };
-        HdIndex::build_with(data, params, dir, opts).unwrap()
-    }
-
-    pub(crate) fn small_params() -> HdIndexParams {
-        HdIndexParams {
-            tau: 4,
-            hilbert_order: 8,
-            num_references: 5,
-            ref_selection: RefSelection::Sss { f: 0.3 },
-            domain: (0.0, 255.0),
-            random_partitioning: None,
-            query_cache_pages: 0,
-            seed: 7,
-        }
-    }
-
-    /// Every answer of `index` to `queries`, ids and distance bits.
-    pub(crate) fn answer_bits(
-        index: &HdIndex,
-        queries: &Dataset,
-        qp: &QueryParams,
-    ) -> Vec<Vec<(u64, u32)>> {
-        queries
-            .iter()
-            .map(|q| {
-                let answer = index.knn(q, qp).unwrap();
-                answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
-            })
-            .collect()
-    }
-
-    /// Builds the same corpus unbounded and under `budget_bytes`, returning
-    /// (per-tree file bytes, spilled runs) for each.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn build_both_ways(
-        n: usize,
-        seed: u64,
-        budget_bytes: usize,
-        tag: &str,
-    ) -> ((Vec<Vec<u8>>, u64), (Vec<Vec<u8>>, u64)) {
-        let (data, _) = generate(&DatasetProfile::SIFT, n, 1, seed);
-        let p = small_params();
-        let read_trees = |dir: &Path| -> Vec<Vec<u8>> {
-            (0..p.tau)
-                .map(|g| std::fs::read(tree_file(dir, g, 0)).unwrap())
-                .collect()
-        };
-        let dir_a = test_dir(&format!("{tag}_mem"));
-        let mem = HdIndex::build(&data, &p, &dir_a).unwrap();
-        let mem_out = (read_trees(&dir_a), mem.build_stats().spilled_runs);
-        drop(mem);
-        std::fs::remove_dir_all(&dir_a).ok();
-
-        let dir_b = test_dir(&format!("{tag}_ext"));
-        let opts = BuildOpts {
-            build_budget: Some(hd_storage::BuildBudget::new(budget_bytes)),
-            ..BuildOpts::default()
-        };
-        let ext = HdIndex::build_with(&data, &p, &dir_b, opts).unwrap();
-        let ext_out = (read_trees(&dir_b), ext.build_stats().spilled_runs);
-        drop(ext);
-        std::fs::remove_dir_all(&dir_b).ok();
-        (mem_out, ext_out)
-    }
-}
