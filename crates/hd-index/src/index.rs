@@ -1087,8 +1087,8 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 /// Fixtures shared by the unit tests of the index's lifecycle modules.
+#[cfg(test)]
 mod testutil {
     use super::generation::tree_file;
     use super::{BuildOpts, HdIndex};
