@@ -3,18 +3,20 @@
 use crate::page::{PageId, DEFAULT_PAGE_SIZE};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// A paged file: fixed-size pages addressed by [`PageId`], allocated
 /// append-only. All IO goes through [`Pager::read_page`]/[`Pager::write_page`]
 /// so the buffer pool above can count every physical access.
 ///
-/// Thread-safe: the underlying file handle is behind a mutex (page IO is
-/// seek+read/write, which must be atomic per call).
+/// Thread-safe: page IO is positional (`pread`/`pwrite`, one syscall per
+/// call, no shared file offset), so readers and writers never serialise on
+/// the file; only allocation takes the page-count lock.
 #[derive(Debug)]
 pub struct Pager {
-    file: Mutex<File>,
+    file: File,
     path: PathBuf,
     page_size: usize,
     num_pages: Mutex<u64>,
@@ -39,7 +41,7 @@ impl Pager {
             .truncate(true)
             .open(path.as_ref())?;
         Ok(Self {
-            file: Mutex::new(file),
+            file,
             path: path.as_ref().to_path_buf(),
             page_size,
             num_pages: Mutex::new(0),
@@ -62,7 +64,7 @@ impl Pager {
             ));
         }
         Ok(Self {
-            file: Mutex::new(file),
+            file,
             path: path.as_ref().to_path_buf(),
             page_size,
             num_pages: Mutex::new(len / page_size as u64),
@@ -92,11 +94,7 @@ impl Pager {
         let mut n = self.num_pages.lock();
         let id = *n;
         let zeros = vec![0u8; self.page_size];
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(id * self.page_size as u64))?;
-            f.write_all(&zeros)?;
-        }
+        self.file.write_all_at(&zeros, id * self.page_size as u64)?;
         *n += 1;
         Ok(id)
     }
@@ -107,15 +105,14 @@ impl Pager {
         let mut n = self.num_pages.lock();
         let first = *n;
         let zeros = vec![0u8; self.page_size * count.min(256) as usize];
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(first * self.page_size as u64))?;
-            let mut remaining = count as usize;
-            while remaining > 0 {
-                let batch = remaining.min(256);
-                f.write_all(&zeros[..batch * self.page_size])?;
-                remaining -= batch;
-            }
+        let mut page = first;
+        while page < first + count {
+            let batch = (first + count - page).min(256);
+            self.file.write_all_at(
+                &zeros[..batch as usize * self.page_size],
+                page * self.page_size as u64,
+            )?;
+            page += batch;
         }
         *n += count;
         Ok(first)
@@ -148,9 +145,7 @@ impl Pager {
                 ),
             ));
         }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(first * self.page_size as u64))?;
-        f.read_exact(buf)
+        self.file.read_exact_at(buf, first * self.page_size as u64)
     }
 
     /// Writes `buf` (exactly one page) to page `id`.
@@ -165,14 +160,12 @@ impl Pager {
                 format!("page {id} out of bounds ({} allocated)", self.num_pages()),
             ));
         }
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(id * self.page_size as u64))?;
-        f.write_all(buf)
+        self.file.write_all_at(buf, id * self.page_size as u64)
     }
 
     /// Flushes OS buffers to stable storage.
     pub fn sync(&self) -> io::Result<()> {
-        self.file.lock().sync_all()
+        self.file.sync_all()
     }
 }
 
