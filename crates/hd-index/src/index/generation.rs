@@ -52,21 +52,28 @@ pub(super) fn file_generation(name: &str) -> Option<u64> {
         .strip_prefix("vectors.g")
         .and_then(|r| r.strip_suffix(".heap"))
     {
-        return rest.parse().ok();
+        return number(rest);
     }
     if let Some(rest) = name
         .strip_prefix("tree_")
         .and_then(|r| r.strip_suffix(".rdb"))
     {
         return match rest.split_once(".g") {
-            None => rest.parse::<u64>().ok().map(|_| 0),
-            Some((g, k)) => {
-                g.parse::<u64>().ok()?;
-                k.parse().ok()
-            }
+            None => number(rest).map(|_| 0),
+            Some((g, k)) => number(g).and(number(k)),
         };
     }
     None
+}
+
+/// A number as the file names spell it: ASCII digits only, which
+/// `str::parse` alone is not (it accepts a leading `+`).
+fn number(digits: &str) -> Option<u64> {
+    if digits.bytes().all(|b| b.is_ascii_digit()) {
+        digits.parse().ok()
+    } else {
+        None
+    }
 }
 
 /// Deletes every tree/heap file the meta does not name — debris of a
@@ -221,6 +228,9 @@ mod tests {
             "vectors.g2.heap.tmp",
             "notes.rdb",
             "build.tmp",
+            "tree_+3.rdb",
+            "vectors.g+2.heap",
+            "tree_1.g+2.rdb",
         ] {
             assert_eq!(file_generation(name), None, "{name}");
         }
