@@ -21,4 +21,4 @@ mod node;
 mod tree;
 
 pub use node::{internal_capacity, leaf_capacity};
-pub use tree::{BTree, Cursor, EntrySource};
+pub use tree::{BTree, Cursor, EntrySource, LeafScan};

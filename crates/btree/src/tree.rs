@@ -541,6 +541,24 @@ impl BTree {
         Ok(Cursor::on_leaf(self, self.first_leaf, page))
     }
 
+    /// The entries whose key `keep` accepts, in key order, as an
+    /// [`EntrySource`] that reads each leaf straight from disk without
+    /// caching it ([`BufferPool::read_pages_uncached`]): a whole-tree pass
+    /// must not evict the pages queries use. It starts at the first leaf
+    /// this handle holds in memory and follows the right-sibling links.
+    pub fn scan_uncached<F: FnMut(&[u8]) -> bool>(&self, keep: F) -> LeafScan<F> {
+        LeafScan {
+            pool: Arc::clone(&self.pool),
+            key_len: self.key_len,
+            val_len: self.val_len,
+            page: vec![0u8; self.pool.page_size()],
+            next: self.first_leaf,
+            count: 0,
+            slot: 0,
+            keep,
+        }
+    }
+
     /// Cursor at the last entry of the tree.
     pub fn last(&self) -> io::Result<Cursor> {
         if self.last_leaf == NO_PAGE {
@@ -716,6 +734,48 @@ impl Cursor {
     }
 }
 
+/// The uncached forward pass of [`BTree::scan_uncached`]: one leaf page
+/// buffer, refilled from disk as the pass crosses into the next leaf.
+pub struct LeafScan<F> {
+    pool: Arc<BufferPool>,
+    key_len: usize,
+    val_len: usize,
+    page: Vec<u8>,
+    /// The leaf after the buffered one (`NO_PAGE` past the last).
+    next: u64,
+    /// Entry count of the buffered leaf (0 before the first read).
+    count: usize,
+    /// Next slot of the buffered leaf to visit.
+    slot: usize,
+    keep: F,
+}
+
+impl<F: FnMut(&[u8]) -> bool> EntrySource for LeafScan<F> {
+    fn next_entry(&mut self) -> io::Result<Option<(&[u8], &[u8])>> {
+        let (kl, vl) = (self.key_len, self.val_len);
+        let slot = loop {
+            if self.slot < self.count {
+                self.slot += 1;
+                if (self.keep)(Leaf::key(&self.page, self.slot - 1, kl, vl)) {
+                    break self.slot - 1;
+                }
+                continue;
+            }
+            if self.next == NO_PAGE {
+                return Ok(None);
+            }
+            self.pool.read_pages_uncached(self.next, &mut self.page)?;
+            self.next = Leaf::right(&self.page);
+            self.count = Leaf::count(&self.page);
+            self.slot = 0;
+        };
+        Ok(Some((
+            Leaf::key(&self.page, slot, kl, vl),
+            Leaf::value(&self.page, slot, kl, vl),
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -794,6 +854,37 @@ mod tests {
             c.advance().unwrap();
         }
         assert_eq!(seen, 500);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn uncached_scan_filters_in_key_order_and_caches_nothing() {
+        let (pool, path) = fresh_pool("scan_uncached", 256, 64);
+        let mut t = BTree::create(Arc::clone(&pool), 8, 4).unwrap();
+        t.bulk_load((0..500u64).map(|i| (key8(i * 2), val4(i))), 1.0)
+            .unwrap();
+        // Splits append leaves out of page order; the scan follows links.
+        for i in 0..200u64 {
+            t.insert(&key8(i * 10 + 1), &val4(1000 + i)).unwrap();
+        }
+        pool.clear_cache();
+        let mut all = Vec::new();
+        let mut c = t.first().unwrap();
+        while c.valid() {
+            all.push((c.key().to_vec(), c.value().to_vec()));
+            c.advance().unwrap();
+        }
+        pool.clear_cache();
+        let odd = |k: &[u8]| u64::from_be_bytes(k.try_into().unwrap()) % 2 == 1;
+        let mut scan = t.scan_uncached(odd);
+        let mut got = Vec::new();
+        while let Some((k, v)) = scan.next_entry().unwrap() {
+            got.push((k.to_vec(), v.to_vec()));
+        }
+        let want: Vec<_> = all.into_iter().filter(|(k, _)| odd(k)).collect();
+        assert_eq!(got.len(), 200);
+        assert_eq!(got, want);
+        assert_eq!(pool.memory_bytes(), 0, "the scan must not cache pages");
         std::fs::remove_file(path).ok();
     }
 

@@ -20,8 +20,9 @@ pub struct EngineParams {
     /// parallel shard builds the way `cache_budget_pages` is shared at
     /// query time (DESIGN.md §11): each shard's chunk buffers and
     /// external-sort buffers charge one `hd_storage::BuildBudget`, spilling
-    /// sorted runs when it fills. `0` builds unbounded (no spilling). The
-    /// budget also caps each shard's later compaction rebuilds.
+    /// sorted runs when it fills. `0` builds unbounded (no spilling). It
+    /// caps the initial build only: a compaction copies the live leaf
+    /// entries of a shard's trees and needs no build memory.
     pub build_budget_bytes: usize,
     /// Per-shard HD-Index construction parameters. The reference set is
     /// selected once over the full corpus with these settings and shared by

@@ -776,14 +776,15 @@ mod tests {
     use hd_core::dataset::{generate, DatasetProfile};
     use hd_index::HdIndexParams;
 
-    /// `build_budget_bytes` caps compaction rebuilds of a reopened engine,
-    /// not only of the engine that built the shards.
+    /// `build_budget_bytes` caps the initial build only: a reopened engine
+    /// with a small one compacts both shards by copying their live
+    /// entries, spilling nothing, and answers exactly as before.
     #[test]
-    fn reopened_engine_compacts_under_its_build_budget() {
+    fn reopened_engine_compacts_without_the_build_budget() {
         let dir =
             std::env::temp_dir().join(format!("hd_engine_reopen_budget_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (data, _) = generate(&DatasetProfile::SIFT, 1200, 1, 7);
+        let (data, queries) = generate(&DatasetProfile::SIFT, 1200, 8, 7);
         let params = EngineParams {
             shards: 2,
             threads: 2,
@@ -794,32 +795,36 @@ mod tests {
                 ..HdIndexParams::for_profile(&DatasetProfile::SIFT)
             })
         };
-        let spilled = |engine: &Engine| -> Vec<u64> {
-            let shards = &engine.set.shards;
-            shards
-                .iter()
-                .map(|s| s.read().build_stats().spilled_runs)
-                .collect()
-        };
         let built = Engine::build(&data, &params, &dir).unwrap();
-        let runs = spilled(&built);
-        assert!(
-            runs.iter().all(|&r| r > 0),
-            "budget too generous to spill: {runs:?}"
-        );
         built.save().unwrap();
         drop(built);
 
         let engine = Engine::open(&dir, &params).unwrap();
-        for id in (0..engine.len()).filter(|id| id % 10 < 3) {
+        let deleted: Vec<u64> = (0..engine.len()).filter(|id| id % 10 < 3).collect();
+        for &id in &deleted {
             engine.delete(id).unwrap();
         }
+        // Saturated budgets: every answer is exact over the live set.
+        let qp = QueryParams::triangular(1200, 1200, 10);
+        let answers = |engine: &Engine| -> Vec<Vec<(u64, u32)>> {
+            queries
+                .iter()
+                .map(|q| {
+                    let answer = engine.search(q, &qp).unwrap();
+                    answer.iter().map(|n| (n.id, n.dist.to_bits())).collect()
+                })
+                .collect()
+        };
+        let want = answers(&engine);
+        assert!(want.iter().flatten().all(|(id, _)| !deleted.contains(id)));
+
         assert_eq!(engine.compact_now().unwrap(), 2);
-        let runs = spilled(&engine);
-        assert!(
-            runs.iter().all(|&r| r > 0),
-            "compaction ignored the build budget: {runs:?}"
-        );
+        for shard in &engine.set.shards {
+            let shard = shard.read();
+            assert_eq!(shard.write_stats().compactions, 1);
+            assert_eq!(shard.build_stats().spilled_runs, 0);
+        }
+        assert_eq!(answers(&engine), want);
         drop(engine);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -147,27 +147,18 @@ impl ShardSet {
     /// Reopens a previously built shard fleet from `dir`, opening the
     /// shards in parallel on `pool` (each replays its WAL and derives its
     /// refine codes from its heap). Only the serving fields of `params`
-    /// are used (`cache_budget_pages`, `build_budget_bytes`,
-    /// `index.query_cache_pages`); the shard count comes from the
-    /// metadata.
+    /// are used (`cache_budget_pages`, `index.query_cache_pages`); the
+    /// shard count comes from the metadata.
     pub fn open(dir: &Path, params: &EngineParams, pool: &WorkerPool) -> io::Result<Self> {
         let s = Self::read_meta(dir)?;
-        let (budget, build_budget) = budgets(params);
+        let (budget, _) = budgets(params);
         let mut opened: Vec<Option<io::Result<HdIndex>>> = (0..s).map(|_| None).collect();
         pool.run_scoped(opened.iter_mut().enumerate().map(|(si, slot)| {
             let budget = budget.clone();
-            let build_budget = build_budget.clone();
             let cache_pages = params.index.query_cache_pages;
             let target = shard_dir(dir, si);
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                *slot = Some(
-                    HdIndex::open_with(target, cache_pages, budget).map(|mut index| {
-                        if let Some(build_budget) = build_budget {
-                            index.set_build_budget(build_budget);
-                        }
-                        index
-                    }),
-                );
+                *slot = Some(HdIndex::open_with(target, cache_pages, budget));
             });
             (si, task)
         }));
@@ -264,9 +255,9 @@ impl ShardSet {
 
 /// The fleet's shared quotas, `None` where `params` sets 0: one page-cache
 /// budget every shard's pools charge, and one build-memory budget split
-/// dynamically across the parallel shard builds and later compactions —
-/// clones share the counter, so the fleet-wide working set stays under one
-/// cap however the shards interleave.
+/// dynamically across the parallel shard builds — clones share the
+/// counter, so the fleet-wide working set stays under one cap however the
+/// shards interleave.
 fn budgets(params: &EngineParams) -> (Option<CacheBudget>, Option<BuildBudget>) {
     (
         (params.cache_budget_pages > 0).then(|| CacheBudget::new(params.cache_budget_pages)),

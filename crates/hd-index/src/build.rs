@@ -1,12 +1,13 @@
 //! Streaming (out-of-core) construction core — DESIGN.md §11.
 //!
-//! Both fresh builds ([`HdIndex::build_with`](crate::HdIndex::build_with))
-//! and compaction ([`HdIndex::prepare_compaction`](crate::HdIndex::prepare_compaction))
-//! funnel through [`run`]: a two-pass pipeline over a [`VectorSource`] whose
-//! working memory is capped by a [`BuildBudget`]. It writes one file
-//! generation through uncached pools, syncs it, and returns only its
+//! A fresh build ([`HdIndex::build_with`](crate::HdIndex::build_with))
+//! funnels through [`run`]: a two-pass pipeline over a [`VectorSource`]
+//! whose working memory is capped by a [`BuildBudget`]. It writes
+//! generation 0 through uncached pools, syncs it, and returns only its
 //! [`BuildStats`]; the caller commits the generation and brings it up with
-//! serving pools, the same way for generation 0 and for generation k.
+//! serving pools. A compaction builds nothing: it copies the live leaf
+//! entries of the serving trees
+//! ([`HdIndex::prepare_compaction`](crate::HdIndex::prepare_compaction)).
 //!
 //! ```text
 //! pass 1 (once)      source ─chunks─► ref-dist rows ─► refdists.f32  (scratch, sequential)
@@ -37,7 +38,6 @@ use crate::reference::ReferenceSet;
 use crate::BuildStats;
 use hd_btree::{BTree, EntrySource};
 use hd_core::dataset::VectorSource;
-use hd_core::metric::Metric;
 use hd_core::partition::Partitioning;
 use hd_hilbert::HilbertCurve;
 use hd_storage::{
@@ -71,8 +71,8 @@ pub(crate) fn sweep_tmp(dir: &Path) {
 }
 
 /// Everything [`run`] needs besides the vector stream itself. The index's
-/// generation module fills in the file paths and scratch tag of the
-/// generation a fresh build or a compaction writes; the core only streams.
+/// generation module fills in the file paths of generation 0; the core
+/// only streams.
 pub(crate) struct BuildCtx<'a> {
     /// Per-axis Hilbert-grid domain, already adjusted for the metric.
     pub domain: (f32, f32),
@@ -88,8 +88,6 @@ pub(crate) struct BuildCtx<'a> {
     /// The working-memory cap. [`BuildBudget::unbounded`] reproduces the
     /// in-memory build.
     pub budget: BuildBudget,
-    /// Distinguishes scratch file names across generations.
-    pub scratch_tag: u64,
 }
 
 /// Charges `bytes` of sequential scratch IO to the ledger in page units,
@@ -149,8 +147,6 @@ fn ref_dist_chunk(refs: &ReferenceSet, chunk: &[f32], dim: usize, rows: &mut [f3
 struct EncodeJob<'a> {
     partitioning: &'a Partitioning,
     curve: &'a HilbertCurve,
-    /// `j → object id`; `None` is the identity (fresh build).
-    ids: Option<&'a [u64]>,
     group: usize,
     lo: f32,
     hi: f32,
@@ -158,7 +154,7 @@ struct EncodeJob<'a> {
     m: usize,
     key_len: usize,
     rec_len: usize,
-    /// Global index of the chunk's first point.
+    /// Global index (the object id) of the chunk's first point.
     base: usize,
 }
 
@@ -194,11 +190,7 @@ fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mu
                 let mut sub = Vec::new();
                 for (i, rec) in mine.chunks_exact_mut(job.rec_len).enumerate() {
                     let p = s + i;
-                    let j = job.base + p;
-                    let id = match job.ids {
-                        None => j as u64,
-                        Some(map) => map[j],
-                    };
+                    let id = (job.base + p) as u64;
                     job.partitioning.project_into(
                         &chunk[p * dim..(p + 1) * dim],
                         job.group,
@@ -232,19 +224,14 @@ impl EntrySource for RecordSource {
 
 /// The streaming build pipeline (module docs): pass 1 streams vectors into
 /// the heap and ref-dist rows into scratch; pass 2 streams each tree's
-/// records through an external sort into a bulk load. `ids` maps the `j`-th
-/// source vector to its object id (`None` = identity; compaction passes the
-/// survivor ids).
+/// records through an external sort into a bulk load. The `j`-th source
+/// vector becomes object `j`.
 ///
 /// Every file is written through an uncached pool — caching what a build
 /// writes would only hold a copy of the index it is about to hand over —
 /// and synced before `run` returns, so the caller's meta rename can commit
 /// the generation at once.
-pub(crate) fn run(
-    ctx: &BuildCtx<'_>,
-    src: &mut dyn VectorSource,
-    ids: Option<&[u64]>,
-) -> io::Result<BuildStats> {
+pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<BuildStats> {
     let dim = src.dim();
     let m = ctx.refs.m();
     let n = src.len();
@@ -265,7 +252,7 @@ pub(crate) fn run(
 
     // Pass 1: one sequential sweep — vectors into the heap, ref-dist rows
     // into the scratch file, chunk-parallel on the worker pool.
-    let rd_path = tmp.join(format!("refdists.g{}.f32", ctx.scratch_tag));
+    let rd_path = tmp.join("refdists.f32");
     let mut heap = VectorHeap::create(&ctx.heap_path, dim, 0)?;
     let mut chunk: Vec<f32> = Vec::new();
     let mut rowbytes: Vec<u8> = Vec::new();
@@ -309,7 +296,7 @@ pub(crate) fn run(
             let sort_want = n.saturating_mul(rec_len + 4).saturating_add(64);
             let mut sorter = ExternalSorter::new(
                 &tmp,
-                format!("tree{g}.g{}", ctx.scratch_tag),
+                format!("tree{g}"),
                 rec_len,
                 &ctx.budget,
                 sort_want,
@@ -331,7 +318,6 @@ pub(crate) fn run(
                 let job = EncodeJob {
                     partitioning: ctx.partitioning,
                     curve,
-                    ids,
                     group: g,
                     lo,
                     hi,
@@ -384,63 +370,4 @@ pub(crate) fn run(
         spilled_bytes,
         scratch_io: io.snapshot(),
     })
-}
-
-/// [`VectorSource`] over the surviving (non-tombstoned) slots of a heap —
-/// compaction's corpus. Fetches page-blocked like refinement does, so a
-/// resettable multi-pass scan never holds more than a chunk.
-pub(crate) struct HeapSurvivorSource<'a> {
-    heap: &'a VectorHeap,
-    slots: &'a [u64],
-    metric: Metric,
-    pos: usize,
-    arena: Vec<f32>,
-}
-
-impl<'a> HeapSurvivorSource<'a> {
-    pub(crate) fn new(heap: &'a VectorHeap, slots: &'a [u64], metric: Metric) -> Self {
-        Self {
-            heap,
-            slots,
-            metric,
-            pos: 0,
-            arena: Vec::new(),
-        }
-    }
-}
-
-impl VectorSource for HeapSurvivorSource<'_> {
-    fn dim(&self) -> usize {
-        self.heap.dim()
-    }
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-    fn metric(&self) -> Metric {
-        self.metric
-    }
-    fn reset(&mut self) -> io::Result<()> {
-        self.pos = 0;
-        Ok(())
-    }
-    fn next_chunk(&mut self, max_points: usize, buf: &mut Vec<f32>) -> io::Result<usize> {
-        buf.clear();
-        let dim = self.heap.dim();
-        let end = (self.pos + max_points).min(self.slots.len());
-        let take = end - self.pos;
-        let mut i = self.pos;
-        while i < end {
-            let page = self.heap.page_of(self.slots[i]);
-            let mut j = i + 1;
-            while j < end && self.heap.page_of(self.slots[j]) == page {
-                j += 1;
-            }
-            self.heap
-                .get_block_into(&self.slots[i..j], &mut self.arena)?;
-            buf.extend_from_slice(&self.arena[..(j - i) * dim]);
-            i = j;
-        }
-        self.pos = end;
-        Ok(take)
-    }
 }

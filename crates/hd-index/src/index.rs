@@ -2,7 +2,7 @@
 //! memory accounting, and the [`AnnIndex`]/[`Lifecycle`] impls. Each
 //! lifecycle stage lives in its own submodule, which sees the private
 //! state: construction and reopening (Algorithm 1) in `open`, inserts and
-//! deletes (§3.6) in `write`, the tombstone rebuild in `compaction`, and
+//! deletes (§3.6) in `write`, the tombstone sweep in `compaction`, and
 //! the file-naming and commit protocol they share in `generation`.
 //! Querying (Algorithm 2) lives in the crate's `query` module.
 
@@ -46,8 +46,9 @@ pub struct BuildOpts {
     /// runs to disk when it fills. `None` builds unbounded (the sorter
     /// never spills — the classic in-memory build as a degenerate case). A
     /// sharded engine clones one budget into every parallel shard build the
-    /// way `cache_budget` is shared at query time; the index keeps the
-    /// handle so later compactions rebuild under the same cap.
+    /// way `cache_budget` is shared at query time. It caps the build only:
+    /// a compaction copies the live leaf entries of the serving trees and
+    /// needs no chunk or sort buffer.
     pub build_budget: Option<BuildBudget>,
     /// Keep one byte per dimension per object in memory and refine in two
     /// phases: bound every candidate from its codes, then fetch only those
@@ -62,10 +63,10 @@ pub struct BuildOpts {
     pub refine_codes: bool,
 }
 
-/// How the most recent streaming build of this index behaved (fresh build
-/// or compaction): external-sort spill volume and scratch-file block
-/// transfers (DESIGN.md §11). All zero for an index opened from disk, and
-/// for builds whose budget never filled (nothing spilled).
+/// How the streaming build that created this index behaved: external-sort
+/// spill volume and scratch-file block transfers (DESIGN.md §11). All zero
+/// for an index opened from disk, and for builds whose budget never filled
+/// (nothing spilled).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BuildStats {
     /// Sorted runs spilled across all τ trees.
@@ -118,14 +119,10 @@ pub struct HdIndex {
     generation: u64,
     /// Compactions applied since open.
     compactions: u64,
-    /// Shared cache quota the pools charge; kept so compaction can rebuild
+    /// Shared cache quota the pools charge; kept so compaction can open
     /// the next generation's pools under the same budget.
     cache_budget: Option<CacheBudget>,
-    /// Working-memory cap this index was built under; compaction rebuilds
-    /// through the same streaming pipeline with the same cap. Unbounded
-    /// for indexes opened from disk until [`Self::set_build_budget`].
-    build_budget: BuildBudget,
-    /// Spill/scratch accounting of the most recent build or compaction.
+    /// Spill/scratch accounting of the build that created this index.
     build_stats: BuildStats,
 }
 
@@ -241,13 +238,6 @@ impl HdIndex {
         self.serve = qp;
     }
 
-    /// Caps later compaction rebuilds at `budget`. An index opened from
-    /// disk has no record of the cap it was built under, so a caller that
-    /// keeps one (the sharded engine) restores it here.
-    pub fn set_build_budget(&mut self, budget: BuildBudget) {
-        self.build_budget = budget;
-    }
-
     pub fn references(&self) -> &ReferenceSet {
         &self.refs
     }
@@ -303,8 +293,9 @@ impl HdIndex {
         self.codes.is_some()
     }
 
-    /// Spill/scratch accounting of the most recent streaming build or
-    /// compaction of this index (DESIGN.md §11).
+    /// Spill/scratch accounting of the streaming build that created this
+    /// index in this process (DESIGN.md §11); all zero once it comes up
+    /// from disk. A compaction builds nothing and leaves it unchanged.
     pub fn build_stats(&self) -> BuildStats {
         self.build_stats
     }

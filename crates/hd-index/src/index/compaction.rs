@@ -1,18 +1,19 @@
-//! Compaction: the tombstone rebuild of the durability layer. A rebuild
-//! over the survivors is prepared beside the serving generation and
-//! installed with the snapshot commit, carrying over the writes applied
-//! in between (DESIGN.md §9).
+//! Compaction: the tombstone sweep of the durability layer. The next
+//! generation is prepared beside the serving one as a copy of its live
+//! RDB-tree leaf entries and heap rows, and installed with the snapshot
+//! commit, carrying over the writes applied in between (DESIGN.md §9).
 
-use super::generation::{build_ctx, open_generation, remove_stale_generations};
-use super::{BuildStats, HdIndex};
-use crate::build;
+use super::generation::{heap_file, open_generation, remove_stale_generations, tree_file};
+use super::HdIndex;
 use crate::live::{IdMap, IdSet};
+use crate::rdb;
 use hd_btree::BTree;
-use hd_storage::VectorHeap;
+use hd_storage::{BufferPool, Pager, VectorHeap};
 use std::io;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-/// A fully built, fully synced next-generation file set, ready to swap in.
+/// A fully written, fully synced next-generation file set, ready to swap in.
 /// Produced by [`HdIndex::prepare_compaction`] (concurrent with searches),
 /// installed by [`HdIndex::apply_compaction`], which carries over the
 /// writes applied in between.
@@ -26,14 +27,12 @@ pub struct CompactionPlan {
     trees: Vec<BTree>,
     heap: VectorHeap,
     id_map: Option<IdMap>,
-    /// Spill/scratch accounting of the streaming rebuild.
-    build_stats: BuildStats,
 }
 
 impl HdIndex {
-    /// Rebuilds the index over the survivors whenever tombstones exist,
-    /// reclaiming their space, and snapshots. Returns whether a compaction
-    /// ran. The serving engine instead splits this into
+    /// Writes the next generation over the survivors whenever tombstones
+    /// exist, reclaiming their space, and snapshots. Returns whether a
+    /// compaction ran. The serving engine instead splits this into
     /// [`Self::prepare_compaction`] (concurrent with searches) and
     /// [`Self::apply_compaction`] (brief, under its write lock).
     pub fn compact(&mut self) -> io::Result<bool> {
@@ -45,67 +44,93 @@ impl HdIndex {
         Ok(true)
     }
 
-    /// Builds the next file generation over the surviving (non-tombstoned)
-    /// objects: fresh bulk-loaded RDB-trees and a dense heap, fully synced
-    /// to disk, ids preserved via the slot→id map. Read-only on the current
+    /// Writes the next file generation over the surviving (non-tombstoned)
+    /// objects: bulk-loaded RDB-trees and a dense heap, fully synced to
+    /// disk, ids preserved via the slot→id map. Read-only on the current
     /// state, so searches (and WAL appends) proceed while it runs; nothing
     /// becomes visible until [`Self::apply_compaction`].
     ///
-    /// Survivors stream through the same out-of-core pipeline as a fresh
-    /// build (DESIGN.md §11), under the index's
-    /// [`BuildBudget`](hd_storage::BuildBudget) — compacting a shard much
-    /// larger than RAM spills sorted runs instead of materializing every
-    /// entry.
+    /// Each tree's leaf level already holds every object's entry (Hilbert
+    /// key, id, reference distances; paper §3.2) in key order, so the new
+    /// tree is its leaf chain minus the dead entries, bulk-loaded as it
+    /// streams, and the new heap is the survivors' rows in slot order. The
+    /// files equal a survivor rebuild's byte for byte, with no reference
+    /// distance, Hilbert key, sort or scratch file computed. Both passes
+    /// read uncached, so a compaction never evicts the pages queries use.
+    ///
+    /// # Errors
+    /// `InvalidData` naming the tree when a new tree does not hold exactly
+    /// one entry per survivor: an object never drops out silently.
     ///
     /// At most one plan may be outstanding per index, from this call until
     /// it is applied or dropped: two plans share generation k+1's file
-    /// names and its `build.tmp/` scratch. A caller that prepares under a
-    /// shared lock must keep a second preparation out itself (the engine
-    /// runs every rebuild under its one compaction slot).
+    /// names. A caller that prepares under a shared lock must keep a second
+    /// preparation out itself (the engine runs every compaction under its
+    /// one compaction slot).
     pub fn prepare_compaction(&self) -> io::Result<CompactionPlan> {
         let _s = hd_telemetry::span!("compaction_prepare_nanos");
         let next_gen = self.generation + 1;
         // Survivor slots ascend, and so do their ids (the map is monotone).
-        let mut survivor_slots: Vec<u64> = Vec::with_capacity(self.live_len());
-        let mut survivor_ids: Vec<u64> = Vec::with_capacity(self.live_len());
-        for slot in 0..self.heap.len() {
-            let id = self.id_at(slot);
-            if !self.tombstones.contains(id) {
-                survivor_slots.push(slot);
-                survivor_ids.push(id);
-            }
-        }
-        let n = survivor_slots.len();
+        let survives = |slot: u64| !self.tombstones.contains(self.id_at(slot));
+        let survivor_ids: Vec<u64> = (0..self.heap.len())
+            .filter(|&slot| survives(slot))
+            .map(|slot| self.id_at(slot))
+            .collect();
+        let n = survivor_ids.len() as u64;
 
-        // Vectors in the heap are already in index form (normalized at
-        // original ingest), so the streamed ref-distances are exactly what
-        // the original build computed.
-        let mut src = build::HeapSurvivorSource::new(&self.heap, &survivor_slots, self.metric);
-        // The rebuild writes uncached (a second copy of the shard's cache
-        // while the current generation still serves); the plan reopens the
-        // synced files with serving pools, which queries warm.
-        let ctx = build_ctx(
-            &self.dir,
-            next_gen,
-            self.params.domain,
-            &self.refs,
-            &self.partitioning,
-            &self.curves,
-            self.build_budget.clone(),
-        );
-        let build_stats = build::run(&ctx, &mut src, Some(&survivor_ids))?;
+        // Every file is written uncached (a second copy of the shard's
+        // cache while the current generation still serves); the plan
+        // reopens the synced files with serving pools, which queries warm.
+        for (g, tree) in self.trees.iter().enumerate() {
+            let pager = Pager::create(tree_file(&self.dir, g, next_gen))?;
+            let mut copy = BTree::create(
+                Arc::new(BufferPool::new(pager, 0)),
+                tree.key_len(),
+                tree.val_len(),
+            )?;
+            // The live entries: the leaf chain minus every entry whose
+            // object a query could not return (tombstoned or orphaned).
+            let mut live = tree.scan_uncached(|key| self.live_slot(rdb::decode_id(key)).is_some());
+            copy.bulk_load_stream(&mut live, 1.0)?;
+            if copy.len() != n {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "compaction of {}: tree {g} holds {} live entries for {n} survivors",
+                        self.dir.display(),
+                        copy.len()
+                    ),
+                ));
+            }
+            copy.pool().sync()?;
+        }
+        let mut heap = VectorHeap::create(heap_file(&self.dir, next_gen), self.dim, 0)?;
+        let mut copied = Ok(());
+        let mut slot = 0u64;
+        self.heap.scan(|block| {
+            let rows = block.chunks_exact(self.dim).filter(|_| {
+                slot += 1;
+                survives(slot - 1)
+            });
+            if copied.is_ok() {
+                copied = heap.append_all(rows);
+            }
+        })?;
+        copied?;
+        heap.pool().sync()?;
+        drop(heap);
         let (trees, heap) = open_generation(
             &self.dir,
             next_gen,
             self.trees.len(),
-            (self.dim, n as u64),
+            (self.dim, n),
             self.params.query_cache_pages,
             &self.cache_budget,
         )?;
 
         // When nothing before next_id was ever dropped the map is identity;
         // normalize it back to None so the fast path stays fast.
-        let identity = self.next_id.load(Ordering::Relaxed) == n as u64
+        let identity = self.next_id.load(Ordering::Relaxed) == n
             && survivor_ids
                 .iter()
                 .enumerate()
@@ -122,7 +147,6 @@ impl HdIndex {
             generation: next_gen,
             heap_len: self.heap.len(),
             dropped: self.tombstones.clone(),
-            build_stats,
             trees,
             heap,
             id_map,
@@ -166,7 +190,6 @@ impl HdIndex {
         self.trees = plan.trees;
         self.heap = plan.heap;
         self.id_map = plan.id_map;
-        self.build_stats = plan.build_stats;
         self.tombstones.clear();
         self.generation = plan.generation;
         self.compactions += 1;
@@ -209,5 +232,146 @@ impl HdIndex {
             );
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::testutil::{build_coded, small_params, test_dir};
+    use hd_core::dataset::{generate, Dataset, DatasetProfile};
+    use hd_core::metric::Metric;
+    use std::collections::BTreeMap;
+
+    /// Every entry of `tree` in key order.
+    fn entries(tree: &BTree) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        let mut c = tree.first().unwrap();
+        while c.valid() {
+            out.push((c.key().to_vec(), c.value().to_vec()));
+            c.advance().unwrap();
+        }
+        out
+    }
+
+    /// Leaves in `tree`'s chain: a walk of an uncached tree reads each
+    /// leaf once.
+    fn leaves(tree: &BTree) -> u64 {
+        let before = tree.pool().stats().physical_reads;
+        entries(tree);
+        tree.pool().stats().physical_reads - before
+    }
+
+    /// Checks the installed generation against the survivors, computed
+    /// from `vectors` (id → the vector in index form).
+    fn assert_matches_survivors(index: &HdIndex, vectors: &BTreeMap<u64, Vec<f32>>) {
+        let survivors: Vec<(u64, &[f32], Vec<f32>)> = vectors
+            .iter()
+            .filter(|(&id, _)| index.is_live(id))
+            .map(|(&id, v)| {
+                let mut ref_dists = Vec::new();
+                index.refs.distances_to(v, &mut ref_dists);
+                (id, v.as_slice(), ref_dists)
+            })
+            .collect();
+        let n = survivors.len() as u64;
+        assert_eq!(index.len(), n);
+        let (lo, hi) = index.params.domain;
+        let mut sub = Vec::new();
+        for (g, tree) in index.trees.iter().enumerate() {
+            let mut want: Vec<(Vec<u8>, Vec<u8>)> = survivors
+                .iter()
+                .map(|(id, v, ref_dists)| {
+                    index.partitioning.project_into(v, g, &mut sub);
+                    let hk = index.curves[g].encode_floats(&sub, lo, hi);
+                    (rdb::encode_key(&hk, *id), rdb::encode_value(ref_dists))
+                })
+                .collect();
+            want.sort();
+            assert!(entries(tree) == want, "tree {g} entries");
+            let omega = tree.leaf_order() as u64;
+            assert_eq!(leaves(tree), n.div_ceil(omega), "tree {g} leaves");
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (slot, (id, v, _)) in survivors.iter().enumerate() {
+            assert_eq!(index.id_at(slot as u64), *id);
+            let stored = index.heap.get(slot as u64).unwrap();
+            assert_eq!(bits(&stored), bits(v), "heap slot {slot}");
+        }
+    }
+
+    #[test]
+    fn compaction_output_matches_the_survivors() {
+        let n = 1500;
+        for metric in [Metric::L2, Metric::Cosine] {
+            let (raw, _) = generate(&DatasetProfile::SIFT, n, 1, 41);
+            let (extra, _) = generate(&DatasetProfile::SIFT, 300, 1, 42);
+            let data: Dataset = raw.with_metric(metric);
+            for refine_codes in [false, true] {
+                let dir = test_dir(&format!("copy_{metric}_{refine_codes}"));
+                let mut index = build_coded(&data, &small_params(), &dir, refine_codes);
+                // `with_metric` already put the corpus rows in index form.
+                let mut vectors: BTreeMap<u64, Vec<f32>> = (0..n as u64)
+                    .zip(data.iter().map(<[f32]>::to_vec))
+                    .collect();
+                let pages = |index: &HdIndex| index.trees[0].pool().num_pages();
+                for round in 0..2 {
+                    // Inserts into full bulk-loaded leaves split them.
+                    let before = pages(&index);
+                    let mut inserted = Vec::new();
+                    for v in extra.iter().skip(round * 150).take(150) {
+                        let id = index.insert(v).unwrap();
+                        let mut indexed = v.to_vec();
+                        metric.normalize_for_index(&mut indexed);
+                        vectors.insert(id, indexed);
+                        inserted.push(id);
+                    }
+                    assert!(pages(&index) > before + 1, "inserts split no leaf");
+                    for id in (round as u64..n as u64).step_by(7) {
+                        if index.is_live(id) {
+                            index.delete(id).unwrap();
+                        }
+                    }
+                    for &id in inserted.iter().step_by(4) {
+                        index.delete(id).unwrap();
+                    }
+                    assert!(index.compact().unwrap());
+                    assert_eq!(index.has_refine_codes(), refine_codes);
+                    assert_matches_survivors(&index, &vectors);
+                }
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
+    }
+
+    /// A tree that lost a survivor's entry fails the compaction with
+    /// `InvalidData` naming the tree, rather than dropping the object.
+    #[test]
+    fn compaction_refuses_a_tree_missing_a_survivor() {
+        let (data, _) = generate(&DatasetProfile::SIFT, 600, 1, 43);
+        let dir = test_dir("copy_missing_entry");
+        let mut index = build_coded(&data, &small_params(), &dir, false);
+        for id in (0..600u64).step_by(3) {
+            index.delete(id).unwrap();
+        }
+        // Tree 2 without the entry of live object 1.
+        let original = &index.trees[2];
+        let pager = Pager::create(dir.join("lossy.tree")).unwrap();
+        let mut lossy = BTree::create(
+            Arc::new(BufferPool::new(pager, 0)),
+            original.key_len(),
+            original.val_len(),
+        )
+        .unwrap();
+        let kept = entries(original)
+            .into_iter()
+            .filter(|(key, _)| rdb::decode_id(key) != 1);
+        lossy.bulk_load(kept, 1.0).unwrap();
+        index.trees[2] = lossy;
+
+        let err = index.prepare_compaction().err().expect("a lossy tree");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("tree 2"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -6,7 +6,7 @@
 //! k, and the meta rename in [`commit_snapshot`] is the atomic switch
 //! between them; [`remove_stale_generations`] sweeps every data file the
 //! meta does not name. This is the only module that forms a generation's
-//! file names and scratch tag.
+//! file names.
 
 use crate::build::BuildCtx;
 use crate::config::HdIndexParams;
@@ -34,7 +34,7 @@ pub(super) fn tree_file(dir: &Path, g: usize, generation: u64) -> PathBuf {
 }
 
 /// On-disk name of the vector heap at file `generation` (see [`tree_file`]).
-fn heap_file(dir: &Path, generation: u64) -> PathBuf {
+pub(super) fn heap_file(dir: &Path, generation: u64) -> PathBuf {
     if generation == 0 {
         dir.join("vectors.heap")
     } else {
@@ -98,12 +98,10 @@ pub(super) fn remove_stale_generations(dir: &Path, generation: u64, tau: usize) 
     Ok(())
 }
 
-/// The context that streams generation `generation` of the index in `dir`
-/// through the out-of-core pipeline: its heap and tree paths, and its
-/// scratch tag. A build writes generation 0, a compaction generation k+1.
+/// The context that streams a build into generation 0 of the index in
+/// `dir` through the out-of-core pipeline: its heap and tree paths.
 pub(super) fn build_ctx<'a>(
     dir: &'a Path,
-    generation: u64,
     domain: (f32, f32),
     refs: &'a ReferenceSet,
     partitioning: &'a Partitioning,
@@ -116,12 +114,9 @@ pub(super) fn build_ctx<'a>(
         partitioning,
         curves,
         dir,
-        heap_path: heap_file(dir, generation),
-        tree_paths: (0..curves.len())
-            .map(|g| tree_file(dir, g, generation))
-            .collect(),
+        heap_path: heap_file(dir, 0),
+        tree_paths: (0..curves.len()).map(|g| tree_file(dir, g, 0)).collect(),
         budget,
-        scratch_tag: generation,
     }
 }
 

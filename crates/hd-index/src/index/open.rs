@@ -68,10 +68,9 @@ impl HdIndex {
     /// supplied one is selected over a deterministic strided sample of the
     /// source (the full corpus may not fit in memory).
     ///
-    /// The build writes generation 0 the way a compaction writes generation
-    /// k, commits it as snapshot 1 with an empty log, and brings it up
-    /// through [`Self::open_with`]: a just-built index is its reopened
-    /// directory, cold pools included.
+    /// The build writes generation 0, commits it as snapshot 1 with an
+    /// empty log, and brings it up through [`Self::open_with`]: a
+    /// just-built index is its reopened directory, cold pools included.
     pub fn build_from_source(
         src: &mut dyn VectorSource,
         params: &HdIndexParams,
@@ -167,17 +166,15 @@ impl HdIndex {
 
         // 4. Stream heap + τ trees through the out-of-core pipeline into
         //    generation 0, synced.
-        let budget = opts.build_budget.unwrap_or_else(BuildBudget::unbounded);
         let ctx = build_ctx(
             &dir,
-            0,
             params.domain,
             &refs,
             &partitioning,
             &curves,
-            budget.clone(),
+            opts.build_budget.unwrap_or_else(BuildBudget::unbounded),
         );
-        let build_stats = build::run(&ctx, src, None)?;
+        let build_stats = build::run(&ctx, src)?;
 
         // 5. Commit generation 0 as snapshot 1 with an empty log. The log of
         //    an index built here before is emptied first, so its tail can
@@ -194,7 +191,6 @@ impl HdIndex {
 
         // 6. Come up the way every reopen does.
         let mut index = Self::open_with(&dir, params.query_cache_pages, opts.cache_budget)?;
-        index.build_budget = budget;
         index.build_stats = build_stats;
         Ok(index)
     }
@@ -346,7 +342,6 @@ impl HdIndex {
             generation: meta.generation,
             compactions: 0,
             cache_budget,
-            build_budget: BuildBudget::unbounded(),
             build_stats: BuildStats::default(),
         };
         index.replay(&records)?;

@@ -30,9 +30,10 @@
 //! [`index`] holds [`HdIndex`] and one submodule per lifecycle stage
 //! (DESIGN.md §9): `open` builds (Algorithm 1), reopens and replays the
 //! WAL; `write` inserts and deletes (§3.6) and snapshots; `compaction`
-//! rebuilds over the survivors; `generation` owns the file names and the
-//! commit the other three share. `query` answers (Algorithm 2) and
-//! `build` is the out-of-core construction pipeline (DESIGN.md §11).
+//! copies the survivors' entries into the next generation; `generation`
+//! owns the file names and the commit the other three share. `query`
+//! answers (Algorithm 2) and `build` is the out-of-core construction
+//! pipeline (DESIGN.md §11).
 
 mod build;
 mod codes;
