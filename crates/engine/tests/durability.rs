@@ -357,3 +357,58 @@ fn compact_now_waits_for_the_background_job() {
     }
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// Every file under `dir` with its bytes, in path order.
+fn dir_contents(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(dir_contents(&path));
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            out.push((path, bytes));
+        }
+    }
+    out.sort();
+    out
+}
+
+/// An engine directory whose shards carry version-3 index metas (leaves
+/// of four-byte distances) does not open: `InvalidData` naming the
+/// version, and no file in it changes, logged writes included.
+#[test]
+fn previous_version_engine_is_refused_and_left_untouched() {
+    let (data, _) = generate(&DatasetProfile::SIFT, 400, 1, 31);
+    let dir = scratch("old_version");
+    let params = EngineParams {
+        shards: 2,
+        threads: 2,
+        ..EngineParams::new(index_params())
+    };
+    let engine = Engine::build(&data, &params, &dir).unwrap();
+    engine.insert(data.get(0)).unwrap();
+    engine.delete(7).unwrap();
+    drop(engine);
+    for si in 0..2 {
+        let meta = dir.join(format!("shard_{si}")).join("meta.txt");
+        let v3: String = std::fs::read_to_string(&meta)
+            .unwrap()
+            .replace("hdindex-meta v4", "hdindex-meta v3")
+            .lines()
+            .filter(|l| !l.starts_with("refgrid "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(meta, v3).unwrap();
+    }
+    let before = dir_contents(&dir);
+
+    let err = Engine::open(&dir, &params).expect_err("an old engine directory");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("v3"), "{err}");
+    assert!(
+        dir_contents(&dir) == before,
+        "a refused open changed the directory"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,13 +11,17 @@
 //!
 //! ```text
 //! pass 1 (once)      source ─chunks─► ref-dist rows ─► refdists.f32  (scratch, sequential)
+//!                            │                └──────► per-reference [min, max] ─► RefGrid
 //!                            └──────► vectors ───────► vector heap   (final file)
 //!
 //! pass 2 (per tree)  source ─chunks─► hilbert keys ─┐
-//!                    refdists.f32 ─────rows─────────┴─► records ─► ExternalSorter
+//!                    refdists.f32 ─rows─► cell codes ┴─► records ─► ExternalSorter
 //!                                             budget full? spill sorted runs
 //!                    MergeReader ─sorted records─► BTree::bulk_load_stream
 //! ```
+//!
+//! Pass 1 sees every reference distance, so the leaf grid
+//! ([`RefGrid::fit`]) is known before pass 2 encodes the first record.
 //!
 //! Working memory never exceeds one chunk of vectors plus the sort buffer,
 //! both sized from the [`BuildBudget`]; everything per-object lives in
@@ -33,7 +37,7 @@
 //! mistaken for index data (generation files are separately swept by
 //! `remove_stale_generations`).
 
-use crate::rdb;
+use crate::rdb::{self, RefGrid};
 use crate::reference::ReferenceSet;
 use crate::BuildStats;
 use hd_btree::{BTree, EntrySource};
@@ -150,6 +154,7 @@ struct EncodeJob<'a> {
     group: usize,
     lo: f32,
     hi: f32,
+    grid: &'a RefGrid,
     dim: usize,
     m: usize,
     key_len: usize,
@@ -158,10 +163,9 @@ struct EncodeJob<'a> {
     base: usize,
 }
 
-/// Encodes one chunk of sorter records — `hilbert_key ++ id_be ++ ref-dist
-/// bytes` per point — split across the global worker pool. The value bytes
-/// are copied verbatim from the scratch file (they are already the
-/// little-endian `f32` layout `rdb::encode_value` produces).
+/// Encodes one chunk of sorter records — `hilbert_key ++ id_be ++ cell
+/// codes` per point — split across the global worker pool. The codes are
+/// the scratch file's little-endian `f32` distances on the leaf grid.
 fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mut [u8]) {
     let n = recbuf.len() / job.rec_len;
     if n == 0 {
@@ -199,7 +203,16 @@ fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mu
                     let hk = job.curve.encode_floats(&sub, job.lo, job.hi);
                     rec[..hk_len].copy_from_slice(hk.as_bytes());
                     rec[hk_len..job.key_len].copy_from_slice(&id.to_be_bytes());
-                    rec[job.key_len..].copy_from_slice(&rowbytes[p * 4 * m..(p + 1) * 4 * m]);
+                    let row = &rowbytes[p * 4 * m..(p + 1) * 4 * m];
+                    for (r, (code, d)) in rec[job.key_len..]
+                        .iter_mut()
+                        .zip(row.chunks_exact(4))
+                        .enumerate()
+                    {
+                        *code = job
+                            .grid
+                            .encode(r, f32::from_le_bytes([d[0], d[1], d[2], d[3]]));
+                    }
                 }
             }),
         ));
@@ -223,15 +236,19 @@ impl EntrySource for RecordSource {
 }
 
 /// The streaming build pipeline (module docs): pass 1 streams vectors into
-/// the heap and ref-dist rows into scratch; pass 2 streams each tree's
-/// records through an external sort into a bulk load. The `j`-th source
-/// vector becomes object `j`.
+/// the heap and ref-dist rows into scratch and fits the leaf grid; pass 2
+/// streams each tree's records through an external sort into a bulk load.
+/// The `j`-th source vector becomes object `j`. Returns the build's stats
+/// and the grid its leaves are encoded on.
 ///
 /// Every file is written through an uncached pool — caching what a build
 /// writes would only hold a copy of the index it is about to hand over —
 /// and synced before `run` returns, so the caller's meta rename can commit
 /// the generation at once.
-pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<BuildStats> {
+pub(crate) fn run(
+    ctx: &BuildCtx<'_>,
+    src: &mut dyn VectorSource,
+) -> io::Result<(BuildStats, RefGrid)> {
     let dim = src.dim();
     let m = ctx.refs.m();
     let n = src.len();
@@ -241,9 +258,9 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
 
     // One reservation covers the chunk-resident state of both passes:
     // vectors (4·dim), ref-dist rows in float and byte form (8·m), sorter
-    // records (key + 4·m), per-point. The grant shapes throughput only;
+    // records (key + m), per-point. The grant shapes throughput only;
     // correctness is identical at any chunk size.
-    let per_point = 4 * dim + 12 * m + 64;
+    let per_point = 4 * dim + 9 * m + 64;
     let want = (ctx.budget.capacity() / 4)
         .min(CHUNK_WANT_CAP)
         .max(per_point * MIN_CHUNK_POINTS);
@@ -256,6 +273,7 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
     let mut heap = VectorHeap::create(&ctx.heap_path, dim, 0)?;
     let mut chunk: Vec<f32> = Vec::new();
     let mut rowbytes: Vec<u8> = Vec::new();
+    let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); m];
     {
         let _s = hd_telemetry::span!("build_refdist_nanos");
         let mut writer = BufWriter::with_capacity(RD_BUF, File::create(&rd_path)?);
@@ -268,6 +286,11 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
             }
             rows.resize(got * m, 0.0);
             ref_dist_chunk(ctx.refs, &chunk, dim, &mut rows);
+            for row in rows.chunks_exact(m) {
+                for (range, &d) in ranges.iter_mut().zip(row) {
+                    *range = (range.0.min(d), range.1.max(d));
+                }
+            }
             rowbytes.clear();
             rowbytes.extend(rows.iter().flat_map(|d| d.to_le_bytes()));
             writer.write_all(&rowbytes)?;
@@ -277,6 +300,7 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
         writer.flush()?;
         charge(&io, written, true);
     }
+    let grid = RefGrid::fit(&ranges);
 
     // Pass 2: per tree, replay source + scratch rows chunk by chunk,
     // encode records in parallel, external-sort them under the budget, and
@@ -321,6 +345,7 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
                     group: g,
                     lo,
                     hi,
+                    grid: &grid,
                     dim,
                     m,
                     key_len,
@@ -365,9 +390,10 @@ pub(crate) fn run(ctx: &BuildCtx<'_>, src: &mut dyn VectorSource) -> io::Result<
     // does) — and a populated directory is swept at next open anyway.
     let _ = std::fs::remove_dir(&tmp);
 
-    Ok(BuildStats {
+    let stats = BuildStats {
         spilled_runs,
         spilled_bytes,
         scratch_io: io.snapshot(),
-    })
+    };
+    Ok((stats, grid))
 }

@@ -79,12 +79,12 @@ impl HdIndexParams {
     /// Estimated peak memory of an in-memory build of `n` objects of
     /// dimensionality `dim` (`IndexStats::build_memory_bytes`): one tree's
     /// sort buffer — per entry the η·ω-bit Hilbert key, the 8-byte id, m
-    /// f32 reference distances and 48 bytes of `Vec` headers — plus the
-    /// n×m reference-distance table.
+    /// one-byte distance codes and 48 bytes of `Vec` headers — plus the
+    /// n×m `f32` reference-distance table.
     pub fn build_memory_bytes(&self, n: usize, dim: usize) -> usize {
         let m = self.num_references;
         let eta = dim.div_ceil(self.tau);
-        let entry = eta * self.hilbert_order as usize / 8 + 8 + 4 * m + 48;
+        let entry = eta * self.hilbert_order as usize / 8 + 8 + m + 48;
         n * (entry + 4 * m)
     }
 }
@@ -199,7 +199,9 @@ impl QueryParams {
 }
 
 /// RDB-tree leaf order Ω per the paper's Eq. (4):
-/// `(η·(ω/8) + 4·m + 8) · Ω + 16 + 1 ≤ B`.
+/// `(η·(ω/8) + 4·m + 8) · Ω + 16 + 1 ≤ B`. The built trees hold more: their
+/// entries store one-byte distance codes, not 4-byte floats (DESIGN.md §3,
+/// "Leaf layout").
 ///
 /// `eta` is dimensions per curve, `omega` the Hilbert order, `m` the number
 /// of reference objects, `page_size` the disk page size B.

@@ -2,7 +2,11 @@
 //!
 //! Both filters run entirely on leaf-resident reference distances — they cost
 //! CPU but **zero** additional IO, which is why the paper can afford to fetch
-//! α·τ candidates and refine only κ ≤ τ·γ of them.
+//! α·τ candidates and refine only κ ≤ τ·γ of them. A leaf stores each
+//! distance as a one-byte cell ([`crate::rdb::RefGrid`]), so the query path
+//! runs the interval forms, [`TriangularTable`] and
+//! [`ptolemaic_interval_lb`]; each is at most the exact-distance bound of
+//! any distances inside the cells, [`triangular_lb`] and [`ptolemaic_lb`].
 //!
 //! **Metric applicability.** The triangular bound needs only the triangle
 //! inequality, so it is sound in *any* metric space — L2, L1, and
@@ -13,6 +17,7 @@
 //! for L1 — [`crate::QueryParams::validate`] rejects that combination
 //! before a query ever reaches this module.
 
+use crate::rdb::{RefGrid, CELLS};
 use crate::reference::ReferenceSet;
 
 /// Triangular lower bound (Eq. 5):
@@ -23,25 +28,6 @@ use crate::reference::ReferenceSet;
 #[inline]
 pub fn triangular_lb(q_dists: &[f32], o_dists: &[f32]) -> f32 {
     debug_assert_eq!(q_dists.len(), o_dists.len());
-    max_abs_diff(q_dists, o_dists.iter().copied())
-}
-
-/// [`triangular_lb`] over `o_dists` as an RDB-tree leaf stores them
-/// (little-endian `f32`s, [`crate::rdb::encode_value`]): the candidate walk
-/// bounds each entry straight from the page bytes, bit-identical to
-/// decoding first.
-#[inline]
-pub(crate) fn triangular_lb_le(q_dists: &[f32], o_le: &[u8]) -> f32 {
-    debug_assert_eq!(q_dists.len() * 4, o_le.len());
-    let o_dists = o_le
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-    max_abs_diff(q_dists, o_dists)
-}
-
-/// `max_i |q_dists[i] − o_dists[i]|`, folded left to right from 0.
-#[inline(always)]
-fn max_abs_diff(q_dists: &[f32], o_dists: impl Iterator<Item = f32>) -> f32 {
     let mut best = 0.0f32;
     for (qa, ob) in q_dists.iter().zip(o_dists) {
         let lb = (qa - ob).abs();
@@ -50,6 +36,55 @@ fn max_abs_diff(q_dists: &[f32], o_dists: impl Iterator<Item = f32>) -> f32 {
         }
     }
     best
+}
+
+/// The triangular bound over RDB-tree leaf codes, tabulated for one query.
+///
+/// A leaf stores `d(o, R_i)` only as a cell of the index's [`RefGrid`], so
+/// the bound takes the least `|d(q, R_i) − x|` over the cell `[lo, hi]`:
+/// `max(0, d(q, R_i) − hi, lo − d(q, R_i))`. Those are m × 256 numbers per
+/// query, built once; an entry's bound is then the max of m lookups. It
+/// never exceeds [`triangular_lb`] of any distances inside the cells, in
+/// `f32` as in exact arithmetic: rounding is monotone, so `q − hi ≤ q − x`
+/// and `lo − q ≤ x − q` survive it.
+pub struct TriangularTable {
+    /// Per reference, the bound of each cell.
+    rows: Vec<[f32; CELLS]>,
+}
+
+impl TriangularTable {
+    /// The table of a query whose reference distances are `q_dists`.
+    pub fn new(grid: &RefGrid, q_dists: &[f32]) -> Self {
+        debug_assert_eq!(grid.m(), q_dists.len());
+        let mut rows = vec![[0.0f32; CELLS]; q_dists.len()];
+        for (r, (row, &q)) in rows.iter_mut().zip(q_dists).enumerate() {
+            for (bound, (lo, hi)) in row.iter_mut().zip(grid.cells(r)) {
+                *bound = max(max(q - hi, lo - q), 0.0);
+            }
+        }
+        Self { rows }
+    }
+
+    /// The bound of an entry whose leaf value is `codes`.
+    #[inline]
+    pub fn lower_bound(&self, codes: &[u8]) -> f32 {
+        debug_assert_eq!(codes.len(), self.rows.len());
+        let mut best = 0.0f32;
+        for (row, &c) in self.rows.iter().zip(codes) {
+            best = max(best, row[usize::from(c)]);
+        }
+        best
+    }
+}
+
+/// `a.max(b)` without `f32::max`'s NaN handling.
+#[inline(always)]
+fn max(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
+    }
 }
 
 /// Ptolemaic lower bound (Eq. 6):
@@ -79,6 +114,45 @@ pub fn ptolemaic_lb(q_dists: &[f32], o_dists: &[f32], refs: &ReferenceSet) -> f3
     best
 }
 
+/// [`ptolemaic_lb`] over RDB-tree leaf codes: the least
+/// `|d(q,R_i)·x_j − d(q,R_j)·x_i| / d(R_i,R_j)` over `x_i`, `x_j` inside
+/// the cells `codes` name on `grid`.
+///
+/// The numerator is linear in `(x_i, x_j)`, rising in `x_j` and falling in
+/// `x_i` (query distances are non-negative), so over the box
+/// `[lo_i, hi_i] × [lo_j, hi_j]` its least absolute value is
+/// `max(0, q_i·lo_j − q_j·hi_i, q_j·lo_i − q_i·hi_j)`. Each product and
+/// difference rounds monotonically, so the result never exceeds
+/// [`ptolemaic_lb`] of any distances inside the cells.
+#[inline]
+pub fn ptolemaic_interval_lb(
+    q_dists: &[f32],
+    codes: &[u8],
+    grid: &RefGrid,
+    refs: &ReferenceSet,
+) -> f32 {
+    let m = q_dists.len();
+    debug_assert_eq!(codes.len(), m);
+    debug_assert_eq!(refs.m(), m);
+    let mut best = 0.0f32;
+    for i in 0..m {
+        let (lo_i, hi_i) = grid.cell(i, codes[i]);
+        for j in (i + 1)..m {
+            let denom = refs.dist(i, j);
+            if denom <= f32::EPSILON {
+                continue;
+            }
+            let (lo_j, hi_j) = grid.cell(j, codes[j]);
+            let least = max(
+                q_dists[i] * lo_j - q_dists[j] * hi_i,
+                q_dists[j] * lo_i - q_dists[i] * hi_j,
+            );
+            best = max(best, least / denom);
+        }
+    }
+    best
+}
+
 /// Keeps the `count` entries with the smallest scores, in arbitrary order
 /// (the paper's successive-refinement steps only need the *set* of
 /// survivors). Uses an O(n) selection, not a sort.
@@ -97,6 +171,7 @@ mod tests {
     use super::*;
     use hd_core::dataset::{generate, DatasetProfile};
     use hd_core::distance::l2;
+    use proptest::prelude::*;
 
     /// Builds a reference set plus distance tables for real points so the
     /// bounds can be checked against true distances.
@@ -275,6 +350,72 @@ mod tests {
                 "bound {lb} should equal true distance {} for reference {i}",
                 qd[i]
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The interval bounds over leaf codes are sound: interval
+        /// triangular ≤ `triangular_lb` ≤ the true distance, and interval
+        /// Ptolemaic ≤ `ptolemaic_lb` for any distances inside the cells,
+        /// the stored ones and others spread over each cell by `spread`.
+        /// The grid is fitted to the first `fit` points only, so the rest
+        /// can fall outside its range into the open edge cells, as inserts
+        /// after a build do, and reference 0's grid is one value: its min
+        /// equals its max.
+        #[test]
+        fn interval_bounds_never_exceed_the_exact_ones(
+            (dim, flat) in (2usize..=8).prop_flat_map(|dim| {
+                (Just(dim), proptest::collection::vec(-100.0f32..100.0, dim * 40))
+            }),
+            fit in 2usize..20,
+            seed in 0u64..1000,
+            spread in proptest::collection::vec(0.0f32..=1.0, 5),
+        ) {
+            let data = hd_core::Dataset::from_flat(dim, flat);
+            let refs = crate::reference::select(&data, 5, crate::RefSelection::Random, seed);
+            let dists = |i: usize| {
+                let mut d = Vec::new();
+                refs.distances_to(data.get(i), &mut d);
+                d
+            };
+            let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); 5];
+            for i in 0..fit {
+                for (range, d) in ranges.iter_mut().zip(dists(i)) {
+                    *range = (range.0.min(d), range.1.max(d));
+                }
+            }
+            ranges[0] = (ranges[0].0, ranges[0].0);
+            let grid = RefGrid::fit(&ranges);
+            for q in [0, fit, 39] {
+                let qd = dists(q);
+                let table = TriangularTable::new(&grid, &qd);
+                for o in 0..40 {
+                    let od = dists(o);
+                    let codes = grid.encode_value(&od);
+                    let actual = l2(data.get(q), data.get(o));
+                    let tri = triangular_lb(&qd, &od);
+                    let interval = table.lower_bound(&codes);
+                    prop_assert!(interval <= tri, "interval {interval} > triangular {tri}");
+                    prop_assert!(tri <= actual + 1e-3 * (1.0 + actual), "{tri} > {actual}");
+                    // Distances inside the cells: the stored ones, and a
+                    // point spread across each cell (capped above the
+                    // open top cell, whose end no distance reaches).
+                    let inside: Vec<f32> = (0..5)
+                        .map(|r| {
+                            let (lo, hi) = grid.cell(r, codes[r]);
+                            let hi = hi.min(lo + 400.0);
+                            (lo + spread[r] * (hi - lo)).clamp(lo, hi)
+                        })
+                        .collect();
+                    let pto = ptolemaic_interval_lb(&qd, &codes, &grid, &refs);
+                    for x in [&od, &inside] {
+                        let exact = ptolemaic_lb(&qd, x, &refs);
+                        prop_assert!(pto <= exact, "interval Ptolemaic {pto} > {exact}");
+                    }
+                }
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
 use crate::live::{IdMap, IdSet};
+use crate::rdb::RefGrid;
 use crate::reference::ReferenceSet;
 use hd_btree::BTree;
 use hd_core::api::{AnnIndex, IndexStats, Lifecycle, SearchOutput, SearchRequest};
@@ -86,6 +87,9 @@ pub struct HdIndex {
     pub(crate) trees: Vec<BTree>,
     pub(crate) heap: VectorHeap,
     pub(crate) refs: ReferenceSet,
+    /// The grid the leaf entries' reference-distance codes sit on, fitted
+    /// by the build and persisted in the meta; inserts encode on it too.
+    pub(crate) ref_grid: RefGrid,
     /// Deleted ids, until a compaction drops them.
     pub(crate) tombstones: IdSet,
     pub(crate) dim: usize,
@@ -1020,13 +1024,85 @@ mod tests {
         p.tau = 8;
         p.num_references = 10;
         let index = HdIndex::build(&data, &p, &dir).unwrap();
-        // η=16, ω=8, m=10 → paper Ω=63; our layout differs by 2 header bytes
-        // and the id-in-key encoding, so allow ±1.
-        let omega = index.leaf_order(0);
+        // η=16, ω=8, m=10: a 16-byte Hilbert key, the 8-byte id and ten
+        // one-byte distance codes make a 34-byte entry, so a leaf holds
+        // (4096 − 19) / 34 = 119 entries, where Eq. (4)'s four-byte
+        // distances give Ω = 63.
+        assert_eq!(crate::config::rdb_leaf_order_eq4(16, 8, 10, 4096), 63);
+        assert_eq!(index.leaf_order(0), 119);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Every file under `dir` with its bytes, in path order.
+    fn dir_contents(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(dir_contents(&path));
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path, bytes));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// A directory whose meta is version 3 (leaves of four-byte distances,
+    /// no grid) is refused with `InvalidData` naming the version, and the
+    /// refusal touches nothing: not the WAL tail, not the debris an open
+    /// would otherwise sweep (a stale generation, a build scratch dir).
+    #[test]
+    fn previous_version_index_is_refused_and_left_untouched() {
+        let (data, _) = generate(&DatasetProfile::SIFT, 300, 1, 12);
+        let dir = test_dir("old_version");
+        let mut index = HdIndex::build(&data, &small_params(), &dir).unwrap();
+        index.insert(data.get(3)).unwrap();
+        index.delete(5).unwrap();
+        drop(index);
+        let meta = std::fs::read_to_string(dir.join(crate::meta::META_FILE)).unwrap();
+        let v3: String = meta
+            .replace("hdindex-meta v4", "hdindex-meta v3")
+            .lines()
+            .filter(|l| !l.starts_with("refgrid "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(dir.join(crate::meta::META_FILE), v3).unwrap();
+        std::fs::write(dir.join("tree_0.g9.rdb"), "stale generation").unwrap();
+        std::fs::create_dir_all(dir.join(crate::build::BUILD_TMP)).unwrap();
+        std::fs::write(dir.join(crate::build::BUILD_TMP).join("run"), "scratch").unwrap();
+        let before = dir_contents(&dir);
+
+        let err = HdIndex::open(&dir, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v3"), "{err}");
         assert!(
-            (62..=64).contains(&omega),
-            "leaf order {omega} far from Eq. (4)"
+            dir_contents(&dir) == before,
+            "a refused open changed the directory"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A tree file whose leaf values are not one byte per reference (the
+    /// four-byte layout under a current meta) is refused at open.
+    #[test]
+    fn tree_with_four_byte_distances_is_refused() {
+        let (data, _) = generate(&DatasetProfile::SIFT, 300, 1, 13);
+        let dir = test_dir("wide_values");
+        let index = HdIndex::build(&data, &small_params(), &dir).unwrap();
+        let (key_len, m) = (index.trees[1].key_len(), index.refs.m());
+        drop(index);
+        let pager = hd_storage::Pager::create(super::generation::tree_file(&dir, 1, 0)).unwrap();
+        BTree::create(
+            std::sync::Arc::new(BufferPool::new(pager, 0)),
+            key_len,
+            4 * m,
+        )
+        .unwrap();
+        let err = HdIndex::open(&dir, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("tree 1"), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1064,9 +1140,9 @@ mod tests {
             runs_target in 1usize..16,
         ) {
             // Budget ≈ the sorter volume of one tree divided by the target
-            // run count (key 40 + val 20 + index 4 bytes per record), so
+            // run count (key 40 + val 5 + index 4 bytes per record), so
             // higher targets force more, smaller runs.
-            let budget = (n * 64 / runs_target).max(4096);
+            let budget = (n * 49 / runs_target).max(4096);
             let ((mem_trees, mem_runs), (ext_trees, ext_runs)) =
                 build_both_ways(n, seed, budget, &format!("prop_{n}_{seed}_{runs_target}"));
             prop_assert_eq!(mem_runs, 0, "unbounded build must not spill");

@@ -51,12 +51,14 @@ impl HdIndex {
     /// becomes visible until [`Self::apply_compaction`].
     ///
     /// Each tree's leaf level already holds every object's entry (Hilbert
-    /// key, id, reference distances; paper §3.2) in key order, so the new
-    /// tree is its leaf chain minus the dead entries, bulk-loaded as it
+    /// key, id, reference-distance codes; paper §3.2) in key order, so the
+    /// new tree is its leaf chain minus the dead entries, bulk-loaded as it
     /// streams, and the new heap is the survivors' rows in slot order. The
-    /// files equal a survivor rebuild's byte for byte, with no reference
-    /// distance, Hilbert key, sort or scratch file computed. Both passes
-    /// read uncached, so a compaction never evicts the pages queries use.
+    /// entries keep their codes, so the index keeps the grid its build
+    /// fitted; the files equal a survivor rebuild's on that grid byte for
+    /// byte, with no reference distance, Hilbert key, sort or scratch file
+    /// computed. Both passes read uncached, so a compaction never evicts
+    /// the pages queries use.
     ///
     /// # Errors
     /// `InvalidData` naming the tree when a new tree does not hold exactly
@@ -262,9 +264,27 @@ mod tests {
         tree.pool().stats().physical_reads - before
     }
 
+    /// The leaf value of reference distances `dists` on a grid of
+    /// `(floor, step)` per reference: per reference, how many of the edges
+    /// `floor + c·step`, `c = 1..=255`, lie at or below the distance.
+    fn leaf_codes(grid: &[(f32, f32)], dists: &[f32]) -> Vec<u8> {
+        grid.iter()
+            .zip(dists)
+            .map(|(&(floor, step), &d)| {
+                (1..=255).filter(|&c| floor + c as f32 * step <= d).count() as u8
+            })
+            .collect()
+    }
+
     /// Checks the installed generation against the survivors, computed
-    /// from `vectors` (id → the vector in index form).
-    fn assert_matches_survivors(index: &HdIndex, vectors: &BTreeMap<u64, Vec<f32>>) {
+    /// from `vectors` (id → the vector in index form) and the leaf grid
+    /// `grid` the build persisted.
+    fn assert_matches_survivors(
+        index: &HdIndex,
+        vectors: &BTreeMap<u64, Vec<f32>>,
+        grid: &[(f32, f32)],
+    ) {
+        assert_eq!(index.ref_grid.params(), grid, "a compaction keeps the grid");
         let survivors: Vec<(u64, &[f32], Vec<f32>)> = vectors
             .iter()
             .filter(|(&id, _)| index.is_live(id))
@@ -284,7 +304,7 @@ mod tests {
                 .map(|(id, v, ref_dists)| {
                     index.partitioning.project_into(v, g, &mut sub);
                     let hk = index.curves[g].encode_floats(&sub, lo, hi);
-                    (rdb::encode_key(&hk, *id), rdb::encode_value(ref_dists))
+                    (rdb::encode_key(&hk, *id), leaf_codes(grid, ref_dists))
                 })
                 .collect();
             want.sort();
@@ -314,6 +334,7 @@ mod tests {
                 let mut vectors: BTreeMap<u64, Vec<f32>> = (0..n as u64)
                     .zip(data.iter().map(<[f32]>::to_vec))
                     .collect();
+                let grid = index.ref_grid.params().to_vec();
                 let pages = |index: &HdIndex| index.trees[0].pool().num_pages();
                 for round in 0..2 {
                     // Inserts into full bulk-loaded leaves split them.
@@ -337,7 +358,7 @@ mod tests {
                     }
                     assert!(index.compact().unwrap());
                     assert_eq!(index.has_refine_codes(), refine_codes);
-                    assert_matches_survivors(&index, &vectors);
+                    assert_matches_survivors(&index, &vectors, &grid);
                 }
                 std::fs::remove_dir_all(dir).ok();
             }

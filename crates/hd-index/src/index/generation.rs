@@ -11,6 +11,7 @@
 use crate::build::BuildCtx;
 use crate::config::HdIndexParams;
 use crate::meta::IndexMeta;
+use crate::rdb::RefGrid;
 use crate::reference::ReferenceSet;
 use hd_btree::BTree;
 use hd_core::metric::Metric;
@@ -157,6 +158,7 @@ pub(super) fn layout_meta(
     params: &HdIndexParams,
     partitioning: &Partitioning,
     refs: &ReferenceSet,
+    grid: &RefGrid,
     metric: Metric,
     dim: usize,
 ) -> IndexMeta {
@@ -171,6 +173,7 @@ pub(super) fn layout_meta(
             .collect(),
         ref_ids: refs.ids.clone(),
         ref_vectors: refs.vectors.clone(),
+        ref_grid: grid.params().to_vec(),
         metric,
         ..IndexMeta::default()
     }

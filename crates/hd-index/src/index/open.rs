@@ -12,6 +12,7 @@ use crate::codes::RefineCodes;
 use crate::config::{HdIndexParams, QueryParams};
 use crate::live::IdMap;
 use crate::meta::IndexMeta;
+use crate::rdb::{self, RefGrid};
 use crate::reference::{self, ReferenceSet};
 use hd_core::dataset::{Dataset, VectorSource};
 use hd_core::metric::Metric;
@@ -174,7 +175,7 @@ impl HdIndex {
             &curves,
             opts.build_budget.unwrap_or_else(BuildBudget::unbounded),
         );
-        let build_stats = build::run(&ctx, src)?;
+        let (build_stats, grid) = build::run(&ctx, src)?;
 
         // 5. Commit generation 0 as snapshot 1 with an empty log. The log of
         //    an index built here before is emptied first, so its tail can
@@ -184,7 +185,7 @@ impl HdIndex {
             n: n as u64,
             next_id: n as u64,
             refine_codes: opts.refine_codes,
-            ..layout_meta(params, &partitioning, &refs, metric, dim)
+            ..layout_meta(params, &partitioning, &refs, &grid, metric, dim)
         };
         commit_snapshot(&wal, &dir, &mut meta)?;
         drop(wal);
@@ -245,10 +246,15 @@ impl HdIndex {
 
     /// Reopens a previously built index from its directory: metadata, τ
     /// RDB-tree files, and the vector heap. Tombstones survive the round
-    /// trip; the reference set is restored bit-exactly; the index serves
-    /// whatever metric the metadata records (pre-metric-layer metas read
-    /// back as L2). Callers that *expect* a particular metric should use
-    /// [`Self::open_expecting`] instead of trusting the directory.
+    /// trip; the reference set and the leaf grid are restored bit-exactly;
+    /// the index serves whatever metric the metadata records. Callers that
+    /// *expect* a particular metric should use [`Self::open_expecting`]
+    /// instead of trusting the directory.
+    ///
+    /// # Errors
+    /// `InvalidData` naming the version for a directory written by an
+    /// earlier meta version (four-byte distances in the leaves), before
+    /// anything in it is touched: such an index must be rebuilt.
     pub fn open(dir: impl AsRef<Path>, query_cache_pages: usize) -> io::Result<Self> {
         Self::open_with(dir, query_cache_pages, None)
     }
@@ -286,6 +292,7 @@ impl HdIndex {
     ) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let meta = crate::meta::IndexMeta::read(&dir)?;
+        let ref_grid = RefGrid::new(meta.ref_grid.clone())?;
         // Clear debris of a compaction that crashed before or after its
         // meta-rename commit point — only the generation the meta names is
         // live — plus any scratch of a build/compaction that died
@@ -307,6 +314,23 @@ impl HdIndex {
             query_cache_pages,
             &cache_budget,
         )?;
+        // Every leaf value is one code per reference.
+        if let Some(g) = trees
+            .iter()
+            .position(|t| t.val_len() != rdb::val_len(meta.m))
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "tree {g} in {} stores {}-byte leaf values, but m = {} references \
+                     take {}",
+                    dir.display(),
+                    trees[g].val_len(),
+                    meta.m,
+                    rdb::val_len(meta.m)
+                ),
+            ));
+        }
 
         let params = HdIndexParams {
             tau: meta.tau,
@@ -328,6 +352,7 @@ impl HdIndex {
             trees,
             heap,
             refs,
+            ref_grid,
             tombstones: meta.tombstones.into_iter().collect(),
             dim: meta.dim,
             metric: meta.metric,
@@ -414,6 +439,7 @@ impl HdIndex {
                 &self.params,
                 &self.partitioning,
                 &self.refs,
+                &self.ref_grid,
                 self.metric,
                 self.dim,
             )

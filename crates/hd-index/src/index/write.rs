@@ -75,8 +75,9 @@ impl HdIndex {
     }
 
     /// Appends object `id` — `vector` already in index form, `ref_dists`
-    /// its leaf payload — to the heap, the refine codes, the id map and
-    /// every tree.
+    /// its reference distances, which become its leaf codes on the
+    /// persisted grid — to the heap, the refine codes, the id map and every
+    /// tree.
     pub(super) fn append_prepared(
         &mut self,
         id: u64,
@@ -90,7 +91,7 @@ impl HdIndex {
         if let Some(map) = &mut self.id_map {
             map.push(id)?; // id == next_id - 1 > every mapped id: stays sorted
         }
-        let value = rdb::encode_value(ref_dists);
+        let value = self.ref_grid.encode_value(ref_dists);
         let (lo, hi) = self.params.domain;
         let mut sub = Vec::new();
         for g in 0..self.trees.len() {

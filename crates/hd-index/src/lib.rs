@@ -6,7 +6,8 @@
 //! 1. the ν dimensions are split into τ partitions (§3.1);
 //! 2. each partition gets a Hilbert curve of order ω and an **RDB-tree** — a
 //!    B+-tree on the Hilbert keys whose leaves store, per object, the object
-//!    pointer and its distances to m shared *reference objects* (§3.2);
+//!    pointer and its distances to m shared *reference objects* (§3.2), one
+//!    byte each on a per-reference grid ([`rdb::RefGrid`]);
 //! 3. queries retrieve α key-adjacent candidates per tree, shrink them to γ
 //!    with triangular (and optionally Ptolemaic) lower-bound filters computed
 //!    purely from the leaf-resident reference distances — no extra IO — and

@@ -5,20 +5,23 @@
 //! stored in a human-readable `meta.txt` in the index directory. Floats are
 //! serialized as IEEE-754 bit patterns in hex, making the round trip
 //! bit-exact without a serialization dependency.
+//!
+//! Only the current version is read. Versions 1 to 3 describe RDB-tree
+//! leaves that store four-byte reference distances; version 4's leaves
+//! store one-byte cell codes on the grid its `refgrid` lines persist. An
+//! older directory is refused with `InvalidData` naming its version, and
+//! must be rebuilt.
 
 use hd_core::metric::Metric;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 pub const META_FILE: &str = "meta.txt";
-/// v1 metas predate the metric layer: no `metric` line, implicitly L2.
-const MAGIC_V1: &str = "hdindex-meta v1";
-/// v2 metas carry an optional `metric` line (absent still means L2).
-const MAGIC_V2: &str = "hdindex-meta v2";
-/// v3 metas add the durable-write-path fields: `snapshot_version`,
-/// `wal_pos`, `next_id`, `generation`, and (after a compaction) `idmap`.
-/// Absent fields default to the pre-WAL state (version 0, identity ids).
-const MAGIC_V3: &str = "hdindex-meta v3";
+/// The first line of every meta file, before its version.
+const MAGIC: &str = "hdindex-meta";
+/// The version this build writes and reads: one-byte reference-distance
+/// codes in the leaves, and one `refgrid` line per reference.
+const VERSION: &str = "v4";
 
 /// The persisted state of an [`crate::HdIndex`]. The default is the
 /// empty state every optional line falls back to.
@@ -34,20 +37,20 @@ pub struct IndexMeta {
     pub ref_ids: Vec<u64>,
     pub ref_vectors: Vec<Vec<f32>>,
     pub tombstones: Vec<u64>,
-    /// The metric the index was built under. Versioned: v1 metas have no
-    /// `metric` line and read back as [`Metric::L2`], which is what every
-    /// pre-metric-layer index was.
+    /// Per reference, the `(floor, step)` of the grid its leaf codes sit on
+    /// ([`crate::rdb::RefGrid`]).
+    pub ref_grid: Vec<(f32, f32)>,
+    /// The metric the index was built under.
     pub metric: Metric,
     /// Monotone counter bumped by every snapshot/compaction; WAL
     /// `Checkpoint` records carry it so replay can skip what the snapshot
-    /// already captured. v1/v2 metas read back as 0.
+    /// already captured.
     pub snapshot_version: u64,
     /// Byte offset of the WAL's committed end when this snapshot was taken
     /// (diagnostic; replay trusts checkpoint records and the id watermark).
     pub wal_pos: u64,
     /// The next object id to assign. Ids are never reused, so after a
-    /// compaction this exceeds `n`. v1/v2 metas read back as `n` (identity
-    /// id space).
+    /// compaction this exceeds `n`.
     pub next_id: u64,
     /// Generation counter naming the tree/heap files: generation 0 uses the
     /// legacy `tree_{g}.rdb` / `vectors.heap` names, generation k > 0 uses
@@ -86,7 +89,7 @@ impl IndexMeta {
         let tmp = dir.join(format!("{META_FILE}.tmp"));
         {
             let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            writeln!(f, "{MAGIC_V3}")?;
+            writeln!(f, "{MAGIC} {VERSION}")?;
             writeln!(f, "metric {}", self.metric)?;
             writeln!(f, "dim {}", self.dim)?;
             writeln!(f, "n {}", self.n)?;
@@ -118,6 +121,9 @@ impl IndexMeta {
                 let vals: Vec<String> = v.iter().map(|&x| f32_hex(x)).collect();
                 writeln!(f, "ref {id} {}", vals.join(" "))?;
             }
+            for &(floor, step) in &self.ref_grid {
+                writeln!(f, "refgrid {} {}", f32_hex(floor), f32_hex(step))?;
+            }
             let ts: Vec<String> = self.tombstones.iter().map(|t| t.to_string()).collect();
             writeln!(f, "tombstones {}", ts.join(" "))?;
             f.flush()?;
@@ -136,11 +142,25 @@ impl IndexMeta {
         let first = lines
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty metadata file"))??;
-        if first != MAGIC_V1 && first != MAGIC_V2 && first != MAGIC_V3 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad metadata magic: {first}"),
-            ));
+        match first.strip_prefix(MAGIC).and_then(|v| v.strip_prefix(' ')) {
+            Some(VERSION) => {}
+            Some(version) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} holds index metadata {version}; this build reads only \
+                         {VERSION}, whose RDB-tree leaves store one-byte reference \
+                         distances: rebuild the index",
+                        dir.display()
+                    ),
+                ))
+            }
+            None => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bad metadata magic: {first}"),
+                ))
+            }
         }
         let mut meta = IndexMeta::default();
         let mut saw_next_id = false;
@@ -177,6 +197,10 @@ impl IndexMeta {
                     let v: io::Result<Vec<f32>> = it.map(parse_f32_hex).collect();
                     meta.ref_vectors.push(v?);
                 }
+                Some("refgrid") => meta.ref_grid.push((
+                    parse_f32_hex(it.next().unwrap_or(""))?,
+                    parse_f32_hex(it.next().unwrap_or(""))?,
+                )),
                 Some("tombstones") => {
                     let t: io::Result<Vec<u64>> = it.map(|s| parse(s, "tombstone")).collect();
                     meta.tombstones = t?;
@@ -208,16 +232,16 @@ impl IndexMeta {
                 None => {}
             }
         }
-        if meta.dim == 0 || meta.tau == 0 || meta.groups.len() != meta.tau {
+        if meta.dim == 0
+            || meta.tau == 0
+            || meta.groups.len() != meta.tau
+            || meta.ref_grid.len() != meta.m
+            || !saw_next_id
+        {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "incomplete metadata",
             ));
-        }
-        // Pre-WAL metas (and v3 files missing the line) lived in an identity
-        // id space: n rows, ids 0..n.
-        if !saw_next_id {
-            meta.next_id = meta.n;
         }
         Ok(meta)
     }
@@ -238,6 +262,7 @@ mod tests {
             groups: vec![vec![0, 1], vec![2, 3]],
             ref_ids: vec![7, 42],
             ref_vectors: vec![vec![0.1, -0.2, 3.5e8, 0.0], vec![1.0, 2.0, 3.0, 4.0]],
+            ref_grid: vec![(0.5, 0.0078125), (12.25, 0.0)],
             tombstones: vec![5, 99],
             metric: Metric::L2,
             snapshot_version: 3,
@@ -293,65 +318,32 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// A meta of an earlier version (leaves with four-byte distances) is
+    /// refused by name, whatever it holds; so is one that lacks the grid.
     #[test]
-    fn v1_meta_without_metric_line_defaults_to_l2() {
-        // A pre-metric-layer meta file: v1 magic, no `metric` line. It must
-        // read back as an L2 index (what every v1 index was).
-        let dir = std::env::temp_dir().join(format!("hd_meta_v1_{}", std::process::id()));
+    fn previous_meta_versions_are_refused() {
+        let dir = std::env::temp_dir().join(format!("hd_meta_old_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let meta = sample();
-        meta.write(&dir).unwrap();
+        sample().write(&dir).unwrap();
         let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
-        let v1 = written
-            .replace("hdindex-meta v3", "hdindex-meta v1")
+        assert!(written.starts_with("hdindex-meta v4\n"), "{written}");
+        let gridless: String = written
             .lines()
-            .filter(|l| {
-                !l.starts_with("metric ")
-                    && !l.starts_with("snapshot_version ")
-                    && !l.starts_with("wal_pos ")
-                    && !l.starts_with("next_id ")
-                    && !l.starts_with("generation ")
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        std::fs::write(dir.join(META_FILE), v1).unwrap();
-        let back = IndexMeta::read(&dir).unwrap();
-        assert_eq!(back.metric, Metric::L2);
-        assert_eq!(back.dim, meta.dim);
-        // Pre-WAL metas get the identity id space: next_id == n, gen 0.
-        assert_eq!(back.next_id, meta.n);
-        assert_eq!(back.snapshot_version, 0);
-        assert_eq!(back.generation, 0);
-        assert_eq!(back.id_map, None);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn v2_meta_defaults_durability_fields() {
-        // A metric-layer-era meta: v2 magic, metric line, no WAL fields.
-        let dir = std::env::temp_dir().join(format!("hd_meta_v2_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let meta = sample();
-        meta.write(&dir).unwrap();
-        let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
-        let v2 = written
-            .replace("hdindex-meta v3", "hdindex-meta v2")
-            .lines()
-            .filter(|l| {
-                !l.starts_with("snapshot_version ")
-                    && !l.starts_with("wal_pos ")
-                    && !l.starts_with("next_id ")
-                    && !l.starts_with("generation ")
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        std::fs::write(dir.join(META_FILE), v2).unwrap();
-        let back = IndexMeta::read(&dir).unwrap();
-        assert_eq!(back.next_id, meta.n);
-        assert_eq!(back.snapshot_version, 0);
-        assert_eq!(back.wal_pos, 0);
-        assert_eq!(back.generation, 0);
-        assert_eq!(back.id_map, None);
+            .filter(|l| !l.starts_with("refgrid "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for version in ["v1", "v2", "v3"] {
+            let old = gridless.replace("hdindex-meta v4", &format!("hdindex-meta {version}"));
+            std::fs::write(dir.join(META_FILE), old).unwrap();
+            let err = IndexMeta::read(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(version), "{err}");
+            assert!(err.to_string().contains("rebuild"), "{err}");
+        }
+        std::fs::write(dir.join(META_FILE), gridless).unwrap();
+        let err = IndexMeta::read(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("incomplete"), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 

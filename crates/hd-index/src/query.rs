@@ -7,7 +7,8 @@
 //! 2. get the query's distances to the m references — computed here
 //!    ([`crate::ReferenceSet::prepare`]) or supplied as a [`PreparedQuery`];
 //! 3. per RDB-tree, take α candidates by Hilbert adjacency and cut them to
-//!    γ with the triangular (and optionally Ptolemaic) lower bound;
+//!    γ with the triangular (and optionally Ptolemaic) lower bound, in their
+//!    interval forms over the leaves' one-byte distance codes;
 //! 4. refine the union with exact, early-abandoning distance evaluations —
 //!    every candidate, or, with refine codes, only those whose cell bound
 //!    can still beat the running k-th key.
@@ -18,13 +19,15 @@
 
 use crate::codes::RefineCodes;
 use crate::config::{FilterKind, QueryParams};
-use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb_le};
+use crate::filters::{keep_smallest, ptolemaic_interval_lb, TriangularTable};
+use crate::live::IdSet;
 use crate::rdb;
 use crate::reference::PreparedQuery;
 use crate::HdIndex;
 use hd_core::metric::Metric;
 use hd_core::topk::{Neighbor, TopK};
 use hd_storage::{touch_lines, VectorHeap};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
@@ -208,6 +211,13 @@ fn score_candidates_by_bound(
     Ok((evals, abandoned))
 }
 
+thread_local! {
+    /// [`HdIndex::refine`]'s dedup bitset over heap slots. Each refine
+    /// leaves it empty again, so it is kept per thread between queries and
+    /// a query neither allocates nor zeroes one.
+    static SEEN_SLOTS: RefCell<IdSet> = RefCell::new(IdSet::default());
+}
+
 /// What stage 2 of the pipeline starts from.
 enum QueryInput<'q> {
     /// The caller's raw vector: normalize and compute reference distances.
@@ -282,10 +292,11 @@ impl HdIndex {
 
         // 3. Candidates from every tree.
         let t_stage = Instant::now();
+        let table = TriangularTable::new(&self.ref_grid, query.ref_dists());
         let mut candidate_slots: Vec<u64> = Vec::with_capacity(qp.gamma * self.trees.len());
         let mut scanned_total = 0usize;
         for g in 0..self.trees.len() {
-            scanned_total += self.tree_candidates(g, query, qp, &mut candidate_slots)?;
+            scanned_total += self.tree_candidates(g, query, &table, qp, &mut candidate_slots)?;
         }
         let candidate_nanos = t_stage.elapsed().as_nanos() as u64;
 
@@ -335,12 +346,12 @@ impl HdIndex {
     /// by Hilbert-key adjacency (walking the leaf chain outward in both
     /// directions from the query's position), then shrink them to γ with
     /// the triangular — and optionally Ptolemaic — lower bound, computed
-    /// purely from the leaf-resident reference distances.
+    /// purely from the leaf-resident reference-distance codes.
     ///
     /// The walk does the per-entry work in one visit: an O(1) liveness
     /// check ([`HdIndex::live_slot`]: a tombstone bit, then the id's heap
-    /// slot) and the triangular bound straight from the leaf's value bytes.
-    /// Values are decoded to floats only for the Ptolemaic filter.
+    /// slot) and the triangular bound as m lookups into the query's
+    /// `table`. Codes are kept only for the Ptolemaic filter.
     ///
     /// Appends the surviving heap slots to `out`; returns the number of
     /// scanned entries.
@@ -348,6 +359,7 @@ impl HdIndex {
         &self,
         g: usize,
         query: &PreparedQuery,
+        table: &TriangularTable,
         qp: &QueryParams,
         out: &mut Vec<u64>,
     ) -> io::Result<usize> {
@@ -373,16 +385,16 @@ impl HdIndex {
         // (lower bound, scan index) per scanned entry; scan index → slot.
         let mut scored: Vec<(f32, u32)> = Vec::with_capacity(qp.alpha);
         let mut slots: Vec<u64> = Vec::with_capacity(qp.alpha);
-        let mut dists_flat: Vec<f32> = Vec::with_capacity(if ptolemaic { qp.alpha * m } else { 0 });
+        let mut codes_flat: Vec<u8> = Vec::with_capacity(if ptolemaic { qp.alpha * m } else { 0 });
         let mut take = |cursor: &hd_btree::Cursor| {
             let Some(slot) = self.live_slot(rdb::decode_id(cursor.key())) else {
                 return 0;
             };
-            let value = cursor.value();
-            scored.push((triangular_lb_le(q_dists, value), slots.len() as u32));
+            let codes = cursor.value();
+            scored.push((table.lower_bound(codes), slots.len() as u32));
             slots.push(slot);
             if ptolemaic {
-                rdb::decode_value_into(value, &mut dists_flat);
+                codes_flat.extend_from_slice(codes);
             }
             1
         };
@@ -408,8 +420,9 @@ impl HdIndex {
             let rescored: Vec<(f32, u32)> = survivors
                 .iter()
                 .map(|&(_, i)| {
-                    let o = &dists_flat[i as usize * m..(i as usize + 1) * m];
-                    (ptolemaic_lb(q_dists, o, &self.refs), i)
+                    let codes = &codes_flat[i as usize * m..(i as usize + 1) * m];
+                    let lb = ptolemaic_interval_lb(q_dists, codes, &self.ref_grid, &self.refs);
+                    (lb, i)
                 })
                 .collect();
             survivors = keep_smallest(rescored, qp.gamma);
@@ -420,15 +433,17 @@ impl HdIndex {
     }
 
     /// Final refinement (Algorithm 2 step (iv), the dominant IO+CPU cost of
-    /// a query): dedup the candidate union, then either
+    /// a query): dedup the candidate union with a bitset over heap slots
+    /// (no sort), then either
     ///
     /// * without refine codes, walk it in heap-page order
     ///   ([`score_candidates_blocked`]: 16 pages per fetch, each page read
     ///   once, the window decoded before any of it is scored) and score
     ///   every vector with the bounded kernel against the running top-k
-    ///   radius — κ random point reads become sequential page-granular
-    ///   reads whose misses overlap, and candidates that cannot enter the
-    ///   top-k are abandoned mid-evaluation; or
+    ///   radius, after sorting the deduped slots — κ random point reads
+    ///   become sequential page-granular reads whose misses overlap, and
+    ///   candidates that cannot enter the top-k are abandoned
+    ///   mid-evaluation; or
     /// * with refine codes, bound every candidate from its codes and fetch
     ///   and score only those whose bound does not exceed the running k-th
     ///   key, in bound order ([`score_candidates_by_bound`]).
@@ -441,15 +456,21 @@ impl HdIndex {
     /// evaluations whose exact distance a full computation would also have
     /// rejected (see the `hd_core::distance` contract), `TopK` keeps the k
     /// smallest by (key, slot) whatever the push order, and a skipped
-    /// candidate's key exceeds the final k-th key.
+    /// candidate's key exceeds the final k-th key. Neither depends on the
+    /// order in which the union arrives: the bound order pops `(bound,
+    /// slot)` pairs, which are distinct.
     fn refine(
         &self,
         query: &[f32],
         mut candidate_slots: Vec<u64>,
         k: usize,
     ) -> io::Result<(Vec<Neighbor>, RefineStats)> {
-        candidate_slots.sort_unstable();
-        candidate_slots.dedup();
+        SEEN_SLOTS.with_borrow_mut(|seen| {
+            candidate_slots.retain(|&slot| seen.insert(slot));
+            for &slot in &candidate_slots {
+                seen.remove(slot);
+            }
+        });
         let kappa = candidate_slots.len();
         let mut tk = TopK::new(k);
         let (evals, abandoned) = match &self.codes {
@@ -461,14 +482,17 @@ impl HdIndex {
                 &candidate_slots,
                 &mut tk,
             )?,
-            None => score_candidates_blocked(
-                &self.heap,
-                self.metric,
-                query,
-                &candidate_slots,
-                &mut tk,
-                &mut Vec::new(),
-            )?,
+            None => {
+                candidate_slots.sort_unstable();
+                score_candidates_blocked(
+                    &self.heap,
+                    self.metric,
+                    query,
+                    &candidate_slots,
+                    &mut tk,
+                    &mut Vec::new(),
+                )?
+            }
         };
         let mut answer = tk.into_sorted();
         for nb in &mut answer {
@@ -490,7 +514,7 @@ impl HdIndex {
 mod tests {
     use super::*;
     use crate::config::RefSelection;
-    use crate::filters::{keep_smallest, ptolemaic_lb, triangular_lb};
+    use crate::filters::keep_smallest;
     use crate::{BuildOpts, HdIndexParams};
     use hd_core::dataset::{generate, DatasetProfile};
     use hd_core::grid::UniformGrid;
@@ -508,10 +532,53 @@ mod tests {
         logical_reads: u64,
     }
 
-    /// Algorithm 2 spelled out with nothing but the public cursor API,
-    /// `triangular_lb` / `ptolemaic_lb` / `keep_smallest`, a per-candidate
-    /// heap read, and membership by binary search over the persisted
-    /// slot → id map plus the test's own record of deletes. For an index
+    /// Cell `code` of reference `r`, from the grid's persisted floor and
+    /// step: edges at `floor + c·step`, cell 0 open down to 0 and cell 255
+    /// up to `f32::MAX`.
+    fn cell(index: &HdIndex, r: usize, code: u8) -> (f32, f32) {
+        let (floor, step) = index.ref_grid.params()[r];
+        let edge = |c: usize| floor + c as f32 * step;
+        let c = usize::from(code);
+        let lo = if c == 0 { 0.0 } else { edge(c) };
+        let hi = if c == 255 { f32::MAX } else { edge(c + 1) };
+        (lo, hi)
+    }
+
+    /// Eq. 5 over the cells `codes` name: per reference, the least
+    /// `|q − x|` over `x` in the cell.
+    fn interval_triangular(index: &HdIndex, q_dists: &[f32], codes: &[u8]) -> f32 {
+        let mut best = 0.0f32;
+        for (r, (&q, &c)) in q_dists.iter().zip(codes).enumerate() {
+            let (lo, hi) = cell(index, r, c);
+            best = best.max((q - hi).max(lo - q));
+        }
+        best
+    }
+
+    /// Eq. 6 over the cells `codes` name: per pair, the least
+    /// `|q_i·x_j − q_j·x_i|` over the box of cells (it rises in `x_j` and
+    /// falls in `x_i`), over `d(R_i, R_j)`.
+    fn interval_ptolemaic(index: &HdIndex, q: &[f32], codes: &[u8]) -> f32 {
+        let mut best = 0.0f32;
+        for i in 0..q.len() {
+            for j in (i + 1)..q.len() {
+                let denom = index.refs.dist(i, j);
+                if denom <= f32::EPSILON {
+                    continue;
+                }
+                let ((lo_i, hi_i), (lo_j, hi_j)) =
+                    (cell(index, i, codes[i]), cell(index, j, codes[j]));
+                let least = (q[i] * lo_j - q[j] * hi_i).max(q[j] * lo_i - q[i] * hi_j);
+                best = best.max(least / denom);
+            }
+        }
+        best
+    }
+
+    /// Algorithm 2 spelled out with nothing but the public cursor API, the
+    /// interval bounds above over the stored codes, `keep_smallest`, a
+    /// per-candidate heap read, and membership by binary search over the
+    /// persisted slot → id map plus the test's own record of deletes. For an index
     /// with refine codes, refinement re-encodes each candidate's heap
     /// vector on a 256-cell grid over the index domain, sorts the
     /// candidates by (cell bound, slot) and evaluates them in that order
@@ -542,12 +609,12 @@ mod tests {
             let mut fwd = index.trees[g].seek(&probe).unwrap();
             let mut bwd = fwd.clone();
             bwd.retreat().unwrap();
-            let (mut ids, mut dists) = (Vec::new(), Vec::new());
+            let (mut ids, mut codes) = (Vec::new(), Vec::new());
             let mut take = |c: &hd_btree::Cursor, ids: &mut Vec<u64>| {
                 let id = rdb::decode_id(c.key());
                 if !deleted.contains(&id) && slot_of(id).is_some() {
                     ids.push(id);
-                    rdb::decode_value_into(c.value(), &mut dists);
+                    codes.extend_from_slice(c.value());
                 }
             };
             while ids.len() < qp.alpha && (fwd.valid() || bwd.valid()) {
@@ -561,9 +628,9 @@ mod tests {
                 }
             }
             scanned += ids.len();
-            let row = |i: u32| &dists[i as usize * m..(i as usize + 1) * m];
+            let row = |i: u32| &codes[i as usize * m..(i as usize + 1) * m];
             let scored = (0..ids.len() as u32)
-                .map(|i| (triangular_lb(q_dists, row(i)), i))
+                .map(|i| (interval_triangular(index, q_dists, row(i)), i))
                 .collect();
             let mut kept = match qp.filter {
                 FilterKind::TriangularOnly => keep_smallest(scored, qp.gamma),
@@ -572,7 +639,7 @@ mod tests {
             if qp.filter == FilterKind::TriangularPtolemaic {
                 let rescored = kept
                     .iter()
-                    .map(|&(_, i)| (ptolemaic_lb(q_dists, row(i), &index.refs), i))
+                    .map(|&(_, i)| (interval_ptolemaic(index, q_dists, row(i)), i))
                     .collect();
                 kept = keep_smallest(rescored, qp.gamma);
             }
@@ -668,10 +735,11 @@ mod tests {
             for q in queries.iter() {
                 let want = reference(index, deleted, q, &qp);
                 let prepared = index.refs.prepare(q).unwrap();
+                let table = TriangularTable::new(&index.ref_grid, prepared.ref_dists());
                 for (g, want_ids) in want.survivors.iter().enumerate() {
                     let mut slots = Vec::new();
                     index
-                        .tree_candidates(g, &prepared, &qp, &mut slots)
+                        .tree_candidates(g, &prepared, &table, &qp, &mut slots)
                         .unwrap();
                     let ids: Vec<u64> = slots.iter().map(|&s| index.id_at(s)).collect();
                     assert_eq!(&ids, want_ids, "tree {g} survivors, {:?}", qp.filter);
