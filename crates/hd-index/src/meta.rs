@@ -347,6 +347,91 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// Drops every line of `text` whose key is in `keys`.
+    fn without_keys(text: &str, keys: &[&str]) -> String {
+        text.lines()
+            .filter(|l| !keys.contains(&l.split_whitespace().next().unwrap_or("")))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn v1_meta_without_metric_line_defaults_to_l2() {
+        // A pre-metric-layer meta: v1 magic, no `metric`, WAL or grid lines.
+        // Its leaves store four-byte distances, so it is refused and kept;
+        // a current meta that lacks the `metric` line still reads as L2.
+        let dir = std::env::temp_dir().join(format!("hd_meta_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        sample().write(&dir).unwrap();
+        let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+        let v1 = without_keys(
+            &written.replace("hdindex-meta v4", "hdindex-meta v1"),
+            &[
+                "metric",
+                "snapshot_version",
+                "wal_pos",
+                "next_id",
+                "generation",
+                "refgrid",
+            ],
+        );
+        std::fs::write(dir.join(META_FILE), &v1).unwrap();
+        let err = IndexMeta::read(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v1"), "{err}");
+        assert_eq!(std::fs::read_to_string(dir.join(META_FILE)).unwrap(), v1);
+
+        let mut meta = sample();
+        meta.metric = Metric::L1;
+        meta.write(&dir).unwrap();
+        let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+        std::fs::write(dir.join(META_FILE), without_keys(&written, &["metric"])).unwrap();
+        let back = IndexMeta::read(&dir).unwrap();
+        assert_eq!(back.metric, Metric::L2);
+        assert_eq!(back.dim, meta.dim);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn v2_meta_defaults_durability_fields() {
+        // A metric-layer-era meta: v2 magic, metric line, no WAL or grid
+        // lines. It is refused and kept; a current meta that lacks the
+        // snapshot and WAL lines reads them as 0, but `next_id` is required.
+        let dir = std::env::temp_dir().join(format!("hd_meta_v2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = sample();
+        meta.write(&dir).unwrap();
+        let written = std::fs::read_to_string(dir.join(META_FILE)).unwrap();
+        let v2 = without_keys(
+            &written.replace("hdindex-meta v4", "hdindex-meta v2"),
+            &[
+                "snapshot_version",
+                "wal_pos",
+                "next_id",
+                "generation",
+                "refgrid",
+            ],
+        );
+        std::fs::write(dir.join(META_FILE), &v2).unwrap();
+        let err = IndexMeta::read(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("v2"), "{err}");
+        assert_eq!(std::fs::read_to_string(dir.join(META_FILE)).unwrap(), v2);
+
+        let current = without_keys(&written, &["snapshot_version", "wal_pos", "generation"]);
+        std::fs::write(dir.join(META_FILE), &current).unwrap();
+        let back = IndexMeta::read(&dir).unwrap();
+        assert_eq!(back.next_id, meta.next_id);
+        assert_eq!(back.snapshot_version, 0);
+        assert_eq!(back.wal_pos, 0);
+        assert_eq!(back.generation, 0);
+        assert_eq!(back.id_map, None);
+        std::fs::write(dir.join(META_FILE), without_keys(&current, &["next_id"])).unwrap();
+        let err = IndexMeta::read(&dir).unwrap_err();
+        assert!(err.to_string().contains("incomplete"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
     #[test]
     fn id_map_round_trips() {
         let dir = std::env::temp_dir().join(format!("hd_meta_idmap_{}", std::process::id()));
