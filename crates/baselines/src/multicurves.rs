@@ -130,12 +130,13 @@ impl Multicurves {
             }
             let pool = Arc::new(BufferPool::new(pager, params.cache_pages));
 
+            let hk_len = curve.key_len();
             let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(data.len());
             for (j, p) in data.iter().enumerate() {
                 partitioning.project_into(p, g, &mut sub);
-                let hk = curve.encode_floats(&sub, lo, hi);
-                let mut key = hk.as_bytes().to_vec();
-                key.extend_from_slice(&(j as u64).to_be_bytes());
+                let mut key = vec![0u8; key_len];
+                curve.encode_floats_into(&sub, lo, hi, &mut key[..hk_len]);
+                key[hk_len..].copy_from_slice(&(j as u64).to_be_bytes());
                 let mut value = Vec::with_capacity(val_len);
                 for &x in p {
                     value.extend_from_slice(&x.to_le_bytes());
@@ -191,14 +192,16 @@ impl Multicurves {
             alpha.saturating_mul(self.trees.len()).min(self.n),
         );
         let (lo, hi) = self.params.domain;
-        let mut sub = Vec::new();
+        let (mut sub, mut probe) = (Vec::new(), Vec::new());
         let mut vbuf: Vec<f32> = Vec::with_capacity(self.dim);
 
         for (g, tree) in self.trees.iter().enumerate() {
             self.partitioning.project_into(query, g, &mut sub);
-            let hk = self.curves[g].encode_floats(&sub, lo, hi);
-            let mut probe = hk.as_bytes().to_vec();
-            probe.extend_from_slice(&0u64.to_be_bytes());
+            // Hilbert key ++ id 0: sorts before every entry of the same cell.
+            let hk_len = self.curves[g].key_len();
+            probe.clear();
+            probe.resize(hk_len + 8, 0);
+            self.curves[g].encode_floats_into(&sub, lo, hi, &mut probe[..hk_len]);
             let mut fwd = tree.seek(&probe)?;
             let mut bwd = fwd.clone();
             bwd.retreat()?;

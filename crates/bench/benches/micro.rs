@@ -30,6 +30,13 @@ fn bench_hilbert(c: &mut Criterion) {
         g.bench_function(format!("encode_{dims}d_w{order}"), |b| {
             b.iter(|| curve.encode(black_box(&point)))
         });
+        // The build's and the query probe's path: quantize and encode into
+        // a reused buffer.
+        let floats: Vec<f32> = (0..dims).map(|i| (i * 37 % 256) as f32).collect();
+        let mut out = vec![0u8; curve.key_len()];
+        g.bench_function(format!("encode_floats_into_{dims}d_w{order}"), |b| {
+            b.iter(|| curve.encode_floats_into(black_box(&floats), 0.0, 255.0, &mut out))
+        });
         let key = curve.encode(&point);
         g.bench_function(format!("decode_{dims}d_w{order}"), |b| {
             b.iter(|| curve.decode(black_box(&key)))

@@ -23,11 +23,13 @@
 //!    budgeted build (shared references) must answer every query
 //!    identically, id for id; MAP/ratio/recall come from streaming exact
 //!    ground truth over the corpus file.
-//! 4. **Telemetry** — with `--telemetry`, the three disjoint build spans
-//!    (`build_refdist_nanos`, `build_sort_nanos`, `build_bulkload_nanos`;
-//!    `build_merge_nanos` nests inside bulk-load) must attribute ≥ 80% of
-//!    the measured build wall, or the process exits non-zero — the CI gate
-//!    extending the query-stage coverage gate to construction.
+//! 4. **Telemetry** — with `--telemetry`, the four disjoint build spans
+//!    (`build_refdist_nanos`, `build_encode_nanos`, `build_sort_nanos`,
+//!    `build_bulkload_nanos`; `build_merge_nanos` nests inside bulk-load)
+//!    are printed as per-stage seconds beside the build's points/s, and
+//!    must attribute ≥ 80% of the measured build wall, or the process exits
+//!    non-zero — the CI gate extending the query-stage coverage gate to
+//!    construction.
 //!
 //! `--json PATH` writes the numbers for check-in (`BENCH_build_bench.json`).
 
@@ -163,7 +165,7 @@ fn streaming_truth(
 
 /// Strided reference-selection sample, mirroring what
 /// `HdIndex::build_from_source` does internally. Selecting *before* the
-/// timed build keeps the measured wall aligned with the three instrumented
+/// timed build keeps the measured wall aligned with the four instrumented
 /// pipeline spans (selection has no span), and keeps the sample's memory
 /// out of the build's peak (the build runs in a child process that only
 /// reads the selected references).
@@ -198,13 +200,18 @@ fn select_refs(
     ))
 }
 
-fn build_span_nanos() -> (u64, u64, u64) {
+/// The disjoint build spans, in pipeline order.
+const BUILD_SPANS: [(&str, &str); 4] = [
+    ("refdist", "build_refdist_nanos"),
+    ("encode", "build_encode_nanos"),
+    ("sort", "build_sort_nanos"),
+    ("bulk load", "build_bulkload_nanos"),
+];
+
+/// Nanoseconds recorded so far under each of [`BUILD_SPANS`].
+fn build_span_nanos() -> [u64; 4] {
     let reg = hd_telemetry::global();
-    (
-        reg.histogram("build_refdist_nanos", "").sum(),
-        reg.histogram("build_sort_nanos", "").sum(),
-        reg.histogram("build_bulkload_nanos", "").sum(),
-    )
+    BUILD_SPANS.map(|(_, name)| reg.histogram(name, "").sum())
 }
 
 /// What the budgeted-build child reports back on its last stdout line.
@@ -216,9 +223,9 @@ struct ChildBuild {
     spilled_bytes: u64,
     scratch_reads: u64,
     scratch_writes: u64,
-    /// Nanoseconds the three disjoint build spans attributed (0 without
+    /// Nanoseconds each of [`BUILD_SPANS`] attributed (0 without
     /// telemetry).
-    span_nanos: u64,
+    stage_nanos: [u64; 4],
 }
 
 /// Writes the reference set as `id (u64 LE) ++ vector (f32 LE)` records.
@@ -281,16 +288,18 @@ fn budgeted_build_child(args: &[String]) {
     let peak_rss = peak_rss_bytes();
     let spans_after = build_span_nanos();
     let stats = index.build_stats();
-    let span_nanos = (spans_after.0 - spans_before.0)
-        + (spans_after.1 - spans_before.1)
-        + (spans_after.2 - spans_before.2);
+    let stages = std::array::from_fn::<_, 4, _>(|i| spans_after[i] - spans_before[i]);
     println!(
-        "{} {secs} {} {} {} {} {span_nanos}",
+        "{} {secs} {} {} {} {} {} {} {} {}",
         peak_rss.saturating_sub(baseline_rss),
         stats.spilled_runs,
         stats.spilled_bytes,
         stats.scratch_io.physical_reads,
         stats.scratch_io.physical_writes,
+        stages[0],
+        stages[1],
+        stages[2],
+        stages[3],
     );
 }
 
@@ -327,7 +336,7 @@ fn run_budgeted_build(
         spilled_bytes: int(3),
         scratch_reads: int(4),
         scratch_writes: int(5),
-        span_nanos: int(6),
+        stage_nanos: std::array::from_fn(|i| int(6 + i)),
     }
 }
 
@@ -453,11 +462,21 @@ fn main() {
     }
 
     // Build-span coverage gate (§4): the child's spans over its build wall.
-    let build_coverage = child.span_nanos as f64 / (build_secs * 1e9);
+    let build_coverage = child.stage_nanos.iter().sum::<u64>() as f64 / (build_secs * 1e9);
     if cfg.telemetry {
+        let stages: Vec<String> = BUILD_SPANS
+            .iter()
+            .zip(child.stage_nanos)
+            .map(|((stage, _), nanos)| format!("{stage} {:.2}s", nanos as f64 / 1e9))
+            .collect();
+        println!(
+            "[telemetry] build stages: {} at {:.0} points/s",
+            stages.join(", "),
+            n as f64 / build_secs
+        );
         println!(
             "[telemetry] build-span coverage: {} of build wall attributed \
-             (refdist + sort + bulkload; gate ≥ {})",
+             (refdist + encode + sort + bulk load; gate ≥ {})",
             table::pct(build_coverage),
             table::pct(BUILD_COVERAGE_GATE),
         );

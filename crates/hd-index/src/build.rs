@@ -152,22 +152,27 @@ struct EncodeJob<'a> {
     partitioning: &'a Partitioning,
     curve: &'a HilbertCurve,
     group: usize,
-    lo: f32,
-    hi: f32,
+    domain: (f32, f32),
     grid: &'a RefGrid,
     dim: usize,
     m: usize,
     key_len: usize,
     rec_len: usize,
-    /// Global index (the object id) of the chunk's first point.
-    base: usize,
 }
 
-/// Encodes one chunk of sorter records — `hilbert_key ++ id_be ++ cell
-/// codes` per point — split across the global worker pool. The codes are
-/// the scratch file's little-endian `f32` distances on the leaf grid.
-fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mut [u8]) {
-    let n = recbuf.len() / job.rec_len;
+/// Encodes sorter records — `hilbert_key ++ id_be ++ cell codes` per
+/// point — in place into the record slots of `records`, for the points at
+/// the front of `chunk` and `rowbytes`, split across the global worker
+/// pool. `first_id` is the object id of the first point. The codes are the
+/// scratch file's little-endian `f32` distances on the leaf grid.
+fn encode_chunk(
+    job: &EncodeJob<'_>,
+    first_id: usize,
+    chunk: &[f32],
+    rowbytes: &[u8],
+    records: &mut [u8],
+) {
+    let n = records.len() / job.rec_len;
     if n == 0 {
         return;
     }
@@ -176,7 +181,7 @@ fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mu
     let base = n / tasks;
     let extra = n % tasks;
     let mut jobs: Vec<(usize, Box<dyn FnOnce() + Send + '_>)> = Vec::with_capacity(tasks);
-    let mut tail = recbuf;
+    let mut tail = records;
     let mut start = 0usize;
     for t in 0..tasks {
         let count = base + usize::from(t < extra);
@@ -190,25 +195,19 @@ fn encode_chunk(job: &EncodeJob<'_>, chunk: &[f32], rowbytes: &[u8], recbuf: &mu
             t,
             Box::new(move || {
                 let (dim, m) = (job.dim, job.m);
-                let hk_len = job.key_len - 8;
                 let mut sub = Vec::new();
                 for (i, rec) in mine.chunks_exact_mut(job.rec_len).enumerate() {
                     let p = s + i;
-                    let id = (job.base + p) as u64;
                     job.partitioning.project_into(
                         &chunk[p * dim..(p + 1) * dim],
                         job.group,
                         &mut sub,
                     );
-                    let hk = job.curve.encode_floats(&sub, job.lo, job.hi);
-                    rec[..hk_len].copy_from_slice(hk.as_bytes());
-                    rec[hk_len..job.key_len].copy_from_slice(&id.to_be_bytes());
+                    let (key, codes) = rec.split_at_mut(job.key_len);
+                    let id = (first_id + p) as u64;
+                    rdb::encode_key_into(job.curve, &sub, job.domain, id, key);
                     let row = &rowbytes[p * 4 * m..(p + 1) * 4 * m];
-                    for (r, (code, d)) in rec[job.key_len..]
-                        .iter_mut()
-                        .zip(row.chunks_exact(4))
-                        .enumerate()
-                    {
+                    for (r, (code, d)) in codes.iter_mut().zip(row.chunks_exact(4)).enumerate() {
                         *code = job
                             .grid
                             .encode(r, f32::from_le_bytes([d[0], d[1], d[2], d[3]]));
@@ -257,10 +256,11 @@ pub(crate) fn run(
     let io = Arc::new(IoStats::new());
 
     // One reservation covers the chunk-resident state of both passes:
-    // vectors (4·dim), ref-dist rows in float and byte form (8·m), sorter
-    // records (key + m), per-point. The grant shapes throughput only;
+    // vectors (4·dim) and ref-dist rows in float and byte form (8·m),
+    // per-point. Records are encoded in place in the sorter's buffer,
+    // which the sorter charges. The grant shapes throughput only;
     // correctness is identical at any chunk size.
-    let per_point = 4 * dim + 9 * m + 64;
+    let per_point = 4 * dim + 8 * m;
     let want = (ctx.budget.capacity() / 4)
         .min(CHUNK_WANT_CAP)
         .max(per_point * MIN_CHUNK_POINTS);
@@ -305,60 +305,75 @@ pub(crate) fn run(
     // Pass 2: per tree, replay source + scratch rows chunk by chunk,
     // encode records in parallel, external-sort them under the budget, and
     // stream the merge straight into the bottom-up bulk load.
-    let (lo, hi) = ctx.domain;
     let mut spilled_runs = 0u64;
     let mut spilled_bytes = 0u64;
-    let mut recbuf: Vec<u8> = Vec::new();
     for (g, curve) in ctx.curves.iter().enumerate() {
         let key_len = rdb::key_len(curve.key_len());
         let val_len = rdb::val_len(m);
         let rec_len = key_len + val_len;
-        let reader = {
-            let _s = hd_telemetry::span!("build_sort_nanos");
-            // Ask for enough to sort in memory; a bounded budget grants
-            // less and the sorter spills runs instead.
-            let sort_want = n.saturating_mul(rec_len + 4).saturating_add(64);
-            let mut sorter = ExternalSorter::new(
-                &tmp,
-                format!("tree{g}"),
-                rec_len,
-                &ctx.budget,
-                sort_want,
-                Arc::clone(&io),
-            )?;
-            src.reset()?;
-            let mut rd = BufReader::with_capacity(RD_BUF, File::open(&rd_path)?);
-            let mut read_bytes = 0u64;
-            let mut base = 0usize;
-            loop {
+        // Ask for enough to sort in memory; a bounded budget grants less
+        // and the sorter spills runs instead.
+        let sort_want = n.saturating_mul(rec_len + 4).saturating_add(64);
+        let mut sorter = ExternalSorter::new(
+            &tmp,
+            format!("tree{g}"),
+            rec_len,
+            &ctx.budget,
+            sort_want,
+            Arc::clone(&io),
+        )?;
+        src.reset()?;
+        let mut rd = BufReader::with_capacity(RD_BUF, File::open(&rd_path)?);
+        let mut read_bytes = 0u64;
+        let mut base = 0usize;
+        let job = EncodeJob {
+            partitioning: ctx.partitioning,
+            curve,
+            group: g,
+            domain: ctx.domain,
+            grid: &grid,
+            dim,
+            m,
+            key_len,
+            rec_len,
+        };
+        loop {
+            // Replaying a chunk and encoding its records in place in the
+            // sorter's buffer is the encode stage; the sorter's spills are
+            // the sort stage.
+            let got = {
+                let _s = hd_telemetry::span!("build_encode_nanos");
                 let got = src.next_chunk(chunk_points, &mut chunk)?;
-                if got == 0 {
-                    break;
-                }
                 rowbytes.resize(got * m * 4, 0);
                 rd.read_exact(&mut rowbytes)?;
                 read_bytes += rowbytes.len() as u64;
-                recbuf.resize(got * rec_len, 0);
-                let job = EncodeJob {
-                    partitioning: ctx.partitioning,
-                    curve,
-                    group: g,
-                    lo,
-                    hi,
-                    grid: &grid,
-                    dim,
-                    m,
-                    key_len,
-                    rec_len,
-                    base,
-                };
-                encode_chunk(&job, &chunk, &rowbytes, &mut recbuf);
-                for r in 0..got {
-                    sorter.push(&recbuf[r * rec_len..(r + 1) * rec_len])?;
-                }
-                base += got;
+                got
+            };
+            if got == 0 {
+                break;
             }
-            charge(&io, read_bytes, false);
+            let mut done = 0;
+            while done < got {
+                let slots = {
+                    let _s = hd_telemetry::span!("build_sort_nanos");
+                    sorter.push_slots(got - done)?
+                };
+                let _s = hd_telemetry::span!("build_encode_nanos");
+                let take = slots.len() / rec_len;
+                encode_chunk(
+                    &job,
+                    base + done,
+                    &chunk[done * dim..],
+                    &rowbytes[done * m * 4..],
+                    slots,
+                );
+                done += take;
+            }
+            base += got;
+        }
+        charge(&io, read_bytes, false);
+        let reader = {
+            let _s = hd_telemetry::span!("build_sort_nanos");
             sorter.finish()?
         };
         spilled_runs += reader.spilled_runs() as u64;

@@ -296,15 +296,16 @@ mod tests {
             .collect();
         let n = survivors.len() as u64;
         assert_eq!(index.len(), n);
-        let (lo, hi) = index.params.domain;
         let mut sub = Vec::new();
         for (g, tree) in index.trees.iter().enumerate() {
+            let curve = &index.curves[g];
+            let mut key = vec![0u8; rdb::key_len(curve.key_len())];
             let mut want: Vec<(Vec<u8>, Vec<u8>)> = survivors
                 .iter()
                 .map(|(id, v, ref_dists)| {
                     index.partitioning.project_into(v, g, &mut sub);
-                    let hk = index.curves[g].encode_floats(&sub, lo, hi);
-                    (rdb::encode_key(&hk, *id), leaf_codes(grid, ref_dists))
+                    rdb::encode_key_into(curve, &sub, index.params.domain, *id, &mut key);
+                    (key.clone(), leaf_codes(grid, ref_dists))
                 })
                 .collect();
             want.sort();

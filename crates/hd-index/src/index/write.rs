@@ -92,12 +92,12 @@ impl HdIndex {
             map.push(id)?; // id == next_id - 1 > every mapped id: stays sorted
         }
         let value = self.ref_grid.encode_value(ref_dists);
-        let (lo, hi) = self.params.domain;
-        let mut sub = Vec::new();
+        let (mut sub, mut key) = (Vec::new(), Vec::new());
         for g in 0..self.trees.len() {
             self.partitioning.project_into(vector, g, &mut sub);
-            let hk = self.curves[g].encode_floats(&sub, lo, hi);
-            let key = rdb::encode_key(&hk, id);
+            let curve = &self.curves[g];
+            key.resize(rdb::key_len(curve.key_len()), 0);
+            rdb::encode_key_into(curve, &sub, self.params.domain, id, &mut key);
             // Upsert: replaying over a partially applied crash state meets
             // the same key again and must not grow a duplicate entry.
             self.trees[g].upsert(&key, &value)?;

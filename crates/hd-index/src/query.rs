@@ -216,6 +216,9 @@ thread_local! {
     /// leaves it empty again, so it is kept per thread between queries and
     /// a query neither allocates nor zeroes one.
     static SEEN_SLOTS: RefCell<IdSet> = RefCell::new(IdSet::default());
+    /// [`HdIndex::tree_candidates`]' projected sub-vector and probe key,
+    /// reused across trees and queries.
+    static PROBE: RefCell<(Vec<f32>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// What stage 2 of the pipeline starts from.
@@ -365,7 +368,6 @@ impl HdIndex {
     ) -> io::Result<usize> {
         let m = self.refs.m();
         let q_dists = query.ref_dists();
-        let (lo, hi) = self.params.domain;
         let ptolemaic = qp.filter == FilterKind::TriangularPtolemaic;
 
         // (i) α candidates by Hilbert-key adjacency. Tombstoned entries are
@@ -375,10 +377,13 @@ impl HdIndex {
         // candidate budget and recall decays. Orphans (tree entries whose
         // object a crash un-assigned or a compaction dropped) have no heap
         // slot and are skipped the same way.
-        let mut sub = Vec::new();
-        self.partitioning.project_into(query.vector(), g, &mut sub);
-        let probe = rdb::encode_probe_key(&self.curves[g].encode_floats(&sub, lo, hi));
-        let mut fwd = self.trees[g].seek(&probe)?;
+        let mut fwd = PROBE.with_borrow_mut(|(sub, key)| {
+            self.partitioning.project_into(query.vector(), g, sub);
+            let curve = &self.curves[g];
+            key.resize(rdb::key_len(curve.key_len()), 0);
+            rdb::encode_key_into(curve, sub, self.params.domain, 0, key);
+            self.trees[g].seek(key)
+        })?;
         let mut bwd = fwd.clone();
         bwd.retreat()?;
 
@@ -597,7 +602,6 @@ mod tests {
         let m = index.refs.m();
         let prepared = index.refs.prepare(q).unwrap();
         let q_dists = prepared.ref_dists();
-        let (lo, hi) = index.params.domain;
         let before = index.io_stats();
         let (mut survivors, mut scanned) = (Vec::new(), 0usize);
         for g in 0..index.trees.len() {
@@ -605,7 +609,8 @@ mod tests {
             index
                 .partitioning
                 .project_into(prepared.vector(), g, &mut sub);
-            let probe = rdb::encode_probe_key(&index.curves[g].encode_floats(&sub, lo, hi));
+            let mut probe = vec![0u8; rdb::key_len(index.curves[g].key_len())];
+            rdb::encode_key_into(&index.curves[g], &sub, index.params.domain, 0, &mut probe);
             let mut fwd = index.trees[g].seek(&probe).unwrap();
             let mut bwd = fwd.clone();
             bwd.retreat().unwrap();

@@ -15,7 +15,7 @@
 //! Hilbert cell — keep well-defined scan semantics); the code block is the
 //! B+-tree value.
 
-use hd_hilbert::HilbertKey;
+use hd_hilbert::HilbertCurve;
 use std::io;
 
 /// B+-tree key length for a Hilbert key of `hk_len` bytes.
@@ -28,18 +28,20 @@ pub fn val_len(m: usize) -> usize {
     m
 }
 
-/// Encodes `hilbert_key ++ id_be` (big-endian id keeps byte order total).
-pub fn encode_key(hk: &HilbertKey, id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(hk.len() + 8);
-    out.extend_from_slice(hk.as_bytes());
-    out.extend_from_slice(&id.to_be_bytes());
-    out
-}
-
-/// Encodes a probe key for `seek`: `hilbert_key ++ 0`, which sorts before
-/// every real entry sharing the same Hilbert key.
-pub fn encode_probe_key(hk: &HilbertKey) -> Vec<u8> {
-    encode_key(hk, 0)
+/// Writes the B+-tree key `hilbert_key ++ id_be` of sub-vector `sub` into
+/// `key`, which must be [`key_len`]`(curve.key_len())` bytes (big-endian id
+/// keeps byte order total). A probe key for `seek` takes id 0, which sorts
+/// before every real entry sharing the same Hilbert key.
+pub fn encode_key_into(
+    curve: &HilbertCurve,
+    sub: &[f32],
+    (lo, hi): (f32, f32),
+    id: u64,
+    key: &mut [u8],
+) {
+    let (hk, tail) = key.split_at_mut(curve.key_len());
+    curve.encode_floats_into(sub, lo, hi, hk);
+    tail.copy_from_slice(&id.to_be_bytes());
 }
 
 /// Extracts the object id from an encoded key.
@@ -169,21 +171,29 @@ impl RefGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hd_hilbert::HilbertCurve;
+
+    /// The key of `sub` on `curve` over the domain `[0, 255]`.
+    fn key(curve: &HilbertCurve, sub: &[f32], id: u64) -> Vec<u8> {
+        let mut key = vec![0u8; key_len(curve.key_len())];
+        encode_key_into(curve, sub, (0.0, 255.0), id, &mut key);
+        key
+    }
 
     #[test]
     fn key_roundtrip_and_order() {
         let curve = HilbertCurve::new(4, 8);
-        let hk_a = curve.encode(&[1, 2, 3, 4]);
-        let hk_b = curve.encode(&[200, 3, 7, 9]);
-        let ka = encode_key(&hk_a, 42);
+        let (a, b) = ([1.0, 2.0, 3.0, 4.0], [200.0, 3.0, 7.0, 9.0]);
+        let ka = key(&curve, &a, 42);
         assert_eq!(decode_id(&ka), 42);
         assert_eq!(ka.len(), key_len(curve.key_len()));
+        let hk_a = curve.encode(&[1, 2, 3, 4]);
+        assert_eq!(&ka[..curve.key_len()], hk_a.as_bytes());
         // Probe key sorts at/under all ids of the same Hilbert key.
-        let probe = encode_probe_key(&hk_a);
+        let probe = key(&curve, &a, 0);
         assert!(probe <= ka);
         // Ordering primarily by Hilbert key.
-        let kb = encode_key(&hk_b, 0);
+        let hk_b = curve.encode(&[200, 3, 7, 9]);
+        let kb = key(&curve, &b, 0);
         assert_eq!(
             hk_a.cmp(&hk_b),
             ka[..curve.key_len()].cmp(&kb[..curve.key_len()])
@@ -193,9 +203,8 @@ mod tests {
     #[test]
     fn same_cell_entries_ordered_by_id() {
         let curve = HilbertCurve::new(4, 8);
-        let hk = curve.encode(&[9, 9, 9, 9]);
-        let k1 = encode_key(&hk, 1);
-        let k2 = encode_key(&hk, 2);
+        let k1 = key(&curve, &[9.0; 4], 1);
+        let k2 = key(&curve, &[9.0; 4], 2);
         assert!(k1 < k2);
     }
 

@@ -12,13 +12,26 @@
 //! time by Gray-coding the bit-slice of the coordinates after rotating it
 //! into the orientation of the current sub-hypercube.
 //!
+//! Those recurrences run a word at a time: a level's η-bit slice is
+//! gathered eight coordinates per multiply from byte planes of the
+//! coordinates, rotations are reduced without `%`, the Gray inverse takes
+//! ⌈log₂ η⌉ shifts, and each level's word enters the key through a 64-bit
+//! accumulator. [`HilbertCurve::encode_into`] and
+//! [`HilbertCurve::encode_floats_into`] write into a caller's buffer and
+//! allocate nothing; [`HilbertCurve::encode`] wraps the first in an owned
+//! [`HilbertKey`].
+//!
 //! Guaranteed (and property-tested) invariants:
 //!
 //! * `decode(encode(p)) == p` — the mapping is a bijection;
 //! * consecutive keys map to points at L1 distance exactly 1 — the defining
 //!   adjacency property of the Hilbert curve (this is what makes key
 //!   proximity imply spatial proximity, the soundness direction the index
-//!   relies on).
+//!   relies on);
+//! * every key, and every decoded point, equals the bit-serial
+//!   formulation's (one coordinate bit gathered and one key bit written at
+//!   a time, every step taken modulo η), which the tests keep as the
+//!   reference.
 
 mod bits;
 mod curve;
@@ -37,6 +50,9 @@ pub fn quantize(v: f32, lo: f32, hi: f32, order: u32) -> u64 {
     let t = (((v - lo) as f64) / ((hi - lo) as f64)).clamp(0.0, 1.0);
     ((t * cells as f64) as u64).min(cells - 1)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod quantize_tests {

@@ -25,15 +25,21 @@
 //! on drop, and the index build removes the whole directory on open (crash
 //! cleanup) and after a successful build.
 //!
-//! Records compare as whole byte strings. Build records embed a unique id
-//! inside the key prefix, so full-record order equals key order and the
-//! merge is deterministic regardless of how records were split into runs —
-//! which is what makes spill-path and in-memory-path tree files
-//! byte-identical.
+//! The in-memory sort and the merge order records by one comparator: the
+//! first 16 bytes as a big-endian integer, then the rest of the record,
+//! then input position — exactly the order of a stable byte-wise sort, so
+//! the output does not depend on how records were split into runs. That is
+//! what makes spill-path and in-memory-path tree files byte-identical.
+//! (Build records embed a unique id inside the key, so input position never
+//! decides there.) The in-memory sort first sorts one `u32` per record
+//! holding the top bits of its prefix above its index, so most of the order
+//! comes from an integer sort over a contiguous array, and a record costs
+//! its bytes plus 4.
 
 use crate::budget::{BuildBudget, BuildReservation};
 use crate::page::DEFAULT_PAGE_SIZE;
 use crate::stats::IoStats;
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -47,6 +53,33 @@ const MIN_BUFFER_RECORDS: usize = 16;
 /// Per-run merge read-ahead ceiling. The actual buffer is
 /// `clamp(granted/runs, one page, this)` rounded to whole records.
 const MAX_RUN_READ_BUF: usize = 256 * 1024;
+
+/// The first 16 bytes of a record as a big-endian integer (zero-padded when
+/// the record is shorter), so comparing prefixes compares those bytes.
+#[inline]
+fn prefix(rec: &[u8]) -> u128 {
+    match rec.first_chunk::<16>() {
+        Some(head) => u128::from_be_bytes(*head),
+        None => {
+            let mut head = [0u8; 16];
+            head[..rec.len()].copy_from_slice(rec);
+            u128::from_be_bytes(head)
+        }
+    }
+}
+
+/// The one record order of both sort paths: the 16-byte big-endian prefix,
+/// then the rest of the record, then input position (`pos_a`, `pos_b`) —
+/// the order a stable byte-wise sort gives. The in-memory sort passes
+/// buffer indices; the merge passes run numbers, since an earlier run holds
+/// earlier input.
+#[inline]
+fn record_order(a: &[u8], pos_a: usize, b: &[u8], pos_b: usize) -> Ordering {
+    prefix(a)
+        .cmp(&prefix(b))
+        .then_with(|| a.get(16..).cmp(&b.get(16..)))
+        .then(pos_a.cmp(&pos_b))
+}
 
 /// Sorts fixed-width records under a byte budget, spilling sorted runs to
 /// disk as the buffer fills. See the module docs.
@@ -101,12 +134,26 @@ impl ExternalSorter {
     /// Appends one record (`rec.len()` must equal the sorter's `rec_len`).
     pub fn push(&mut self, rec: &[u8]) -> io::Result<()> {
         assert_eq!(rec.len(), self.rec_len, "record size mismatch");
-        if self.buf.len() / self.rec_len >= self.cap_recs {
-            self.spill()?;
-        }
-        self.buf.extend_from_slice(rec);
-        self.count += 1;
+        self.push_slots(1)?.copy_from_slice(rec);
         Ok(())
+    }
+
+    /// Appends up to `max` records for the caller to write in place, and
+    /// returns them: a whole number (at least one when `max > 0`) of
+    /// zeroed `rec_len`-byte slots, as many as fit in the buffer, after a
+    /// spill if it was full. Each returned slot counts as pushed, so the
+    /// caller must fill every one before the next call.
+    pub fn push_slots(&mut self, max: usize) -> io::Result<&mut [u8]> {
+        let mut held = self.buf.len() / self.rec_len;
+        if held >= self.cap_recs && max > 0 {
+            self.spill()?;
+            held = 0;
+        }
+        let take = max.min(self.cap_recs - held);
+        let start = self.buf.len();
+        self.buf.resize(start + take * self.rec_len, 0);
+        self.count += take as u64;
+        Ok(&mut self.buf[start..])
     }
 
     /// Records pushed so far.
@@ -119,18 +166,38 @@ impl ExternalSorter {
     }
 
     /// Sort order of the records currently buffered, as indices into the
-    /// flat buffer (ties broken by input order, though build keys are
-    /// unique so ties cannot arise there).
+    /// flat buffer, by [`record_order`] with the index as input position.
+    ///
+    /// Each `u32` first carries the top bits of its record's prefix above
+    /// the index bits, so one integer sort over a contiguous array does most
+    /// of the work; only records whose top bits tie are then compared in
+    /// full, group by group. The order is total, so unstable sorts give the
+    /// stable result, and the array is the `4` bytes per record the sorter
+    /// is charged for.
     fn sorted_order(&self) -> Vec<u32> {
-        let n = self.buf.len() / self.rec_len;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
         let rl = self.rec_len;
-        idx.sort_by(|&a, &b| {
-            let ra = &self.buf[a as usize * rl..(a as usize + 1) * rl];
-            let rb = &self.buf[b as usize * rl..(b as usize + 1) * rl];
-            ra.cmp(rb)
-        });
-        idx
+        let n = self.buf.len() / rl;
+        let rec = |i: u32| &self.buf[i as usize * rl..(i as usize + 1) * rl];
+        // The index takes the low `idx_bits`, the prefix's top bits the rest.
+        let idx_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        let top = |r: &[u8]| prefix(r).checked_shr(96 + idx_bits).unwrap_or(0) as u64;
+        let mut keys: Vec<u32> = self
+            .buf
+            .chunks_exact(rl)
+            .enumerate()
+            .map(|(i, r)| ((top(r) << idx_bits) | i as u64) as u32)
+            .collect();
+        keys.sort_unstable();
+        let idx_mask = ((1u64 << idx_bits) - 1) as u32;
+        for group in
+            keys.chunk_by_mut(|a, b| u64::from(*a) >> idx_bits == u64::from(*b) >> idx_bits)
+        {
+            for k in group.iter_mut() {
+                *k &= idx_mask;
+            }
+            group.sort_unstable_by(|&a, &b| record_order(rec(a), a as usize, rec(b), b as usize));
+        }
+        keys
     }
 
     /// Writes the buffered records to a fresh run file in sorted order and
@@ -360,10 +427,9 @@ impl LoserTree {
         self.node[0] = winner;
     }
 
-    /// Whether run `a`'s head sorts strictly before run `b`'s. Exhausted
-    /// (or virtual) runs lose to everything; equal keys break toward the
-    /// lower run index (earlier input — stability, though build keys are
-    /// unique so ties cannot arise there).
+    /// Whether run `a`'s head sorts strictly before run `b`'s by
+    /// [`record_order`]. Exhausted (or virtual) runs lose to everything;
+    /// equal records break toward the lower run index (earlier input).
     fn beats(cursors: &[RunCursor], a: usize, b: usize, rec_len: usize) -> bool {
         match (
             Self::peek(cursors, a, rec_len),
@@ -371,11 +437,7 @@ impl LoserTree {
         ) {
             (None, _) => false,
             (_, None) => true,
-            (Some(ra), Some(rb)) => match ra.cmp(rb) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Greater => false,
-                std::cmp::Ordering::Equal => a < b,
-            },
+            (Some(ra), Some(rb)) => record_order(ra, a, rb, b).is_lt(),
         }
     }
 
@@ -670,6 +732,52 @@ mod tests {
             expect.sort_unstable();
             prop_assert_eq!(sorted, expect);
             prop_assert!(runs <= runs_target + 1, "runs {} vs target {}", runs, runs_target);
+            std::fs::remove_dir_all(dir).ok();
+        }
+
+        /// Records that tie on the 16-byte prefix the comparator reads
+        /// first, and differ only after it or not at all (exact
+        /// duplicates), come out as a stable byte sort puts them, in
+        /// memory and spilled. Records shorter than the prefix compare
+        /// zero-padded.
+        #[test]
+        fn prefix_ties_and_duplicates_sort_as_a_stable_byte_sort(
+            n in 20usize..300,
+            rec_len in 4usize..40,
+            prefixes in 1u64..4,
+            tail_values in 1u64..5,
+            seed in 0u64..1000,
+            runs_target in 2usize..12,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |bound: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % bound
+            };
+            let heads: Vec<u64> = (0..prefixes).map(|_| next(u64::MAX)).collect();
+            let recs: Vec<Vec<u8>> = (0..n)
+                .map(|_| {
+                    let head = heads[next(prefixes) as usize];
+                    (0..rec_len)
+                        .map(|j| match j {
+                            0..=15 => (head >> (8 * (j % 8))) as u8,
+                            _ => next(tail_values) as u8,
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut expect = recs.clone();
+            expect.sort();
+            let dir = test_dir(&format!("ties_{seed}_{n}_{rec_len}_{runs_target}"));
+            let (in_memory, runs, _) = sort_under_budget(&dir.join("a"), &recs, usize::MAX);
+            prop_assert_eq!(runs, 0);
+            prop_assert_eq!(&in_memory, &expect);
+            let budget = (n * (rec_len + 4) / runs_target).max(MIN_BUFFER_RECORDS * (rec_len + 4));
+            let (spilled, runs, _) = sort_under_budget(&dir.join("b"), &recs, budget);
+            prop_assert!(runs >= 2, "budget {} must force spills, got {} runs", budget, runs);
+            prop_assert_eq!(&spilled, &expect);
             std::fs::remove_dir_all(dir).ok();
         }
     }
